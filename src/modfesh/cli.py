@@ -81,7 +81,8 @@ def _emit(args, columns, rows, payload_extra=None):
     elif fmt == "csv":
         lines = [f"# schema_version={spectra.SCHEMA_VERSION}", ",".join(columns)]
         for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                  for v in row))
         text = "\n".join(lines) + "\n"
     else:
         widths = [max(len(str(c)), 14) for c in columns]

@@ -6,8 +6,8 @@ one it falls back to forward differences with step h = sqrt(eps) max(|x|, 1).
 
 Convergence is declared on a scale-invariant gradient test,
 max_i |g_i| max(|p_i|, 1) <= tol * max(1, cost), or on a machine-precision
-step stall; running out of iterations raises ConvergenceError carrying the
-last iterate.
+step stall; running out of iterations, or a Jacobian (or J^T J) with a NaN
+or inf entry, raises ConvergenceError carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class LMResult:
     condition: float          # cond(J^T J) at the solution
 
 
-def _covariance(jac, residual_norm, n_points, n_params):
-    jtj = jac.T @ jac
+def _covariance(jtj, residual_norm, n_points, n_params):
     dof = max(n_points - n_params, 1)
     s2 = residual_norm ** 2 / dof
     try:
@@ -75,20 +74,29 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
     n_points = r.size
 
     def jac_at(p, r):
+        """Jacobian and J^T J at p; raises ConvergenceError unless both are finite."""
         if jacobian is not None:
-            return np.asarray(jacobian(p), dtype=float)
-        return finite_difference_jacobian(residual, p, r)
+            jac = np.asarray(jacobian(p), dtype=float)
+        else:
+            jac = finite_difference_jacobian(residual, p, r)
+        jtj = jac.T @ jac
+        # the diagonal of J^T J holds the squared column norms of J, so J^T J
+        # is finite only if J is
+        if not np.isfinite(jtj).all():
+            raise ConvergenceError(
+                f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
+                last=p.copy(), diagnostics={"cost": cost})
+        return jac, jtj
 
     for iteration in range(1, max_iter + 1):
-        jac = jac_at(p, r)
+        jac, jtj = jac_at(p, r)
         grad = jac.T @ r
         scale = np.maximum(np.abs(p), 1.0)
         grad_measure = float(np.max(np.abs(grad) * scale))
         if grad_measure <= grad_tol * max(1.0, cost):
-            cov, cond = _covariance(jac, math.sqrt(2.0 * cost), n_points, p.size)
+            cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
             return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
 
-        jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
         accepted = False
@@ -107,17 +115,17 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 if rel_step < 1e-14:
-                    jac = jac_at(p, r)
+                    jac, jtj = jac_at(p, r)
                     grad = jac.T @ r
                     grad_measure = float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
-                    cov, cond = _covariance(jac, math.sqrt(2.0 * cost), n_points, p.size)
+                    cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
                     return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
                 break
             lam *= 10.0
         if not accepted:
             # damping maxed out with no acceptable step: the iterate is
             # stationary to working precision, return it (MINPACK-style)
-            cov, cond = _covariance(jac, math.sqrt(2.0 * cost), n_points, p.size)
+            cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
             return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
 
     raise ConvergenceError(

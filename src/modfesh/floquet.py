@@ -196,15 +196,80 @@ class GapResult(NamedTuple):
     center: float    # rad/s, modulation frequency of minimum splitting
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Relative x-tolerance of the gap search.  Near the minimum gap^2 is flat and
+# its rounding noise lets Brent's parabolic steps wander once the bracket is
+# much narrower than this; a few 1e-9 is the finest position gap^2 resolves.
+GAP_XTOL_REL = 3e-9
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window,
-                         n_grid: int = 41) -> GapResult:
+def _brent_minimize(f, a: float, b: float, x: float):
+    """Minimize f on [a, b] from the start point x (Forsythe-Malcolm-Moler fmin).
+
+    Parabolic interpolation through the three best points, safeguarded by
+    golden-section steps (Brent 1973, ch. 5).  Stops once every point of the
+    bracket lies within 2 GAP_XTOL_REL |x| of x; returns (x, f(x)).
+    """
+    v = w = x
+    fv = fw = fx = f(x)
+    d = e = 0.0    # the last step and the one before it
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = GAP_XTOL_REL * abs(x)
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_prev, e = e, d
+            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if not parabolic:
+            e = (a - x) if x >= xm else (b - x)
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResult:
     """Minimum quasi-energy splitting of the m-th resonance over a frequency window.
 
     scan_window = (w_lo, w_hi) in rad/s must bracket the expected resonance
-    -omega_b / m.  A coarse grid locates the minimum, golden-section refines it.
+    w_expect = -omega_b / m.  Near an isolated avoided crossing the two-level
+    form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so a Brent
+    minimization of gap^2 started at w_expect lands on the center w_c in a
+    handful of eigensolves.  The truncation order is fixed once, at the window
+    center.  The center is located to a relative tolerance of GAP_XTOL_REL.
+
+    Raises DomainError for an invalid window or m = 0, for a window that does
+    not bracket w_expect, and when the minimizer ends within its tolerance of
+    a window edge (no interior minimum in the window).
     """
     w_lo, w_hi = scan_window
     if not (w_lo > 0 and w_hi > w_lo):
@@ -221,30 +286,12 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window,
     center_model = replace(model, omega_mod=0.5 * (w_lo + w_hi))
     n_order = floquet_spectrum(center_model).truncation_order + 5
 
-    def gap_at(w: float) -> float:
+    def gap_squared(w: float) -> float:
         evals, _, _, (j1, j2) = _solve_pair(replace(model, omega_mod=w), n_order)
-        return abs(evals[j2] - evals[j1])
+        return float(evals[j2] - evals[j1]) ** 2
 
-    grid = np.linspace(w_lo, w_hi, n_grid)
-    gaps = np.array([gap_at(w) for w in grid])
-    i_min = int(np.argmin(gaps))
-    if i_min in (0, n_grid - 1):
+    w_min, gap2 = _brent_minimize(gap_squared, w_lo, w_hi, w_expect)
+    edge_tol = 2.0 * GAP_XTOL_REL * w_min
+    if w_min - w_lo <= edge_tol or w_hi - w_min <= edge_tol:
         raise DomainError("no interior minimum bracketed by the scan window")
-
-    a, b = grid[i_min - 1], grid[i_min + 1]
-    c1 = b - _GOLDEN * (b - a)
-    c2 = a + _GOLDEN * (b - a)
-    f1, f2 = gap_at(c1), gap_at(c2)
-    for _ in range(80):
-        if b - a < 1e-13 * w_expect:
-            break
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - _GOLDEN * (b - a)
-            f1 = gap_at(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + _GOLDEN * (b - a)
-            f2 = gap_at(c2)
-    w_min = 0.5 * (a + b)
-    return GapResult(gap=gap_at(w_min), center=w_min)
+    return GapResult(gap=math.sqrt(gap2), center=w_min)

@@ -490,7 +490,7 @@ def fit_landau_zener(branch_data, init=None, max_iter: int = 200) -> LandauZener
         p_last = np.asarray(exc.last, dtype=float)
         jac = jacobian(p_last)
         jtj = jac.T @ jac
-        if np.linalg.cond(jtj) <= 1e10:
+        if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj) <= 1e10:
             raise
         r_last = residual(p_last)
         dof = max(r_last.size - p_last.size, 1)

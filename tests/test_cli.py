@@ -123,6 +123,16 @@ class TestResonancesAndGap:
         gap, rwa = row[1], row[3]
         assert gap == pytest.approx(rwa, rel=0.01)
 
+    def test_floquet_gap_csv_fields_are_numbers(self, capsys):
+        code, out, _ = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-150e3",
+                               "--rabi-hz", "3e3", "--amplitude-hz", "150e3",
+                               "--m", "1", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "m,gap_Hz,center_Hz,rwa_gap_Hz"
+        for field in lines[2].split(","):
+            float(field)
+
 
 class TestScatteringLengthCmd:
     def test_grid_values(self, capsys):

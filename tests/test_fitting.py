@@ -64,6 +64,18 @@ class TestLevenbergMarquardt:
         assert err.value.last is not None
         assert len(err.value.last) == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_raises(self, bad):
+        def residual(p):
+            return np.array([p[0] - 1.0, p[1] - 2.0, p[0] * p[1]])
+
+        def jacobian(p):
+            return np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+
+        with pytest.raises(ConvergenceError) as err:
+            levenberg_marquardt(residual, [0.5, 0.5], jacobian)
+        assert err.value.last == pytest.approx([0.5, 0.5])
+
     def test_linear_problem_one_step(self):
         x = np.linspace(0, 1, 10)
         y = 3 * x + 1

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,10 +162,23 @@ class TestAvoidedCrossingGap:
             avoided_crossing_gap(m, -1, (1.5, 2.0))
 
     def test_no_interior_minimum(self):
-        # monotone edge of the resonance: minimum pinned at the window edge
+        # the window brackets w_expect = 1 but ends below the true minimum at
+        # w ~ 1.0000504: gap^2 falls monotonically up to the right edge
         m = model(omega_b=1.0, Omega=0.01, A=0.8)
         with pytest.raises(DomainError):
-            avoided_crossing_gap(m, -1, (0.9999999, 1.1))
+            avoided_crossing_gap(m, -1, (0.98, 1.00003))
+
+    def test_minimum_near_window_edge(self):
+        # the minimum sits 8e-5 inside the left edge, 0.4 % of the window
+        # width, and is still interior
+        m = model(omega_b=1.0, Omega=0.01, A=0.8)
+        gap, center = avoided_crossing_gap(m, -1, (0.99997, 1.02))
+        assert center == pytest.approx(1.0000504, abs=1e-7)
+        assert gap == pytest.approx(0.0036883, rel=1e-4)
+
+    def test_returns_plain_floats(self):
+        gap, center = avoided_crossing_gap(model(), -1, (0.98, 1.02))
+        assert type(gap) is float and type(center) is float
 
 
 class TestRwaOracle:
@@ -179,4 +193,62 @@ class TestRwaOracle:
         half = 0.02 / m_order
         gap, center = avoided_crossing_gap(m, m_order, (1.0 - half, 1.0 + half))
         rwa = Om * abs(bessel_j(m_order, A / center))
+        assert abs(gap - rwa) <= 0.01 * rwa
+
+
+def rwa_setting(m_order, ratio):
+    """Continuum-side level resonant at omega = 1, Omega/omega = 0.02, and the
+    criterion-04 window 1 +- 0.02/m."""
+    m = DrivenTwoLevel(0.0, float(m_order), 0.02, ratio, 1.0)
+    half = 0.02 / m_order
+    return m, (1.0 - half, 1.0 + half)
+
+
+class TestGapWorkCount:
+    """Work count, not wall time: dense eigensolves per gap search."""
+
+    def test_eigh_calls_per_gap(self, monkeypatch):
+        calls = [0]
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls[0] += 1
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        counts = []
+        for m_order in (1, 2, 3):
+            for ratio in (0.5, 1.0, 2.0, 3.0, 5.5, 8.7):
+                m, window = rwa_setting(m_order, ratio)
+                calls[0] = 0
+                avoided_crossing_gap(m, m_order, window)
+                counts.append(calls[0])
+        assert np.mean(counts) <= 12
+        assert max(counts) <= 20
+
+
+class TestIndependentMinimizer:
+    """The gap search against scipy's bounded minimizer of the same gap^2,
+    at the same truncation, beyond criterion 04's A/w <= 3."""
+
+    @pytest.mark.parametrize("m_order", [1, 2, 3])
+    @pytest.mark.parametrize("ratio", [0.7, 2.5, 5.5, 8.7])
+    def test_matches_scipy_bounded(self, m_order, ratio):
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        m, window = rwa_setting(m_order, ratio)
+        gap, center = avoided_crossing_gap(m, m_order, window)
+
+        center_model = replace(m, omega_mod=0.5 * sum(window))
+        n_order = floquet_spectrum(center_model).truncation_order + 5
+
+        def gap_squared(w):
+            sol = floquet_spectrum(replace(m, omega_mod=w), truncation_order=n_order)
+            assert sol.truncation_order == n_order
+            return sol.gap ** 2
+
+        ref = minimize_scalar(gap_squared, bounds=window, method="bounded",
+                              options={"xatol": 1e-12})
+        assert gap == pytest.approx(math.sqrt(ref.fun), rel=1e-8)
+        assert center == pytest.approx(ref.x, rel=1e-8)
+        rwa = 0.02 * abs(bessel_j(m_order, ratio / center))
         assert abs(gap - rwa) <= 0.01 * rwa
