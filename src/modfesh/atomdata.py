@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 from .keyvalue import Section, format_keyvalue, load_keyvalue
 from .specfun import HalfInt
@@ -179,8 +181,8 @@ def cesium_states() -> tuple:
     )
 
 
-def bare_energy(state: MolecularState, B: float) -> float:
-    """Linear model without any crossing, Hz."""
+def bare_energy(state: MolecularState, B):
+    """Linear model without any crossing, Hz (B scalar or array)."""
     return state.E0 + state.mu_rel * (B - state.B_ref)
 
 
@@ -193,47 +195,49 @@ def _resolve_partner(state: MolecularState, registry) -> MolecularState:
                       "not found in the registry")
 
 
-def molecular_energy(state: MolecularState, B: float, registry=()) -> float:
+# math.hypot elementwise: np.hypot rounds differently by an ulp, which the
+# branch energies next to a crossing amplify to ~1e-13 relative
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _branches(state: MolecularState, B, registry) -> tuple:
+    """(own, lower, upper) branch energies in Hz at field(s) B, floats for a
+    scalar B; all three are the linear model without a crossing partner.  The
+    first field outside the validity window raises DomainError."""
+    b = np.asarray(B, dtype=float)
+    lo, hi = state.window
+    outside = ~((lo <= b) & (b <= hi))
+    if outside.any():
+        bad = B if b.ndim == 0 else float(b[outside][0])
+        raise DomainError(
+            f"B = {bad} G outside validity window [{lo}, {hi}] G of state {state.label!r}")
+    own = lower = upper = bare_energy(state, b)
+    if state.crossing_partner is not None:
+        _, v = state.crossing_partner
+        e_other = bare_energy(_resolve_partner(state, registry), b)
+        mean = 0.5 * (own + e_other)
+        gap = 0.5 * np.asarray(_HYPOT(own - e_other, v), dtype=float)
+        lower, upper = mean - gap, mean + gap
+        own = np.where(own > e_other, upper, lower)
+    return (float(own), float(lower), float(upper)) if b.ndim == 0 else (own, lower, upper)
+
+
+def molecular_energy(state: MolecularState, B, registry=()):
     """State energy at field B in Hz relative to the scattering threshold.
 
-    With a crossing partner, returns the avoided-crossing branch adiabatically
-    connected to this state's own linear model away from the crossing; exactly
-    at the crossing center the lower branch is returned (deterministic tie).
+    B may be a scalar (float out) or an array (array out).  With a crossing
+    partner, returns the avoided-crossing branch adiabatically connected to
+    this state's own linear model away from the crossing; exactly at the
+    crossing center the lower branch is returned (deterministic tie).
     """
-    lo, hi = state.window
-    if not (lo <= B <= hi):
-        raise DomainError(
-            f"B = {B} G outside validity window [{lo}, {hi}] G of state {state.label!r}")
-    e_own = bare_energy(state, B)
-    if state.crossing_partner is None:
-        return e_own
-    partner = _resolve_partner(state, registry)
-    _, v = state.crossing_partner
-    e_other = bare_energy(partner, B)
-    mean = 0.5 * (e_own + e_other)
-    gap = 0.5 * math.hypot(e_own - e_other, v)
-    if e_own > e_other:
-        return mean + gap
-    if e_own < e_other:
-        return mean - gap
-    return mean - gap   # tie at the crossing center: lower branch
+    return _branches(state, B, registry)[0]
 
 
-def crossing_branches(state: MolecularState, B: float, registry) -> tuple:
-    """(lower, upper) avoided-crossing branch energies in Hz at field B."""
+def crossing_branches(state: MolecularState, B, registry) -> tuple:
+    """(lower, upper) avoided-crossing branch energies in Hz at field(s) B."""
     if state.crossing_partner is None:
         raise DomainError(f"state {state.label!r} has no crossing partner")
-    lo, hi = state.window
-    if not (lo <= B <= hi):
-        raise DomainError(
-            f"B = {B} G outside validity window [{lo}, {hi}] G of state {state.label!r}")
-    partner = _resolve_partner(state, registry)
-    _, v = state.crossing_partner
-    e_own = bare_energy(state, B)
-    e_other = bare_energy(partner, B)
-    mean = 0.5 * (e_own + e_other)
-    gap = 0.5 * math.hypot(e_own - e_other, v)
-    return mean - gap, mean + gap
+    return _branches(state, B, registry)[1:]
 
 
 def crossing_field(state: MolecularState, registry) -> float:

@@ -32,6 +32,14 @@ _POLARIZATIONS = {
 }
 
 
+def finite(text: str) -> float:
+    """float(text) that rejects nan and inf; also the argparse number type."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def _parse_grid(text: str):
     """'0.87' -> [0.87]; '0.2:1.7:16' -> 16 points from 0.2 to 1.7."""
     if ":" in text:
@@ -39,14 +47,14 @@ def _parse_grid(text: str):
         if len(parts) != 3:
             raise ConfigError(f"grid spec {text!r} must be start:stop:points")
         try:
-            start, stop, n = float(parts[0]), float(parts[1]), int(parts[2])
+            start, stop, n = finite(parts[0]), finite(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"cannot parse grid spec {text!r}") from None
         if n < 1:
             raise ConfigError("grid needs at least one point")
         return np.linspace(start, stop, n)
     try:
-        return np.array([float(text)])
+        return np.array([finite(text)])
     except ValueError:
         raise ConfigError(f"cannot parse number {text!r}") from None
 
@@ -56,7 +64,7 @@ def _parse_window(text: str):
     if len(parts) != 2:
         raise ConfigError(f"window {text!r} must be lo:hi")
     try:
-        return float(parts[0]), float(parts[1])
+        return finite(parts[0]), finite(parts[1])
     except ValueError:
         raise ConfigError(f"cannot parse window {text!r}") from None
 
@@ -101,44 +109,33 @@ def _emit(args, columns, rows, payload_extra=None):
 # command implementations
 # ---------------------------------------------------------------------------
 
-def cmd_fictitious_field(args) -> int:
+def _fictitious_field_columns(field, species, f_level, m_f):
+    b = lightshift.fictitious_field(field, species, f_level)
+    return b, b * 1e3
+
+
+# verb -> (help, takes --mf, value columns, values(field, species, F, mF));
+# each lightshift function runs once on the whole intensity grid
+_LIGHT_TABLES = {
+    "fictitious-field": ("vector-light-shift fictitious magnetic field", False,
+                         ("B_fict_G", "B_fict_mG"), _fictitious_field_columns),
+    "scattering-rate": ("photon scattering rate of |F, mF>", True, ("scattering_rate_Hz",),
+                        lambda *a: (lightshift.scattering_rate(*a),)),
+    "heating-rate": ("recoil heating rate in nK/ms", True, ("heating_rate_nK_per_ms",),
+                     lambda *a: (lightshift.heating_rate(*a),)),
+}
+
+
+def cmd_light_table(args) -> int:
     species = _load_species(args)
     f_level = args.f_level if args.f_level is not None else species.ground_F
-    rows = []
-    for intensity in _parse_grid(args.intensity):
-        field = lightshift.LightField(intensity=float(intensity), detuning=args.detuning,
-                                      polarization=_POLARIZATIONS[args.pol]())
-        b = lightshift.fictitious_field(field, species, f_level)
-        rows.append((float(intensity), b, b * 1e3))
-    _emit(args, ["intensity_W_cm2", "B_fict_G", "B_fict_mG"], rows)
-    return 0
-
-
-def cmd_scattering_rate(args) -> int:
-    species = _load_species(args)
-    f_level = args.f_level if args.f_level is not None else species.ground_F
-    m_f = args.mf if args.mf is not None else f_level
-    rows = []
-    for intensity in _parse_grid(args.intensity):
-        field = lightshift.LightField(intensity=float(intensity), detuning=args.detuning,
-                                      polarization=_POLARIZATIONS[args.pol]())
-        rows.append((float(intensity),
-                     lightshift.scattering_rate(field, species, f_level, m_f)))
-    _emit(args, ["intensity_W_cm2", "scattering_rate_Hz"], rows)
-    return 0
-
-
-def cmd_heating_rate(args) -> int:
-    species = _load_species(args)
-    f_level = args.f_level if args.f_level is not None else species.ground_F
-    m_f = args.mf if args.mf is not None else f_level
-    rows = []
-    for intensity in _parse_grid(args.intensity):
-        field = lightshift.LightField(intensity=float(intensity), detuning=args.detuning,
-                                      polarization=_POLARIZATIONS[args.pol]())
-        rows.append((float(intensity),
-                     lightshift.heating_rate(field, species, f_level, m_f)))
-    _emit(args, ["intensity_W_cm2", "heating_rate_nK_per_ms"], rows)
+    m_f = getattr(args, "mf", None)
+    intensity = _parse_grid(args.intensity)
+    field = lightshift.LightField(intensity=intensity, detuning=args.detuning,
+                                  polarization=_POLARIZATIONS[args.pol]())
+    _, _, names, values = _LIGHT_TABLES[args.command]
+    columns = (intensity, *values(field, species, f_level, f_level if m_f is None else m_f))
+    _emit(args, ["intensity_W_cm2", *names], zip(*(c.tolist() for c in columns)))
     return 0
 
 
@@ -177,10 +174,9 @@ def cmd_scattering_length(args) -> int:
                                       delta_m=2.0 * math.pi * args.delta_m_hz,
                                       omega0=2.0 * math.pi * args.omega0_hz,
                                       m=args.m)
-    rows = []
-    for f in _parse_grid(args.grid):
-        rows.append((float(f), scattering.scattering_length(model, 2.0 * math.pi * float(f))))
-    _emit(args, ["f_Hz", "a_s_a0"], rows)
+    f = _parse_grid(args.grid)
+    a_s = scattering.scattering_length(model, 2.0 * math.pi * f)
+    _emit(args, ["f_Hz", "a_s_a0"], zip(f.tolist(), a_s.tolist()))
     return 0
 
 
@@ -190,26 +186,24 @@ def cmd_dressed(args) -> int:
         gamma_in=2.0 * math.pi * args.gamma_hz,
         omega_b=2.0 * math.pi * args.omega_b_hz,
         delta_shift=2.0 * math.pi * args.delta_shift_hz, m=args.m)
-    rows = []
-    for f in _parse_grid(args.grid):
-        alpha, beta = scattering.dressed_alpha_beta(model, 2.0 * math.pi * float(f),
-                                                    k=args.k_wavenumber,
-                                                    k_convention=args.k_convention,
-                                                    reduced_mass=atomdata.CS_MASS / 2.0)
-        rows.append((float(f), alpha, beta))
-    _emit(args, ["f_Hz", "alpha_a0", "beta_a0"], rows)
+    f = _parse_grid(args.grid)
+    alpha, beta = scattering.dressed_alpha_beta(model, 2.0 * math.pi * f,
+                                                k=args.k_wavenumber,
+                                                k_convention=args.k_convention,
+                                                reduced_mass=atomdata.CS_MASS / 2.0)
+    _emit(args, ["f_Hz", "alpha_a0", "beta_a0"], zip(f.tolist(), alpha.tolist(), beta.tolist()))
     return 0
 
 
 # -- scan ------------------------------------------------------------------
 
-def _section_float(sec, key, path, default=None):
+def _section_float(sec, key, path, default=None, parse=finite):
     if key not in sec.values:
         if default is not None:
             return default
         raise ConfigError(f"missing key {key!r} in [{sec.name}]", path, sec.line)
     try:
-        return float(sec.values[key])
+        return parse(sec.values[key])
     except ValueError:
         raise ConfigError(f"cannot parse {key!r} = {sec.values[key]!r}",
                           path, sec.value_lines[key]) from None
@@ -234,8 +228,8 @@ def cmd_scan(args) -> int:
         raise ConfigError("missing [scan] section", path)
 
     axis = scan_sec.values.get("axis", spectra.AXIS_FREQ)
-    seed_val = scan_sec.values.get("seed")
-    seed = int(seed_val) if seed_val is not None else None
+    seed = (_section_float(scan_sec, "seed", path, parse=int)
+            if "seed" in scan_sec.values else None)
     if args.seed is not None:
         seed = args.seed
     common = dict(
@@ -273,7 +267,11 @@ def cmd_scan(args) -> int:
         for lineno, tokens in widths_sec.rows:
             if len(tokens) != 2:
                 raise ConfigError("width row must be '<|m|> <width_hz>'", path, lineno)
-            widths[int(tokens[0])] = float(tokens[1])
+            try:
+                widths[int(tokens[0])] = finite(tokens[1])
+            except ValueError:
+                raise ConfigError(f"cannot parse width row {' '.join(tokens)!r}",
+                                  path, lineno) from None
         registry_arg = scan_sec.values.get("registry", "builtin")
         registry = (atomdata.cesium_states() if registry_arg == "builtin"
                     else atomdata.load_state_registry(registry_arg))
@@ -451,61 +449,54 @@ def build_parser() -> argparse.ArgumentParser:
     light = argparse.ArgumentParser(add_help=False)
     light.add_argument("--intensity", required=True,
                        help="W/cm^2, single value or start:stop:points grid")
-    light.add_argument("--detuning", type=float, required=True,
+    light.add_argument("--detuning", type=finite, required=True,
                        help="Hz, signed, relative to the D2 F->F'=F+1 line (red < 0)")
     light.add_argument("--pol", choices=sorted(_POLARIZATIONS), required=True)
     light.add_argument("--f-level", type=int, default=None,
                        help="hyperfine manifold F (default: species ground F)")
 
-    p = sub.add_parser("fictitious-field", parents=[common, light],
-                       help="vector-light-shift fictitious magnetic field")
-    p.set_defaults(func=cmd_fictitious_field)
-
-    p = sub.add_parser("scattering-rate", parents=[common, light],
-                       help="photon scattering rate of |F, mF>")
-    p.add_argument("--mf", type=int, default=None, help="mF (default: stretched, mF = F)")
-    p.set_defaults(func=cmd_scattering_rate)
-
-    p = sub.add_parser("heating-rate", parents=[common, light],
-                       help="recoil heating rate in nK/ms")
-    p.add_argument("--mf", type=int, default=None)
-    p.set_defaults(func=cmd_heating_rate)
+    for verb, (help_text, takes_mf, _, _) in _LIGHT_TABLES.items():
+        p = sub.add_parser(verb, parents=[common, light], help=help_text)
+        if takes_mf:
+            p.add_argument("--mf", type=int, default=None,
+                           help="mF (default: stretched, mF = F)")
+        p.set_defaults(func=cmd_light_table)
 
     p = sub.add_parser("resonances", parents=[common],
                        help="modulation-resonance positions (fundamental + subharmonics)")
-    p.add_argument("--omega-b-hz", type=float, required=True,
+    p.add_argument("--omega-b-hz", type=finite, required=True,
                    help="free-to-bound gap omega_b/2pi in Hz (positive: state below threshold)")
     p.add_argument("--m-max", type=int, default=3)
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("floquet-gap", parents=[common],
                        help="numerical avoided-crossing gap vs the RWA prediction")
-    p.add_argument("--omega-b-hz", type=float, required=True)
-    p.add_argument("--rabi-hz", type=float, required=True, help="bare coupling Omega/2pi")
-    p.add_argument("--amplitude-hz", type=float, required=True, help="drive amplitude A/2pi")
+    p.add_argument("--omega-b-hz", type=finite, required=True)
+    p.add_argument("--rabi-hz", type=finite, required=True, help="bare coupling Omega/2pi")
+    p.add_argument("--amplitude-hz", type=finite, required=True, help="drive amplitude A/2pi")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--window", default=None, help="scan window lo:hi in Hz")
     p.set_defaults(func=cmd_floquet_gap)
 
     p = sub.add_parser("scattering-length", parents=[common],
                        help="effective scattering length vs modulation frequency")
-    p.add_argument("--a-bk", type=float, required=True, help="background length, Bohr radii")
-    p.add_argument("--delta-m-hz", type=float, required=True)
-    p.add_argument("--omega0-hz", type=float, required=True)
+    p.add_argument("--a-bk", type=finite, required=True, help="background length, Bohr radii")
+    p.add_argument("--delta-m-hz", type=finite, required=True)
+    p.add_argument("--omega0-hz", type=finite, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", required=True, help="frequency grid start:stop:points in Hz")
     p.set_defaults(func=cmd_scattering_length)
 
     p = sub.add_parser("dressed", parents=[common],
                        help="dressed-atom complex scattering length alpha - i beta")
-    p.add_argument("--a-bk", type=float, required=True)
-    p.add_argument("--delta-m-hz", type=float, required=True)
-    p.add_argument("--gamma-hz", type=float, required=True, help="inelastic coupling gamma/2pi")
-    p.add_argument("--omega-b-hz", type=float, required=True)
-    p.add_argument("--delta-shift-hz", type=float, default=0.0)
+    p.add_argument("--a-bk", type=finite, required=True)
+    p.add_argument("--delta-m-hz", type=finite, required=True)
+    p.add_argument("--gamma-hz", type=finite, required=True, help="inelastic coupling gamma/2pi")
+    p.add_argument("--omega-b-hz", type=finite, required=True)
+    p.add_argument("--delta-shift-hz", type=finite, default=0.0)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--k-wavenumber", type=float, default=0.0, help="collisional k in 1/m")
+    p.add_argument("--k-wavenumber", type=finite, default=0.0, help="collisional k in 1/m")
     p.add_argument("--k-convention", choices=("collision_energy", "wavenumber"),
                    default="collision_energy")
     p.set_defaults(func=cmd_dressed)
@@ -530,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of spectrum JSON files with field_G/intensity metadata")
     p.add_argument("--registry", default="builtin",
                    help="molecular-state registry file, or 'builtin'")
-    p.add_argument("--min-depth", type=float, default=0.05)
-    p.add_argument("--min-separation-hz", type=float, default=8e3)
+    p.add_argument("--min-depth", type=finite, default=0.05)
+    p.add_argument("--min-separation-hz", type=finite, default=8e3)
     p.set_defaults(func=cmd_energy_map)
 
     for action in sub.choices.values():

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .atomdata import AtomSpecies, C_LIGHT, HBAR, KB, MU0, MU_BOHR, Transition
 from .errors import DomainError
 from .specfun import wigner_3j, wigner_6j
@@ -96,19 +98,25 @@ class Polarization:
 class LightField:
     """The experimental knob set of the modulation beam.
 
-    intensity is the average peak intensity in W/cm^2; detuning is in Hz,
-    signed relative to the D2 F -> F'=F+1 reference line (red = negative).
+    intensity is the average peak intensity in W/cm^2, a scalar or an array
+    (one result per intensity); detuning is in Hz, signed relative to the D2
+    F -> F'=F+1 reference line (red = negative).
     """
 
-    intensity: float                   # W/cm^2
+    intensity: float                   # W/cm^2, scalar or array
     detuning: float                    # Hz
     polarization: Polarization
     modulation_depth: float = 0.0      # fraction in [0, 1]
     modulation_freq: float = 0.0       # Hz
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise DomainError("intensity must be non-negative")
+        intensity = np.asarray(self.intensity, dtype=float)
+        if not np.all(np.isfinite(intensity) & (intensity >= 0)):
+            raise DomainError("intensity must be finite and non-negative")
+        if intensity.ndim:
+            object.__setattr__(self, "intensity", intensity)
+        if not math.isfinite(self.detuning):
+            raise DomainError("detuning must be finite")
         if not 0.0 <= self.modulation_depth <= 1.0:
             raise DomainError("modulation depth must lie in [0, 1]")
 
@@ -118,7 +126,8 @@ class LightField:
         return 2.0 * math.pi * (ref.frequency + self.detuning)
 
 
-def _guard_near_resonance(species: AtomSpecies, omega: float) -> None:
+def _lines_from(species: AtomSpecies, F: int, omega: float) -> list:
+    """The transitions from manifold F, after the near-resonance guard."""
     if omega <= 0:
         raise DomainError("optical angular frequency must be positive")
     for tr in species.transitions:
@@ -127,6 +136,10 @@ def _guard_near_resonance(species: AtomSpecies, omega: float) -> None:
                 f"light within {NEAR_RESONANCE_LINEWIDTHS:g} linewidths of the "
                 f"{tr.line} F={tr.F}->F'={tr.F_prime} transition; the far-detuned "
                 "model is invalid there")
+    lines = [tr for tr in species.transitions if tr.F == F]
+    if not lines:
+        raise DomainError(f"species table has no transitions from F = {F}")
+    return lines
 
 
 def vector_polarizability(species: AtomSpecies, F: int, omega: float) -> float:
@@ -138,10 +151,7 @@ def vector_polarizability(species: AtomSpecies, F: int, omega: float) -> float:
         * omega |<J||d||J'>|^2 / (hbar (w_F'F^2 - omega^2))
         * (2F'+1)(2J+1) {J J' 1; F' F I}^2
     """
-    _guard_near_resonance(species, omega)
-    lines = [tr for tr in species.transitions if tr.F == F]
-    if not lines:
-        raise DomainError(f"species table has no transitions from F = {F}")
+    lines = _lines_from(species, F, omega)
     i_nuc = species.nuclear_spin
     pref = math.sqrt(6.0 * F * (2 * F + 1) / (F + 1.0))
     total = 0.0
@@ -157,8 +167,8 @@ def vector_polarizability(species: AtomSpecies, F: int, omega: float) -> float:
     return total
 
 
-def fictitious_field(field: LightField, species: AtomSpecies, F: int) -> float:
-    """Fictitious magnetic field B_z^f in Gauss.
+def fictitious_field(field: LightField, species: AtomSpecies, F: int):
+    """Fictitious magnetic field B_z^f in Gauss (one per field intensity).
 
     B_z^f = -(I mu0 c)/(2 mu_B g_F F) (|u_-1|^2 - |u_+1|^2) alpha_v(F; omega)
     """
@@ -191,8 +201,8 @@ def _hyperfine_me_sq(tr: Transition, i_nuc, F: int, mF: int, p: int) -> float:
             * tj ** 2 * sj ** 2 * tr.reduced_dipole ** 2)
 
 
-def scattering_rate(field: LightField, species: AtomSpecies, F: int, mF: int) -> float:
-    """Photon scattering rate of |F, mF> in Hz.
+def scattering_rate(field: LightField, species: AtomSpecies, F: int, mF: int):
+    """Photon scattering rate of |F, mF> in Hz (one per field intensity).
 
     R_s = (I mu0 c)/(2 hbar^2) sum_{F', q} |u_q|^2
           |<F', mF - q| d_{-q} |F, mF>|^2 Gamma_line / (omega - w_F'F)^2
@@ -202,10 +212,7 @@ def scattering_rate(field: LightField, species: AtomSpecies, F: int, mF: int) ->
     if abs(mF) > F:
         raise DomainError(f"|mF| = {abs(mF)} exceeds F = {F}")
     omega = field.angular_frequency(species)
-    _guard_near_resonance(species, omega)
-    lines = [tr for tr in species.transitions if tr.F == F]
-    if not lines:
-        raise DomainError(f"species table has no transitions from F = {F}")
+    lines = _lines_from(species, F, omega)
     i_nuc = species.nuclear_spin
     total = 0.0
     for tr in lines:
@@ -219,8 +226,8 @@ def scattering_rate(field: LightField, species: AtomSpecies, F: int, mF: int) ->
     return intensity_si * MU0 * C_LIGHT / (2.0 * HBAR ** 2) * total
 
 
-def heating_rate(field: LightField, species: AtomSpecies, F: int, mF: int) -> float:
-    """Recoil heating rate dT/dt in nK/ms.
+def heating_rate(field: LightField, species: AtomSpecies, F: int, mF: int):
+    """Recoil heating rate dT/dt in nK/ms (one per field intensity).
 
     dT/dt = (2 / 3 k_B) R_s (hbar k)^2 / (2 m), with the photon wavevector
     taken at the driving light frequency.

@@ -109,11 +109,23 @@ def _composite_alpha_beta(resonances, omega):
     return alpha, beta
 
 
-def _relative_atoms(alpha, beta, a_bk, *, hold_time, density, k3_coeff, k2_coeff,
-                    cap_wavenumber):
+def _loss_spectrum(axis, x, alpha, beta, a_bk, *, hold_time, density, k3_coeff,
+                   k2_coeff, cap_wavenumber, noise_sigma, seed, metadata) -> Spectrum:
+    """Relative atom number from the composite (alpha, beta), normalized by the
+    background rate at a_bk, then seeded Gaussian noise, clipping and metadata."""
     rate = loss_rate_proxy(alpha, beta, density, k3_coeff, k2_coeff, cap_wavenumber)
     rate_bg = loss_rate_proxy(a_bk, 0.0, density, k3_coeff, k2_coeff, cap_wavenumber)
-    return np.exp(-(rate - rate_bg) * hold_time)
+    y = np.exp(-(rate - rate_bg) * hold_time)
+    sigma = np.full_like(y, float(noise_sigma))
+    if noise_sigma > 0.0:
+        rng = np.random.default_rng(seed)
+        y = y + rng.normal(0.0, noise_sigma, size=y.size)
+    y = np.clip(y, 0.0, RELATIVE_ATOMS_MAX)
+    meta = {"hold_time_ms": hold_time * 1e3, "density_cm3": density,
+            "noise_sigma": noise_sigma, "seed": seed}
+    if metadata:
+        meta.update(metadata)
+    return Spectrum(axis, x, y, sigma, meta)
 
 
 def synthesize_spectrum(resonances, grid_hz, *, hold_time: float = 5e-3,
@@ -135,19 +147,10 @@ def synthesize_spectrum(resonances, grid_hz, *, hold_time: float = 5e-3,
         raise DomainError("hold time must be positive")
     omega = 2.0 * math.pi * grid_hz
     alpha, beta = _composite_alpha_beta(list(resonances), omega)
-    y = _relative_atoms(alpha, beta, resonances[0].a_bk,
-                        hold_time=hold_time, density=density, k3_coeff=k3_coeff,
-                        k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber)
-    sigma = np.full_like(y, float(noise_sigma))
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        y = y + rng.normal(0.0, noise_sigma, size=y.size)
-    y = np.clip(y, 0.0, RELATIVE_ATOMS_MAX)
-    meta = {"hold_time_ms": hold_time * 1e3, "density_cm3": density,
-            "noise_sigma": noise_sigma, "seed": seed}
-    if metadata:
-        meta.update(metadata)
-    return Spectrum(AXIS_FREQ, grid_hz, y, sigma, meta)
+    return _loss_spectrum(AXIS_FREQ, grid_hz, alpha, beta, resonances[0].a_bk,
+                          hold_time=hold_time, density=density, k3_coeff=k3_coeff,
+                          k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber,
+                          noise_sigma=noise_sigma, seed=seed, metadata=metadata)
 
 
 def synthesize_field_scan(state: MolecularState, registry, f_mod_hz: float,
@@ -164,38 +167,27 @@ def synthesize_field_scan(state: MolecularState, registry, f_mod_hz: float,
     widths_hz maps |m| -> resonance width Delta_m/2pi in Hz (calibration
     inputs).  dc_shift_hz displaces the free-to-bound gap uniformly (the DC
     light-shift of the level difference).  Resonances land where the shifted
-    |E(B)| equals |m| f_mod on either side of the threshold crossing.
+    |E(B)| equals |m| f_mod on either side of the threshold crossing.  The
+    composite scattering length is evaluated on the whole (field, order) grid.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     if b_grid.size < 2 or np.any(np.diff(b_grid) <= 0):
         raise DomainError("field grid must be monotonically increasing")
     if orders is None:
         orders = sorted(widths_hz)
-    omega_mod = 2.0 * math.pi * f_mod_hz
-    y = np.empty_like(b_grid)
-    for i, b in enumerate(b_grid):
-        e_hz = molecular_energy(state, float(b), registry)
-        omega_b = -2.0 * math.pi * (e_hz + dc_shift_hz)
-        models = []
-        for k in orders:
-            m = -k if omega_b > 0 else k
-            models.append(ResonanceModel(a_bk=a_bk, delta_m=2.0 * math.pi * widths_hz[k],
-                                         omega0=omega_b, m=m))
-        alpha, beta = _composite_alpha_beta(models, np.asarray(omega_mod))
-        y[i] = _relative_atoms(alpha, beta, a_bk, hold_time=hold_time,
-                               density=density, k3_coeff=k3_coeff,
-                               k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber)
-    sigma = np.full_like(y, float(noise_sigma))
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        y = y + rng.normal(0.0, noise_sigma, size=y.size)
-    y = np.clip(y, 0.0, RELATIVE_ATOMS_MAX)
-    meta = {"modulation_freq_Hz": f_mod_hz, "state": state.label,
-            "hold_time_ms": hold_time * 1e3, "density_cm3": density,
-            "noise_sigma": noise_sigma, "seed": seed}
-    if metadata:
-        meta.update(metadata)
-    return Spectrum(AXIS_FIELD, b_grid, y, sigma, meta)
+    omega_b = -2.0 * math.pi * (molecular_energy(state, b_grid, registry) + dc_shift_hz)
+    # a state below threshold (omega_b > 0) resonates at order -|m|: the
+    # denominator -m w - omega0 is the same with the sign moved onto w
+    omega = np.where(omega_b > 0, -2.0 * math.pi * f_mod_hz, 2.0 * math.pi * f_mod_hz)
+    models = [ResonanceModel(a_bk=a_bk, delta_m=2.0 * math.pi * widths_hz[k],
+                             omega0=omega_b, m=k) for k in orders]
+    alpha, beta = _composite_alpha_beta(models, omega)
+    return _loss_spectrum(AXIS_FIELD, b_grid, alpha, beta, a_bk,
+                          hold_time=hold_time, density=density, k3_coeff=k3_coeff,
+                          k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber,
+                          noise_sigma=noise_sigma, seed=seed,
+                          metadata={"modulation_freq_Hz": f_mod_hz, "state": state.label,
+                                    **(metadata or {})})
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +548,9 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
     spectra; several intensities per field enable the DC-shift compensation.
     Peaks are associated with the registry state and drive order whose
     predicted |E(B)|/|m| lies within ratio_tolerance; two states within
-    tolerance flag the point instead of guessing.
+    tolerance flag the point instead of guessing.  A Fano fit that fails, ends
+    more than min_separation_hz/2 from its dip or is shallower than min_depth
+    measures noise rather than a line and is dropped.
     """
     if fit_halfwidth_hz is None:
         fit_halfwidth_hz = 2.5 * min_separation_hz
@@ -579,6 +573,9 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
                 try:
                     fit = fit_fano(spec, window=window)
                 except (DomainError, ConvergenceError):
+                    continue
+                if (abs(fit.center - xc) > min_separation_hz / 2
+                        or fit.amplitude < min_depth):
                     continue
                 peak_fits.append((intensity, fit.center, fit.center_stderr))
         if not peak_fits:

@@ -150,6 +150,72 @@ class TestMolecularEnergy:
         assert upper - lower == pytest.approx(25e3, rel=1e-12)
 
 
+def reference_energy(state, b, registry):
+    """Per-point reference: the two-level branch choice with math.hypot."""
+    e_own = state.E0 + state.mu_rel * (b - state.B_ref)
+    if state.crossing_partner is None:
+        return e_own
+    label, v = state.crossing_partner
+    other = next(s for s in registry if s.label == label)
+    e_other = other.E0 + other.mu_rel * (b - other.B_ref)
+    mean = 0.5 * (e_own + e_other)
+    gap = 0.5 * math.hypot(e_own - e_other, v)
+    return mean + gap if e_own > e_other else mean - gap
+
+
+class TestMolecularEnergyArray:
+    """A field array gives bit for bit the scalar loop's energies."""
+
+    def test_matches_scalar_loop(self):
+        states = cesium_states()
+        for st in states:
+            lo, hi = st.window
+            b = np.linspace(lo, hi, 2001)
+            if lo <= 18.66 <= hi:   # the 6s/6g(6) crossing center: bare lines tie
+                b = np.append(b, 18.66)
+            out = molecular_energy(st, b, states)
+            assert isinstance(out, np.ndarray) and out.shape == b.shape
+            assert out.tolist() == [molecular_energy(st, float(x), states) for x in b]
+            assert out.tolist() == [reference_energy(st, float(x), states) for x in b]
+
+    def test_scalar_in_float_out(self):
+        states = cesium_states()
+        assert type(molecular_energy(states[2], 18.66, states)) is float
+        lower, upper = crossing_branches(states[2], 18.66, states)
+        assert type(lower) is float and type(upper) is float
+
+    def test_tie_takes_lower_branch_in_array(self):
+        a = MolecularState("steep", E0=-200e3, mu_rel=-1.0e6, B_ref=18.66,
+                           crossing_partner=("flat", 25e3))
+        b = MolecularState("flat", E0=-200e3, mu_rel=-10e3, B_ref=18.66,
+                           crossing_partner=("steep", 25e3))
+        reg = (a, b)
+        grid = np.array([18.6, 18.66, 18.7])
+        e_a, e_b = molecular_energy(a, grid, reg), molecular_energy(b, grid, reg)
+        assert e_a[1] == e_b[1] == molecular_energy(a, 18.66, reg)
+        assert e_a.tolist() == [molecular_energy(a, x, reg) for x in grid]
+
+    def test_crossing_branches_array(self):
+        states = cesium_states()
+        b = np.linspace(18.0, 19.4, 301)
+        lower, upper = crossing_branches(states[2], b, states)
+        ref = [crossing_branches(states[2], float(x), states) for x in b]
+        assert lower.tolist() == [r[0] for r in ref]
+        assert upper.tolist() == [r[1] for r in ref]
+
+    def test_window_error_names_first_offending_field(self):
+        st = MolecularState("x", E0=-100e3, mu_rel=500e3, B_ref=20.0)
+        b = np.array([20.0, 51.0, 3.0, 60.0])
+        with pytest.raises(DomainError) as from_array:
+            molecular_energy(st, b)
+        with pytest.raises(DomainError) as from_scalar:
+            molecular_energy(st, 51.0)
+        assert str(from_array.value) == str(from_scalar.value)
+        assert "51.0" in str(from_array.value)
+        with pytest.raises(DomainError):
+            molecular_energy(st, np.array([20.0, np.nan]))
+
+
 class TestSpeciesIO:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cs.species"

@@ -398,6 +398,36 @@ class TestEnergyMap:
         code, _, _ = run_cli(capsys, "energy-map", "--scan-dir", str(empty))
         assert code == 2
 
+    def test_runaway_fano_fit_dropped(self, tmp_path, capsys):
+        """A noise dip at 0.4 W/cm^2 whose Fano fit ran 19 kHz off toward the
+        window edge (amplitude below min_depth) once became a (6s, -3) row."""
+        b_field, slope, seed = 19.0521, -2576.312176422673, 749284533
+        registry = cesium_states()
+        state = next(s for s in registry if s.label == "4g(4)")
+        energy = molecular_energy(state, b_field, registry)
+        start, stop = abs(energy) / 2 - 22e3, abs(energy) + 22e3
+        points = int(round((stop - start) / 150.0)) + 1
+        for i, intensity in enumerate((0.4, 0.8, 1.2)):
+            body = ["[scan]", f"start_hz = {start!r}", f"stop_hz = {stop!r}",
+                    f"points = {points}", "density_cm3 = 2.5e12", "noise_sigma = 0.01",
+                    f"seed = {seed + i}", f"field_G = {b_field!r}",
+                    f"intensity_W_cm2 = {intensity!r}",
+                    f"dc_shift_hz = {slope * intensity * (1 - 0.86 / 2)!r}"]
+            for k, width in ((1, 3e3), (2, 4e3)):
+                body += ["[resonance]", "a_bk = 200.0", f"delta_m_hz = {width!r}",
+                         f"omega0_hz = {-energy!r}", f"m = {-k}"]
+            cfg = tmp_path / f"scan_{i}.cfg"
+            cfg.write_text("\n".join(body) + "\n")
+            assert run_cli(capsys, "scan", "--config", str(cfg),
+                           "--out", str(tmp_path / f"scan_{i}"))[0] == 0
+        out_csv = tmp_path / "map.csv"
+        code, _, err = run_cli(capsys, "energy-map", "--scan-dir", str(tmp_path),
+                               "--output", str(out_csv))
+        assert code == 0, err
+        rows = [l.split(",") for l in out_csv.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        assert sorted((r[3], int(r[2])) for r in rows) == [("4g(4)", -2), ("4g(4)", -1)]
+
     def test_ambiguous_rows_exit_three(self, tmp_path, capsys):
         scan_dir = tmp_path / "scans"
         scan_dir.mkdir()
@@ -412,3 +442,78 @@ class TestEnergyMap:
         assert code == 3
         assert "flagged" in err
         assert out_csv.exists()   # flagged rows are still emitted
+
+
+FIELD_SCAN_CONFIG = """\
+[scan]
+axis = field_Gauss
+state = 4g(4)
+f_mod_hz = 150e3
+start_G = 19.2
+stop_G = 20.5
+points = 90
+seed = 3
+[widths]
+1 3e3
+"""
+
+LIGHT = ("--detuning", "-23e9", "--pol", "sigma-minus")
+SL = ("scattering-length", "--a-bk", "200", "--delta-m-hz", "1e3", "--omega0-hz", "228.7e3",
+      "--m", "-1")
+DRESSED = ("dressed", "--a-bk", "200", "--delta-m-hz", "500", "--omega-b-hz", "228.7e3",
+           "--m", "1", "--grid", "220e3:240e3:5")
+
+
+class TestUsageErrorsExitTwo:
+    """Non-finite numbers and malformed scan-config values exit 2 without a
+    traceback; a config error names the file and line."""
+
+    @pytest.mark.parametrize("argv,edit,line", [
+        (("fictitious-field", "--intensity", "0.87", "--detuning", "nan", "--pol",
+          "sigma-minus"), None, None),
+        (("scattering-rate", "--intensity", "nan") + LIGHT, None, None),
+        (("heating-rate", "--intensity", "0:inf:3") + LIGHT, None, None),
+        (("fictitious-field", "--intensity", "-inf:1:3") + LIGHT, None, None),
+        (SL + ("--grid", "1e5:nan:5"), None, None),
+        (SL + ("--grid", "1e5:2e5:5", "--a-bk", "inf"), None, None),
+        (DRESSED + ("--gamma-hz", "inf"), None, None),
+        (DRESSED + ("--gamma-hz", "50", "--k-wavenumber", "nan"), None, None),
+        (None, ("1 3e3", "1 wide"), 10),
+        (None, ("1 3e3", "one 3e3"), 10),
+        (None, ("1 3e3", "1 nan"), 10),
+        (None, ("seed = 3", "seed = abc"), 8),
+        (None, ("seed = 3", "seed = 1.5"), 8),
+        (None, ("f_mod_hz = 150e3", "f_mod_hz = inf"), 4),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+    def test_exit_two(self, tmp_path, capsys, argv, edit, line):
+        if edit is not None:
+            cfg = tmp_path / "field.cfg"
+            cfg.write_text(FIELD_SCAN_CONFIG.replace(*edit))
+            argv = ("scan", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        if edit is not None:
+            assert f"{cfg}: line {line}:" in err
+
+
+class TestLightTableWorkCount:
+    """The transition and Wigner sums run once per table, not once per row."""
+
+    @pytest.mark.parametrize("verb", ["fictitious-field", "scattering-rate", "heating-rate"])
+    def test_wigner_calls_independent_of_grid(self, monkeypatch, capsys, verb):
+        from modfesh import lightshift
+        calls = []
+        for name in ("wigner_3j", "wigner_6j"):
+            fn = getattr(lightshift, name)
+            monkeypatch.setattr(lightshift, name,
+                                lambda *a, _fn=fn: calls.append(a) or _fn(*a))
+        counts = []
+        for points in (10, 1000):
+            calls.clear()
+            code, out, _ = run_cli(capsys, verb, "--intensity", f"0.1:2.0:{points}", *LIGHT,
+                                   "--format", "csv")
+            assert code == 0
+            assert len(out.splitlines()) == points + 2
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

@@ -222,3 +222,41 @@ class TestLevelModulation:
                   for i in (0.3, 0.6, 1.2)]
         assert drives[1].amplitude / drives[0].amplitude == pytest.approx(2.0, rel=1e-12)
         assert drives[2].dc / drives[0].dc == pytest.approx(4.0, rel=1e-12)
+
+
+class TestIntensityArray:
+    """An intensity array gives bit for bit the per-intensity scalar results."""
+
+    INTENSITY = np.linspace(0.05, 3.0, 37)
+
+    @pytest.mark.parametrize("pol", ["sigma_minus", "sigma_plus", "linear", "pi"])
+    @pytest.mark.parametrize("detuning", [-40e9, -23e9, 12e9])
+    def test_matches_scalar_calls(self, cs, pol, detuning):
+        polarization = getattr(Polarization, pol)()
+
+        def field(intensity):
+            return LightField(intensity, detuning, polarization)
+
+        grid = field(self.INTENSITY)
+        points = [field(float(i)) for i in self.INTENSITY]
+        assert fictitious_field(grid, cs, 3).tolist() == [
+            fictitious_field(f, cs, 3) for f in points]
+        for m_f in (-3, 0, 3):
+            assert scattering_rate(grid, cs, 3, m_f).tolist() == [
+                scattering_rate(f, cs, 3, m_f) for f in points]
+            assert heating_rate(grid, cs, 3, m_f).tolist() == [
+                heating_rate(f, cs, 3, m_f) for f in points]
+
+    def test_list_is_stored_as_array(self):
+        field = LightField([0.5, 1.0], -23e9, Polarization.sigma_minus())
+        assert isinstance(field.intensity, np.ndarray)
+
+    @pytest.mark.parametrize("intensity", [-0.1, math.nan, math.inf,
+                                           [0.5, -0.1], [0.5, math.nan], [0.5, math.inf]])
+    def test_rejects_negative_or_non_finite(self, intensity):
+        with pytest.raises(DomainError):
+            LightField(intensity, -23e9, Polarization.sigma_minus())
+
+    def test_rejects_non_finite_detuning(self):
+        with pytest.raises(DomainError):
+            LightField(1.0, math.nan, Polarization.sigma_minus())

@@ -5,7 +5,8 @@ import pytest
 
 from modfesh.atomdata import MolecularState, cesium_states, molecular_energy
 from modfesh.errors import ConfigError, ConvergenceError, DomainError
-from modfesh.scattering import DressedChannelModel, ResonanceModel
+from modfesh import spectra
+from modfesh.scattering import DressedChannelModel, ResonanceModel, loss_rate_proxy
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              fit_linear_shift, read_spectrum_csv, read_spectrum_json,
@@ -95,6 +96,80 @@ class TestSynthesize:
         b_lo, b_hi = sorted(peaks)
         assert b_lo == pytest.approx(19.84 - 150e3 / 530e3, abs=5e-3)
         assert b_hi == pytest.approx(19.84 + 150e3 / 530e3, abs=5e-3)
+
+
+def reference_field_scan(state, registry, f_mod_hz, b_grid, widths_hz, *, a_bk=200.0,
+                         dc_shift_hz=0.0, hold_time=5e-3, density=1e13,
+                         noise_sigma=0.0, seed=None):
+    """Per-point loop: scalar molecular energy, one ResonanceModel per order
+    (m = -|m| below threshold) and one loss-rate call per field point."""
+    omega = TWO_PI * f_mod_hz
+    rate_bg = loss_rate_proxy(a_bk, 0.0, density)
+    y = np.empty(len(b_grid))
+    for i, b in enumerate(b_grid):
+        omega_b = -TWO_PI * (molecular_energy(state, float(b), registry) + dc_shift_hz)
+        alpha = np.float64(a_bk)
+        for k in sorted(widths_hz):
+            model = ResonanceModel(a_bk, TWO_PI * widths_hz[k], omega_b,
+                                   -k if omega_b > 0 else k)
+            if model.delta_m != 0.0:
+                with np.errstate(divide="ignore"):
+                    alpha += -a_bk * model.delta_m / (-model.m * omega - model.omega0)
+        y[i] = math.exp(-(loss_rate_proxy(alpha, 0.0, density) - rate_bg) * hold_time)
+    if noise_sigma > 0.0:
+        y = y + np.random.default_rng(seed).normal(0.0, noise_sigma, size=y.size)
+    return np.clip(y, 0.0, 1.2)
+
+
+class TestFieldScanVectorized:
+    REGISTRY = cesium_states()
+    # (state, f_mod, field range): 6s spans its crossing with 6g(6) at 18.66 G
+    CASES = [("6s", 95e3, (18.3, 19.0)), ("6g(6)", 95e3, (18.4, 18.9)),
+             ("4g(4)", 120e3, (19.0, 20.4)), ("4d", 225e3, (46.5, 48.5))]
+
+    @pytest.mark.parametrize("label,f_mod,b_range", CASES)
+    @pytest.mark.parametrize("noise_sigma", [0.0, 0.02])
+    def test_matches_per_point_loop(self, label, f_mod, b_range, noise_sigma):
+        state = next(s for s in self.REGISTRY if s.label == label)
+        b = np.linspace(*b_range, 800)
+        widths = {1: 20e3, 2: 15e3}
+        spec = synthesize_field_scan(state, self.REGISTRY, f_mod, b, widths,
+                                     dc_shift_hz=-1.5e3, density=2e13,
+                                     noise_sigma=noise_sigma, seed=7)
+        ref = reference_field_scan(state, self.REGISTRY, f_mod, b, widths,
+                                   dc_shift_hz=-1.5e3, density=2e13,
+                                   noise_sigma=noise_sigma, seed=7)
+        assert spec.y.min() < 0.5   # the grid crosses at least one resonance
+        assert np.all(np.abs(spec.y - ref) <= 1e-14 * np.abs(ref))
+
+    @pytest.mark.parametrize("widths,a_bk", [({0: 3e3}, 200.0), ({1: 3e3, 0: 2e3}, 200.0),
+                                             ({1: 3e3}, 0.0)])
+    def test_model_checks_kept(self, widths, a_bk):
+        state = self.REGISTRY[0]
+        with pytest.raises(DomainError):
+            synthesize_field_scan(state, self.REGISTRY, 150e3, np.linspace(19.2, 20.5, 50),
+                                  widths, a_bk=a_bk)
+
+    @pytest.mark.parametrize("points", [80, 800])
+    def test_work_count(self, monkeypatch, points):
+        """One array evaluation per scan, whatever its length."""
+        calls = {"loss_rate_proxy": 0, "molecular_energy": 0}
+
+        def counted(name):
+            fn = getattr(spectra, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(spectra, name, counted(name))
+        state = self.REGISTRY[2]
+        synthesize_field_scan(state, self.REGISTRY, 95e3, np.linspace(18.3, 19.0, points),
+                              {1: 20e3, 2: 15e3})
+        assert calls["loss_rate_proxy"] <= 2
+        assert calls["molecular_energy"] == 1
 
 
 class TestFindPeaks:
