@@ -371,7 +371,11 @@ def load_state_registry(path) -> tuple:
             if len(tokens) != 2:
                 raise ConfigError("window_G needs two values: low high",
                                   path, sec.value_lines["window_G"])
-            window = (float(tokens[0]), float(tokens[1]))
+            try:
+                window = (float(tokens[0]), float(tokens[1]))
+            except ValueError:
+                raise ConfigError(f"window_G: cannot parse {sec.values['window_G']!r}",
+                                  path, sec.value_lines["window_G"]) from None
         partner = None
         if "crossing_partner" in sec.values:
             v = _parse_float(sec, "V_ij_Hz", path)

@@ -148,6 +148,8 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_floquet_gap(args) -> int:
+    if args.m == 0:
+        raise ConfigError("--m must be non-zero")
     omega_b = 2.0 * math.pi * args.omega_b_hz
     model = floquet.DrivenTwoLevel(omega_alpha=0.0, omega_beta=-omega_b,
                                    Omega=2.0 * math.pi * args.rabi_hz,
@@ -248,7 +250,7 @@ def cmd_scan(args) -> int:
             raise ConfigError("frequency scan needs at least one [resonance] section", path)
         start = _section_float(scan_sec, "start_hz", path)
         stop = _section_float(scan_sec, "stop_hz", path)
-        n = int(_section_float(scan_sec, "points", path))
+        n = _section_float(scan_sec, "points", path, parse=int)
         dc_shift = _section_float(scan_sec, "dc_shift_hz", path, 0.0)
         models = []
         for sec in res_secs:
@@ -256,7 +258,7 @@ def cmd_scan(args) -> int:
                 a_bk=_section_float(sec, "a_bk", path),
                 delta_m=2 * math.pi * _section_float(sec, "delta_m_hz", path),
                 omega0=2 * math.pi * (_section_float(sec, "omega0_hz", path) + dc_shift),
-                m=int(_section_float(sec, "m", path))))
+                m=_section_float(sec, "m", path, parse=int)))
         spec = spectra.synthesize_spectrum(models, np.linspace(start, stop, n),
                                            metadata=metadata, **common)
     elif axis == spectra.AXIS_FIELD:
@@ -283,7 +285,7 @@ def cmd_scan(args) -> int:
             raise ConfigError(f"state {label!r} not in registry", path, scan_sec.line)
         start = _section_float(scan_sec, "start_G", path)
         stop = _section_float(scan_sec, "stop_G", path)
-        n = int(_section_float(scan_sec, "points", path))
+        n = _section_float(scan_sec, "points", path, parse=int)
         spec = spectra.synthesize_field_scan(
             state, registry, _section_float(scan_sec, "f_mod_hz", path),
             np.linspace(start, stop, n), widths,
@@ -312,7 +314,7 @@ def _read_plain_csv(path, n_cols_min):
                 continue
             fields = line.split(",")
             try:
-                rows.append([float(f) for f in fields])
+                rows.append([finite(f) for f in fields])
             except ValueError:
                 if lineno == 1 or (rows == [] and not line[0].isdigit() and line[0] != "-"):
                     continue   # header row

@@ -5,9 +5,10 @@ when measurement sigmas are known) and an optional analytic Jacobian; without
 one it falls back to forward differences with step h = sqrt(eps) max(|x|, 1).
 
 Convergence is declared on a scale-invariant gradient test,
-max_i |g_i| max(|p_i|, 1) <= tol * max(1, cost), or on a machine-precision
-step stall; running out of iterations, or a Jacobian (or J^T J) with a NaN
-or inf entry, raises ConvergenceError carrying the last iterate.
+max_i |g_i| max(|p_i|, 1) <= tol * max(1, cost), on a machine-precision
+step stall or on a step lowering the cost by at most COST_RTOL of it;
+running out of iterations, or a Jacobian (or J^T J) with a NaN or inf
+entry, raises ConvergenceError carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ __all__ = ["LMResult", "levenberg_marquardt", "finite_difference_jacobian",
            "LinearFit", "weighted_linear_fit"]
 
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# MINPACK's ftol (More 1978): ends the large-residual fits whose J^T J overstates
+# the curvature, which otherwise crawl linearly along a valley to max_iter
+COST_RTOL = 1e-10
 
 
 def finite_difference_jacobian(residual, params, r0=None):
@@ -73,8 +77,8 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
     lam = lambda0
     n_points = r.size
 
-    def jac_at(p, r):
-        """Jacobian and J^T J at p; raises ConvergenceError unless both are finite."""
+    def derivatives(p, r):
+        """J^T J, gradient and gradient measure at p; ConvergenceError unless finite."""
         if jacobian is not None:
             jac = np.asarray(jacobian(p), dtype=float)
         else:
@@ -86,20 +90,18 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
             raise ConvergenceError(
                 f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
                 last=p.copy(), diagnostics={"cost": cost})
-        return jac, jtj
+        grad = jac.T @ r
+        return jtj, grad, float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
 
     for iteration in range(1, max_iter + 1):
-        jac, jtj = jac_at(p, r)
-        grad = jac.T @ r
-        scale = np.maximum(np.abs(p), 1.0)
-        grad_measure = float(np.max(np.abs(grad) * scale))
+        jtj, grad, grad_measure = derivatives(p, r)
         if grad_measure <= grad_tol * max(1.0, cost):
             cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
             return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
 
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
-        accepted = False
+        scale = np.maximum(np.abs(p), 1.0)
         while lam < 1e14:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -110,19 +112,17 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
             r_new = np.asarray(residual(p_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new < cost:
-                rel_step = float(np.max(np.abs(step) / scale))
+                stalled = (float(np.max(np.abs(step) / scale)) < 1e-14
+                           or cost - cost_new <= COST_RTOL * cost)
                 p, r, cost = p_new, r_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if rel_step < 1e-14:
-                    jac, jtj = jac_at(p, r)
-                    grad = jac.T @ r
-                    grad_measure = float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
+                if stalled:
+                    jtj, grad, grad_measure = derivatives(p, r)
                     cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
                     return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             # damping maxed out with no acceptable step: the iterate is
             # stationary to working precision, return it (MINPACK-style)
             cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)

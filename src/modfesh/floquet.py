@@ -155,6 +155,9 @@ def floquet_spectrum(model: DrivenTwoLevel, truncation_order: int | None = None)
             raise DomainError(
                 f"truncation_order {truncation_order} below the required minimum {n_min}")
         n_order = int(truncation_order)
+    if n_order > MAX_TRUNCATION_ORDER:   # checked before any matrix is built
+        raise DomainError(f"truncation order {n_order} exceeds {MAX_TRUNCATION_ORDER} "
+                          f"(|A|/omega_mod = {abs(model.A) / model.omega_mod:.3g} is too large)")
 
     drift_tol = DRIFT_TOLERANCE_FACTOR * model.omega_mod
     drifts = []

@@ -11,6 +11,7 @@ cross-run reproducibility; identical seeds give bit-identical spectra).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fitting import LinearFit, levenberg_marquardt, weighted_linear_fit
+from .fitting import LinearFit, _covariance, levenberg_marquardt, weighted_linear_fit
 from .scattering import (DressedChannelModel, ResonanceModel,
                          DEFAULT_UNITARITY_WAVENUMBER, K2_COEFF_DEFAULT,
                          K3_COEFF_DEFAULT, dressed_alpha_beta,
@@ -42,6 +43,7 @@ SCHEMA_VERSION = 1
 
 RELATIVE_ATOMS_MAX = 1.2
 M_ORDER_RATIO_TOLERANCE = 0.03   # peak-ratio tolerance for m-order assignment
+Q_SYMMETRIC = 2.0 / np.finfo(float).eps   # Fano q of a symmetric dip (see FanoFit)
 
 
 @dataclass
@@ -62,6 +64,8 @@ class Spectrum:
         self.sigma = np.asarray(self.sigma, dtype=float)
         if not (self.x.size == self.y.size == self.sigma.size):
             raise DomainError("x, y, sigma must have equal length")
+        if not all(np.isfinite(v).all() for v in (self.x, self.y, self.sigma)):
+            raise DomainError("x, y and sigma must be finite")
         if np.any(self.sigma < 0):
             raise DomainError("sigma must be non-negative")
         if np.any(self.y < 0) or np.any(self.y > RELATIVE_ATOMS_MAX):
@@ -233,6 +237,10 @@ def fano_profile(x, center, width, q, amplitude, offset):
 
 @dataclass
 class FanoFit:
+    """Fano fit; covariance is 5 x 5 in (center, width, q, amplitude, offset)
+    order.  A symmetric (Lorentzian) dip, q = +-inf, is reported with the
+    finite q = Q_SYMMETRIC (~9.0e15), which gives the same curve to rounding."""
+
     center: float
     width: float
     q: float
@@ -243,54 +251,50 @@ class FanoFit:
     iterations: int = 0
 
     @property
-    def params(self):
-        return np.array([self.center, self.width, self.q, self.amplitude, self.offset])
-
-    @property
     def center_stderr(self) -> float:
         return float(math.sqrt(max(self.covariance[0, 0], 0.0)))
 
 
 def _fano_jacobian(x, p):
+    """d fano_profile / d(center, width, q, amplitude, offset), n x 5."""
     c, w, q, a, off = p
-    dx = x - c
-    u = q * w / 2.0 + dx
-    k = 1.0 + q ** 2
-    d = (w / 2.0) ** 2 + dx ** 2
-    jac = np.empty((x.size, 5))
-    # runaway |q| (symmetric-dip limit) overflows k**2; the resulting zeros/infs
-    # only make LM reject the step, so silence the transient warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        jac[:, 0] = 2.0 * a * u * (d - u * dx) / (k * d ** 2)          # d/d center
-        jac[:, 1] = -a * (u * q * d - u ** 2 * w / 2.0) / (k * d ** 2)  # d/d width
-        jac[:, 2] = -a * (u * w * k - 2.0 * q * u ** 2) / (k ** 2 * d)  # d/d q
-        jac[:, 3] = -u ** 2 / (k * d)                                   # d/d amplitude
-        jac[:, 4] = 1.0                                                 # d/d offset
-    return jac
+    h, dx = w / 2.0, x - c
+    u, k, d = q * h + dx, 1.0 + q ** 2, h ** 2 + dx ** 2
+    g = a * u * (h - q * dx) / (k * d)
+    return np.column_stack([2.0 * h * g / d, dx * g / d, -2.0 * g / k, -u ** 2 / (k * d),
+                            np.ones_like(dx)])
 
 
-def _fano_initial_guess(x, y, q0):
+def _fano_from_linear(b0, b1, b2):
+    """(amplitude, q, offset) of fano_profile written as b0 + b1 h^2/d + b2 h dx/d
+    (h = w/2, dx = x - c, d = h^2 + dx^2): b0 = offset - a/(1+q^2),
+    b1 = -a (q^2-1)/(1+q^2), b2 = -2 a q/(1+q^2)."""
+    a = math.hypot(b1, b2)
+    if a == 0.0:
+        raise DomainError("no dip in the fit window (amplitude 0)")
+    if b1 >= 0.0:
+        q = -b2 / (b1 + a)
+    else:
+        q = (b1 - a) / b2 if abs(b2) * Q_SYMMETRIC > a - b1 else Q_SYMMETRIC
+    return a, q, b0 + a / (1.0 + q ** 2)
+
+
+def _fano_initial_guess(x, y):
+    """(center, width) from the deepest point and the half-depth crossings."""
     i_min = int(np.argmin(y))
-    center = float(x[i_min])
     n_edge = max(2, x.size // 6)
     baseline = float(np.median(np.concatenate([y[:n_edge], y[-n_edge:]])))
-    amplitude = max(baseline - float(y[i_min]), 1e-6)
-    half = baseline - amplitude / 2.0
-    below = np.nonzero(y < half)[0]
-    if below.size >= 2:
-        width = max(float(x[below[-1]] - x[below[0]]), float(x[1] - x[0]))
-    else:
-        width = float(x[-1] - x[0]) / 6.0
-    offset = baseline + amplitude / (1.0 + q0 ** 2)
-    return np.array([center, width, q0, amplitude, offset])
+    below = np.nonzero(y < (baseline + float(y[i_min])) / 2.0)[0]
+    width = max(x[below[-1]] - x[below[0]], x[1] - x[0]) if below.size >= 2 else (x[-1] - x[0]) / 6
+    return np.array([x[i_min], width])
 
 
-def fit_fano(spec: Spectrum, window=None, init: FanoFit | None = None,
-             max_iter: int = 200) -> FanoFit:
-    """Damped least-squares Fano fit over an axis window (the whole spectrum
-    when window is None).  Needs >= 8 points; weighted by per-point sigma when
-    all sigmas are positive.  Non-convergence raises ConvergenceError with the
-    last iterate attached."""
+def fit_fano(spec: Spectrum, window=None, max_iter: int = 200) -> FanoFit:
+    """Fano fit over an axis window (the whole spectrum when None) by variable
+    projection (Golub & Pereyra 1973): LM over (center, width) from one start,
+    solving for the linear (b0, b1, b2) of _fano_from_linear by weighted QR, with
+    Kaufman's (1975) Jacobian.  Needs >= 8 points; weighted by per-point sigma
+    when all are positive.  Non-convergence raises ConvergenceError."""
     if window is not None:
         lo, hi = window
         if not lo < hi:
@@ -305,38 +309,35 @@ def fit_fano(spec: Spectrum, window=None, init: FanoFit | None = None,
         raise DomainError(f"only {x.size} points in the fit window (need >= 8)")
     weights = 1.0 / sig if np.all(sig > 0) else np.ones_like(x)
 
-    def residual(p):
-        return (fano_profile(x, *p) - y) * weights
+    @functools.lru_cache(maxsize=1)
+    def project(c, w):
+        h, dx = w / 2.0, x - c
+        d = h ** 2 + dx ** 2
+        basis = np.column_stack([weights, weights * h ** 2 / d, weights * h * dx / d])
+        q_mat, r_mat = np.linalg.qr(basis)
+        try:
+            beta = np.linalg.solve(r_mat, q_mat.T @ (weights * y))
+        except np.linalg.LinAlgError:   # zero width: an infinite cost rejects the step
+            beta = np.full(3, np.inf)
+        return h, dx, d, q_mat, beta, basis @ beta - weights * y
 
     def jacobian(p):
-        return _fano_jacobian(x, p) * weights[:, None]
+        # Kaufman: P_perp (d basis / d(c, w)) beta
+        h, dx, d, q_mat, (_, b1, b2), _ = project(*p)
+        t = dx ** 2 - h ** 2
+        dphi = np.column_stack([2.0 * b1 * h ** 2 * dx + b2 * h * t,
+                                b1 * h * dx ** 2 + 0.5 * b2 * dx * t])
+        dphi *= (weights / d ** 2)[:, None]
+        return dphi - q_mat @ (q_mat.T @ dphi)
 
-    if init is not None:
-        starts = [init.params if isinstance(init, FanoFit) else np.asarray(init, float)]
-    else:
-        starts = [_fano_initial_guess(x, y, q0) for q0 in (2.5, -2.5, 1.0, -1.0)]
-    best = None
-    last_error = None
-    for p0 in starts:
-        try:
-            result = levenberg_marquardt(residual, p0, jacobian, max_iter=max_iter)
-        except ConvergenceError as exc:
-            last_error = exc
-            continue
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-    if best is None:
-        raise last_error
-    c, w, q, a, off = best.params
-    if w < 0:   # width enters squared through w/2: sign is a gauge choice
-        w = -w
-        q = -q
-    if a < 0 and q != 0.0:
-        # (q, a, off) -> (-1/q, -a, off - a) is the same curve with a dip
-        q, a, off = -1.0 / q, -a, off - a
-    return FanoFit(center=float(c), width=float(w), q=float(q), amplitude=float(a),
-                   offset=float(off), covariance=best.covariance,
-                   residual_norm=best.residual_norm, iterations=best.iterations)
+    result = levenberg_marquardt(lambda p: project(*p)[5], _fano_initial_guess(x, y),
+                                 jacobian, max_iter=max_iter)
+    c, w = float(result.params[0]), abs(float(result.params[1]))
+    a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
+    jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
+    cov, _ = _covariance(jac.T @ jac, result.residual_norm, x.size, 5)
+    return FanoFit(center=c, width=w, q=q, amplitude=a, offset=off, covariance=cov,
+                   residual_norm=result.residual_norm, iterations=result.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +549,11 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
     spectra; several intensities per field enable the DC-shift compensation.
     Peaks are associated with the registry state and drive order whose
     predicted |E(B)|/|m| lies within ratio_tolerance; two states within
-    tolerance flag the point instead of guessing.  A Fano fit that fails, ends
-    more than min_separation_hz/2 from its dip or is shallower than min_depth
-    measures noise rather than a line and is dropped.
+    tolerance flag the point instead of guessing.  A dip whose two neighbouring
+    samples are both shallower than min_depth is one noisy sample, not a line,
+    and is skipped.  A Fano fit that fails, ends more than min_separation_hz/2
+    from its dip or is shallower than min_depth measures noise rather than a
+    line and is dropped.
     """
     if fit_halfwidth_hz is None:
         fit_halfwidth_hz = 2.5 * min_separation_hz
@@ -569,6 +572,9 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
         peak_fits = []
         for intensity, spec in sorted(group, key=lambda g: g[0]):
             for xc in find_peaks(spec, min_depth, min_separation_hz):
+                i = int(np.searchsorted(spec.x, xc))
+                if min(spec.y[i - 1], spec.y[i + 1]) > 1.0 - min_depth:
+                    continue
                 window = (xc - fit_halfwidth_hz, xc + fit_halfwidth_hz)
                 try:
                     fit = fit_fano(spec, window=window)
@@ -712,7 +718,10 @@ def spectrum_from_json(payload: dict) -> Spectrum:
         axis = payload["axis"]
     except (KeyError, TypeError):
         raise ConfigError("JSON spectrum needs 'axis' and 'points'") from None
-    arr = np.asarray(pts, dtype=float)
+    try:
+        arr = np.asarray(pts, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("'points' must hold numbers") from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]")
     return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2],
@@ -731,7 +740,10 @@ def read_spectrum_json(path) -> Spectrum:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON: {exc}", path) from None
-    return spectrum_from_json(payload)
+    try:
+        return spectrum_from_json(payload)
+    except (ConfigError, DomainError) as exc:
+        raise ConfigError(str(exc), path) from None
 
 
 def write_energy_map_csv(points, path) -> None:

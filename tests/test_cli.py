@@ -398,12 +398,11 @@ class TestEnergyMap:
         code, _, _ = run_cli(capsys, "energy-map", "--scan-dir", str(empty))
         assert code == 2
 
-    def test_runaway_fano_fit_dropped(self, tmp_path, capsys):
-        """A noise dip at 0.4 W/cm^2 whose Fano fit ran 19 kHz off toward the
-        window edge (amplitude below min_depth) once became a (6s, -3) row."""
-        b_field, slope, seed = 19.0521, -2576.312176422673, 749284533
+    def energy_map_rows(self, tmp_path, capsys, label, b_field, slope, seed):
+        """scan x 3 (0.4/0.8/1.2 W/cm^2, orders 1 and 2) and energy-map through
+        the CLI; returns the (state, order) of each map row."""
         registry = cesium_states()
-        state = next(s for s in registry if s.label == "4g(4)")
+        state = next(s for s in registry if s.label == label)
         energy = molecular_energy(state, b_field, registry)
         start, stop = abs(energy) / 2 - 22e3, abs(energy) + 22e3
         points = int(round((stop - start) / 150.0)) + 1
@@ -426,7 +425,23 @@ class TestEnergyMap:
         assert code == 0, err
         rows = [l.split(",") for l in out_csv.read_text().splitlines()
                 if l and not l.startswith("#")][1:]
-        assert sorted((r[3], int(r[2])) for r in rows) == [("4g(4)", -2), ("4g(4)", -1)]
+        return sorted((r[3], int(r[2])) for r in rows)
+
+    def test_runaway_fano_fit_dropped(self, tmp_path, capsys):
+        """A noise dip at 0.4 W/cm^2 whose Fano fit ran 19 kHz off toward the
+        window edge (amplitude below min_depth) once became a (6s, -3) row."""
+        rows = self.energy_map_rows(tmp_path, capsys, "4g(4)", 19.0521, -2576.312176422673,
+                                    749284533)
+        assert rows == [("4g(4)", -2), ("4g(4)", -1)]
+
+    def test_single_sample_dip_skipped(self, tmp_path, capsys):
+        """A 5-sigma dip in one sample at 190.0 kHz (0.4 W/cm^2), both
+        neighbours at the baseline: a Fano fit through it shrinks to a 0.1 Hz
+        spike (sample spacing 150 Hz), which became an unmatched, flagged row
+        (exit 3)."""
+        rows = self.energy_map_rows(tmp_path, capsys, "6g(6)", 33.2999, -2180.8100713559256,
+                                    427942748)
+        assert rows == [("6g(6)", -2), ("6g(6)", -1)]
 
     def test_ambiguous_rows_exit_three(self, tmp_path, capsys):
         scan_dir = tmp_path / "scans"
@@ -462,6 +477,27 @@ SL = ("scattering-length", "--a-bk", "200", "--delta-m-hz", "1e3", "--omega0-hz"
       "--m", "-1")
 DRESSED = ("dressed", "--a-bk", "200", "--delta-m-hz", "500", "--omega-b-hz", "228.7e3",
            "--m", "1", "--grid", "220e3:240e3:5")
+GAP = ("floquet-gap", "--omega-b-hz", "-150e3", "--rabi-hz", "3e3", "--amplitude-hz", "150e3")
+FREQ_SCAN_CONFIG = """\
+[scan]
+start_hz = 200e3
+stop_hz = 256e3
+points = 90
+[resonance]
+a_bk = 200
+delta_m_hz = 3e3
+omega0_hz = 228.7e3
+m = 1.7
+"""
+REGISTRY = """\
+[state 4g(4)]
+E0_Hz = -182e3
+mu_rel_Hz_per_G = 1.35e6
+B_ref_G = 19.8
+window_G = a b
+"""
+SPECTRUM_JSON = ('{"axis": "modulation_freq_Hz", "points": [[1e5, 1.0, 0.01], [1.1e5, %s, 0.01]], '
+                 '"metadata": {"field_G": 19.41, "intensity_W_cm2": 0.8}}')
 
 
 class TestUsageErrorsExitTwo:
@@ -484,6 +520,8 @@ class TestUsageErrorsExitTwo:
         (None, ("seed = 3", "seed = abc"), 8),
         (None, ("seed = 3", "seed = 1.5"), 8),
         (None, ("f_mod_hz = 150e3", "f_mod_hz = inf"), 4),
+        (None, ("points = 90", "points = 90.7"), 7),
+        (GAP + ("--m", "0"), None, None),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, argv, edit, line):
         if edit is not None:
@@ -495,6 +533,31 @@ class TestUsageErrorsExitTwo:
         assert out == "" and "Traceback" not in err
         if edit is not None:
             assert f"{cfg}: line {line}:" in err
+
+    @pytest.mark.parametrize("files,argv,where", [
+        ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,nan,0.01\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv"),
+        ({"scans/scan.json": SPECTRUM_JSON % "Infinity"},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": SPECTRUM_JSON % '"bogus"'},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"lin.csv": "intensity,center\n0.4,227.9e3\n0.8,nan\n1.2,226.3e3\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv: line 3"),
+        ({"freq.cfg": FREQ_SCAN_CONFIG},
+         ("scan", "--config", "{tmp}/freq.cfg", "--out", "{tmp}/x"), "freq.cfg: line 9"),
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9", "states.cfg": REGISTRY},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 5"),
+    ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
+            "registry-window_G"])
+    def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert f"{tmp_path}/{where}:" in err
 
 
 class TestLightTableWorkCount:

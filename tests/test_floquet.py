@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from modfesh import cli, floquet
 from modfesh.errors import DomainError
 from modfesh.floquet import (DrivenTwoLevel, avoided_crossing_gap, effective_coupling,
                              floquet_spectrum, minimum_truncation_order,
@@ -100,6 +101,23 @@ class TestFloquetSpectrum:
         m = model(A=3.0)
         with pytest.raises(DomainError):
             floquet_spectrum(m, truncation_order=3)
+
+    def test_truncation_cap_checked_before_solving(self, monkeypatch):
+        """A drive needing N > MAX_TRUNCATION_ORDER is refused before any matrix
+        is built: A/w = 71.5 needs N = 3 ceil(71.5) + 5 = 221."""
+        def refuse(*args):
+            raise AssertionError("_solve_pair called")
+
+        monkeypatch.setattr(floquet, "_solve_pair", refuse)
+        m = model(A=71.5)
+        assert minimum_truncation_order(m) == floquet.MAX_TRUNCATION_ORDER + 1
+        with pytest.raises(DomainError):
+            floquet_spectrum(m)
+        with pytest.raises(DomainError):
+            floquet_spectrum(model(A=1.0), truncation_order=floquet.MAX_TRUNCATION_ORDER + 1)
+        # the CLI reports it as a domain error (exit 3)
+        assert cli.run(["floquet-gap", "--omega-b-hz", "-150e3", "--rabi-hz", "3e3",
+                        "--amplitude-hz", str(71.5 * 150e3), "--m", "1"]) == 3
 
     def test_drive_parity(self):
         m_plus = model(A=1.3, omega_mod=0.98)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -266,6 +267,88 @@ class TestFanoFit:
         assert y.min() == pytest.approx(self.TRUE["offset"] - self.TRUE["amplitude"],
                                         abs=1e-6)
         assert y.max() <= self.TRUE["offset"] + 1e-12
+
+    def test_work_count(self, monkeypatch):
+        """One LM start per fit, and few iterations on the Monte-Carlo set."""
+        iterations = []
+
+        def counted(*args, **kwargs):
+            result = lm(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        lm = spectra.levenberg_marquardt
+        monkeypatch.setattr(spectra, "levenberg_marquardt", counted)
+        for seed in range(100):
+            fit_fano(self.spectrum(noise=0.01, seed=seed, n=50))
+            assert len(iterations) == seed + 1
+        assert np.mean(iterations) <= 12
+
+    def test_large_residual_crawl_converges(self):
+        """A noisy dip ~2.4 grid steps wide, dominated by noise (cost ~1060 over
+        267 points): Gauss-Newton converges only linearly along a valley there,
+        and the fit ran to max_iter before LM stopped on a negligible relative
+        cost decrease.  The spectrum is the frequency scan at 1.2 W/cm^2 of a
+        4g(4) energy-map job at 19.5318 G, dip at 81,102.9 Hz."""
+        dc_shift = -1689.7609795573153
+        models = [ResonanceModel(a_bk=200.0, delta_m=TWO_PI * width,
+                                 omega0=TWO_PI * (163919.395348837 + dc_shift), m=m)
+                  for width, m in ((3e3, -1), (4e3, -2))]
+        spec = synthesize_spectrum(models, np.linspace(59959.697674418494, 185919.395348837, 841),
+                                   density=2.5e12, noise_sigma=0.01, seed=865538242)
+        xc = find_peaks(spec, 0.05, 8e3)[0]
+        assert xc == pytest.approx(81102.9, abs=0.1)
+        fit = fit_fano(spec, window=(xc - 20e3, xc + 20e3))
+        assert abs(fit.center - xc) < 4e3 and fit.amplitude > 0.05
+        assert 2 * (spec.x[1] - spec.x[0]) < fit.width < 3 * (spec.x[1] - spec.x[0])
+
+    def test_symmetric_dip_has_finite_q(self):
+        # b2 == 0 exactly is q = +-inf; it is reported as the finite Q_SYMMETRIC
+        b0, b1, center, width = 1.0, -0.4, 200e3, 5e3
+        a, q, offset = spectra._fano_from_linear(b0, b1, 0.0)
+        assert (a, q, offset) == (0.4, spectra.Q_SYMMETRIC, 1.0)
+        assert json.loads(json.dumps(q)) == q
+        x = np.linspace(180e3, 220e3, 401)
+        h, dx = width / 2, x - center
+        lorentzian = b0 + b1 * h ** 2 / (h ** 2 + dx ** 2)
+        curve = fano_profile(x, center, width, q, a, offset)
+        assert np.max(np.abs(curve - lorentzian)) <= 4 * np.finfo(float).eps
+        # an exact Lorentzian dip fits to a finite q and the same curve
+        spec = Spectrum(AXIS_FREQ, x, lorentzian, np.zeros_like(x))
+        fit = fit_fano(spec)
+        assert math.isfinite(fit.q) and abs(fit.q) > 1e6
+        assert fit.center == pytest.approx(center, rel=1e-12)
+        fitted = fano_profile(x, fit.center, fit.width, fit.q, fit.amplitude, fit.offset)
+        assert np.max(np.abs(fitted - lorentzian)) < 1e-10
+
+    def test_flat_window_raises_domain_error(self):
+        with pytest.raises(DomainError):
+            spectra._fano_from_linear(1.0, 0.0, 0.0)
+        x = np.linspace(180e3, 220e3, 50)
+        with pytest.raises(DomainError):
+            fit_fano(Spectrum(AXIS_FREQ, x, np.zeros_like(x), np.full_like(x, 0.01)))
+
+    def test_covariance_from_five_parameter_jacobian(self):
+        spec = self.spectrum(noise=0.01, seed=4, n=80)
+        fit = fit_fano(spec)
+        x, w = spec.x, 1.0 / spec.sigma
+        c, width, q, a = fit.center, fit.width, fit.q, fit.amplitude
+        # analytic derivatives of offset - a u^2 / (k d), u = q w/2 + dx
+        dx = x - c
+        u = q * width / 2 + dx
+        k = 1 + q ** 2
+        d = (width / 2) ** 2 + dx ** 2
+        jac = np.column_stack([2 * a * u * (d - u * dx) / (k * d ** 2),
+                               -a * (u * q * d - u ** 2 * width / 2) / (k * d ** 2),
+                               -a * (u * width * k - 2 * q * u ** 2) / (k ** 2 * d),
+                               -u ** 2 / (k * d), np.ones_like(x)]) * w[:, None]
+        r = (fano_profile(x, c, width, q, a, fit.offset) - spec.y) * w
+        assert fit.residual_norm == pytest.approx(math.sqrt(r @ r), rel=1e-12)
+        s2 = (r @ r) / (x.size - 5)
+        cov = s2 * np.linalg.inv(jac.T @ jac)
+        assert fit.covariance.shape == (5, 5)
+        assert fit.center_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
+        assert np.allclose(fit.covariance, cov, rtol=1e-7, atol=0)
 
 
 class TestLinearShift:
