@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .keyvalue import Section, format_keyvalue, load_keyvalue
+from .keyvalue import Section, finite, format_keyvalue, load_keyvalue
 from .specfun import HalfInt
 
 __all__ = [
@@ -256,19 +256,6 @@ def crossing_field(state: MolecularState, registry) -> float:
 # File I/O: species and molecular-state registry files
 # ---------------------------------------------------------------------------
 
-def _parse_float(sec: Section, key: str, path, default=None) -> float:
-    if key not in sec.values:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required key {key!r} in [{sec.name}]", path, sec.line)
-    raw = sec.values[key]
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as a number",
-                          path, sec.value_lines[key]) from None
-
-
 def load_species(path) -> AtomSpecies:
     """Load a species file on top of the embedded cesium defaults.
 
@@ -286,7 +273,7 @@ def load_species(path) -> AtomSpecies:
             if "name" in sec.values:
                 updates["name"] = sec.values["name"]
             if "mass_kg" in sec.values:
-                updates["mass"] = _parse_float(sec, "mass_kg", path)
+                updates["mass"] = sec.get_float("mass_kg")
             if "nuclear_spin" in sec.values:
                 try:
                     updates["nuclear_spin"] = HalfInt.coerce(sec.values["nuclear_spin"])
@@ -295,9 +282,9 @@ def load_species(path) -> AtomSpecies:
                         f"nuclear_spin: cannot parse {sec.values['nuclear_spin']!r}",
                         path, sec.value_lines["nuclear_spin"]) from None
             if "ground_F" in sec.values:
-                updates["ground_F"] = int(_parse_float(sec, "ground_F", path))
+                updates["ground_F"] = sec.get_int("ground_F")
             if "ground_gF" in sec.values:
-                updates["ground_gF"] = _parse_float(sec, "ground_gF", path)
+                updates["ground_gF"] = sec.get_float("ground_gF")
             for key in sec.values:
                 if key not in ("name", "mass_kg", "nuclear_spin", "ground_F", "ground_gF"):
                     raise ConfigError(f"unknown key {key!r} in [species]",
@@ -312,9 +299,7 @@ def load_species(path) -> AtomSpecies:
                 try:
                     f_lo = int(tokens[1])
                     f_hi = int(tokens[2])
-                    freq = float(tokens[3])
-                    dip = float(tokens[4])
-                    gam = float(tokens[5])
+                    freq, dip, gam = map(finite, tokens[3:])
                 except ValueError:
                     raise ConfigError("cannot parse transition row numbers",
                                       path, lineno) from None
@@ -362,9 +347,9 @@ def load_state_registry(path) -> tuple:
         label = sec.name[len("state"):].strip()
         if not label:
             raise ConfigError("state section needs a label: [state 4g(4)]", path, sec.line)
-        e0 = _parse_float(sec, "E0_Hz", path)
-        mu = _parse_float(sec, "mu_rel_Hz_per_G", path)
-        b_ref = _parse_float(sec, "B_ref_G", path)
+        e0 = sec.get_float("E0_Hz")
+        mu = sec.get_float("mu_rel_Hz_per_G")
+        b_ref = sec.get_float("B_ref_G")
         window = DEFAULT_FIELD_WINDOW_G
         if "window_G" in sec.values:
             tokens = sec.values["window_G"].split()
@@ -372,13 +357,13 @@ def load_state_registry(path) -> tuple:
                 raise ConfigError("window_G needs two values: low high",
                                   path, sec.value_lines["window_G"])
             try:
-                window = (float(tokens[0]), float(tokens[1]))
+                window = (finite(tokens[0]), finite(tokens[1]))
             except ValueError:
                 raise ConfigError(f"window_G: cannot parse {sec.values['window_G']!r}",
                                   path, sec.value_lines["window_G"]) from None
         partner = None
         if "crossing_partner" in sec.values:
-            v = _parse_float(sec, "V_ij_Hz", path)
+            v = sec.get_float("V_ij_Hz")
             partner = (sec.values["crossing_partner"], v)
         elif "V_ij_Hz" in sec.values:
             raise ConfigError("V_ij_Hz given without crossing_partner",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import atomdata, floquet, lightshift, scattering, spectra
 from .errors import ConfigError, ConvergenceError, DomainError
-from .keyvalue import load_keyvalue
+from .keyvalue import finite, load_keyvalue
 
 SPECIES_ENV_VAR = "MODFESH_SPECIES"
 
@@ -30,14 +30,6 @@ _POLARIZATIONS = {
     "linear": lightshift.Polarization.linear,
     "pi": lightshift.Polarization.pi,
 }
-
-
-def finite(text: str) -> float:
-    """float(text) that rejects nan and inf; also the argparse number type."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
-    return value
 
 
 def _parse_grid(text: str):
@@ -199,18 +191,6 @@ def cmd_dressed(args) -> int:
 
 # -- scan ------------------------------------------------------------------
 
-def _section_float(sec, key, path, default=None, parse=finite):
-    if key not in sec.values:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing key {key!r} in [{sec.name}]", path, sec.line)
-    try:
-        return parse(sec.values[key])
-    except ValueError:
-        raise ConfigError(f"cannot parse {key!r} = {sec.values[key]!r}",
-                          path, sec.value_lines[key]) from None
-
-
 def cmd_scan(args) -> int:
     path = args.config
     sections = load_keyvalue(path)
@@ -230,35 +210,34 @@ def cmd_scan(args) -> int:
         raise ConfigError("missing [scan] section", path)
 
     axis = scan_sec.values.get("axis", spectra.AXIS_FREQ)
-    seed = (_section_float(scan_sec, "seed", path, parse=int)
-            if "seed" in scan_sec.values else None)
+    seed = scan_sec.get_int("seed", None)
     if args.seed is not None:
         seed = args.seed
     common = dict(
-        hold_time=_section_float(scan_sec, "hold_time_ms", path, 5.0) * 1e-3,
-        density=_section_float(scan_sec, "density_cm3", path, 1e13),
-        noise_sigma=_section_float(scan_sec, "noise_sigma", path, 0.0),
+        hold_time=scan_sec.get_float("hold_time_ms", 5.0) * 1e-3,
+        density=scan_sec.get_float("density_cm3", 1e13),
+        noise_sigma=scan_sec.get_float("noise_sigma", 0.0),
         seed=seed,
     )
     metadata = {}
     for key in ("field_G", "intensity_W_cm2"):
         if key in scan_sec.values:
-            metadata[key] = _section_float(scan_sec, key, path)
+            metadata[key] = scan_sec.get_float(key)
 
     if axis == spectra.AXIS_FREQ:
         if not res_secs:
             raise ConfigError("frequency scan needs at least one [resonance] section", path)
-        start = _section_float(scan_sec, "start_hz", path)
-        stop = _section_float(scan_sec, "stop_hz", path)
-        n = _section_float(scan_sec, "points", path, parse=int)
-        dc_shift = _section_float(scan_sec, "dc_shift_hz", path, 0.0)
+        start = scan_sec.get_float("start_hz")
+        stop = scan_sec.get_float("stop_hz")
+        n = scan_sec.get_int("points")
+        dc_shift = scan_sec.get_float("dc_shift_hz", 0.0)
         models = []
         for sec in res_secs:
             models.append(scattering.ResonanceModel(
-                a_bk=_section_float(sec, "a_bk", path),
-                delta_m=2 * math.pi * _section_float(sec, "delta_m_hz", path),
-                omega0=2 * math.pi * (_section_float(sec, "omega0_hz", path) + dc_shift),
-                m=_section_float(sec, "m", path, parse=int)))
+                a_bk=sec.get_float("a_bk"),
+                delta_m=2 * math.pi * sec.get_float("delta_m_hz"),
+                omega0=2 * math.pi * (sec.get_float("omega0_hz") + dc_shift),
+                m=sec.get_int("m")))
         spec = spectra.synthesize_spectrum(models, np.linspace(start, stop, n),
                                            metadata=metadata, **common)
     elif axis == spectra.AXIS_FIELD:
@@ -283,14 +262,14 @@ def cmd_scan(args) -> int:
         state = next((s for s in registry if s.label == label), None)
         if state is None:
             raise ConfigError(f"state {label!r} not in registry", path, scan_sec.line)
-        start = _section_float(scan_sec, "start_G", path)
-        stop = _section_float(scan_sec, "stop_G", path)
-        n = _section_float(scan_sec, "points", path, parse=int)
+        start = scan_sec.get_float("start_G")
+        stop = scan_sec.get_float("stop_G")
+        n = scan_sec.get_int("points")
         spec = spectra.synthesize_field_scan(
-            state, registry, _section_float(scan_sec, "f_mod_hz", path),
+            state, registry, scan_sec.get_float("f_mod_hz"),
             np.linspace(start, stop, n), widths,
-            a_bk=_section_float(scan_sec, "a_bk", path, 200.0),
-            dc_shift_hz=_section_float(scan_sec, "dc_shift_hz", path, 0.0),
+            a_bk=scan_sec.get_float("a_bk", 200.0),
+            dc_shift_hz=scan_sec.get_float("dc_shift_hz", 0.0),
             metadata=metadata, **common)
     else:
         raise ConfigError(f"unknown axis {axis!r}", path, scan_sec.line)
@@ -306,18 +285,25 @@ def cmd_scan(args) -> int:
 # -- fit ---------------------------------------------------------------------
 
 def _read_plain_csv(path, n_cols_min):
+    """Numeric rows; only the first non-comment line may be a header, one
+    whose first field is not a number."""
     rows = []
+    first = True
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             fields = line.split(",")
+            if first:
+                first = False
+                try:
+                    float(fields[0])
+                except ValueError:
+                    continue   # header row
             try:
                 rows.append([finite(f) for f in fields])
             except ValueError:
-                if lineno == 1 or (rows == [] and not line[0].isdigit() and line[0] != "-"):
-                    continue   # header row
                 raise ConfigError("cannot parse numeric row", path, lineno) from None
             if len(fields) < n_cols_min:
                 raise ConfigError(f"need at least {n_cols_min} columns", path, lineno)

@@ -33,8 +33,8 @@ class ConfigError(ValueError):
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to converge.
 
-    ``last`` holds the last iterate (parameter vector, truncation order, ...)
-    so callers can report partial results; ``diagnostics`` is a free-form dict.
+    ``last`` holds the last iterate (a fit's parameter vector) so callers can
+    report partial results; ``diagnostics`` is a free-form dict.
     """
 
     def __init__(self, message, last=None, diagnostics=None):

@@ -1,10 +1,12 @@
-"""Driven two-level collisional model: rotating-frame coupling, truncated
-Floquet quasi-energy solver, and avoided-crossing gap extraction.
+"""Driven two-level collisional model: rotating-frame coupling, Floquet
+quasi-energies from the one-period propagator, and avoided-crossing gap
+extraction.
 
 The model is H(t)/hbar = [[omega_alpha, Omega/2], [Omega/2, omega_beta + A cos(w t)]].
 The rotating-wave reduction predicts an avoided crossing of gap |Omega J_m(A/w)|
 whenever m w approaches -omega_b (omega_b = omega_alpha - omega_beta); the
-truncated Floquet matrix is the numerical oracle for that prediction.
+eigenphases of the exact propagator over one drive period are the numerical
+oracle for that prediction.
 """
 
 from __future__ import annotations
@@ -15,17 +17,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .specfun import bessel_j
 
 __all__ = [
     "DrivenTwoLevel", "FloquetSolution", "GapResult",
     "effective_coupling", "resonance_frequencies",
-    "floquet_spectrum", "avoided_crossing_gap", "minimum_truncation_order",
+    "floquet_spectrum", "avoided_crossing_gap",
 ]
 
-DRIFT_TOLERANCE_FACTOR = 1e-9    # quasi-energy drift per unit omega_mod
-MAX_TRUNCATION_ORDER = 220       # keeps the dense matrix below ~900 x 900
+STEP_BLOCK = 32                  # Magnus steps per turn of the coupling phase
+MAX_PROPAGATOR_STEPS = 1 << 16   # keeps each step array below ~1 MB
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 
 
 @dataclass(frozen=True)
@@ -39,6 +42,9 @@ class DrivenTwoLevel:
     omega_mod: float      # modulation frequency
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.omega_alpha, self.omega_beta, self.Omega,
+                                       self.A, self.omega_mod))):
+            raise DomainError("model parameters must be finite")
         if self.Omega < 0:
             raise DomainError("Omega must be non-negative")
 
@@ -77,121 +83,83 @@ def resonance_frequencies(omega_b: float, m_max: int) -> list:
 
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Quasi-energy pair of the driven two-level problem.
-
-    quasi_energies: the two physically distinct quasi-energies folded to the
-    first Brillouin zone (-w/2, w/2]; pair_energies: the same pair unfolded
-    (alpha-like state first), convenient for gap extraction and gauge checks;
-    mode_weights[s, l, i]: complex Fourier amplitude of Floquet state s on
-    level l (0 = alpha, 1 = beta) and photon number photon_numbers[i].
-    """
+    """Quasi-energy pair of the driven two-level problem: quasi_energies folded
+    to the first Brillouin zone (-w/2, w/2] and sorted; gap, their shorter
+    distance around the zone (the avoided-crossing splitting)."""
 
     quasi_energies: np.ndarray
-    pair_energies: np.ndarray
-    mode_weights: np.ndarray
-    photon_numbers: np.ndarray
-    truncation_order: int
     omega_mod: float
-
-    @property
-    def gap(self) -> float:
-        return abs(float(self.pair_energies[1] - self.pair_energies[0]))
+    gap: float
 
 
-def minimum_truncation_order(model: DrivenTwoLevel) -> int:
-    """Truncation rule N >= 3 ceil(|A|/w) + 5 (Bessel weights die past n ~ A/w)."""
-    return 3 * int(math.ceil(abs(model.A) / model.omega_mod)) + 5
+def _step_count(model: DrivenTwoLevel) -> int:
+    """STEP_BLOCK ceil(max(2, r) sqrt(max(1, Omega/(0.02 w))) max(1, Omega/w)^(1/4))
+    Magnus steps per period; r = (|omega_b| + |A|)/w counts the phase's turns.
 
-
-def _fold_first_zone(energies, omega):
-    """Map rad/s values into (-w/2, w/2]."""
-    e = np.asarray(energies, dtype=float)
-    return e - omega * np.ceil(e / omega - 0.5)
-
-
-def _solve_pair(model: DrivenTwoLevel, n_order: int):
-    """Eigen-solve the truncated Floquet matrix and pick the central pair.
-
-    Basis |level, n> with diagonal omega_level + n w; the drive couples
-    |beta, n> <-> |beta, n +- 1> with A/2 and Omega/2 couples the levels at
-    equal n.  State 1 is the eigenvector with the largest |<alpha, 0|.>|^2;
-    state 2 is the eigenvalue closest to it (its avoided-crossing partner for
-    any scan window narrower than the zone width).
+    The Magnus-4 error grows as Omega^2 h^4, and as Omega^3 h^4 once Omega > w;
+    the two Omega factors hold it near 1e-10 w.  Raises DomainError above
+    MAX_PROPAGATOR_STEPS, before any array is built.
     """
-    n_ph = np.arange(-n_order, n_order + 1)
-    size = 2 * (2 * n_order + 1)
-    h = np.zeros((size, size))
-    idx_a = 2 * np.arange(2 * n_order + 1)
-    idx_b = idx_a + 1
-    h[idx_a, idx_a] = model.omega_alpha + n_ph * model.omega_mod
-    h[idx_b, idx_b] = model.omega_beta + n_ph * model.omega_mod
-    h[idx_a, idx_b] = model.Omega / 2.0
-    h[idx_b, idx_a] = model.Omega / 2.0
-    h[idx_b[:-1], idx_b[1:]] = model.A / 2.0
-    h[idx_b[1:], idx_b[:-1]] = model.A / 2.0
-    evals, evecs = np.linalg.eigh(h)
-
-    i_zero = n_order   # photon sector n = 0
-    weight_a0 = np.abs(evecs[2 * i_zero, :]) ** 2
-    j1 = int(np.argmax(weight_a0))
-    dist = np.abs(evals - evals[j1])
-    dist[j1] = np.inf
-    j2 = int(np.argmin(dist))
-    return evals, evecs, n_ph, (j1, j2)
-
-
-def floquet_spectrum(model: DrivenTwoLevel, truncation_order: int | None = None) -> FloquetSolution:
-    """Quasi-energies of the driven two-level system from the truncated
-    Floquet matrix, refining the truncation until the central pair drifts by
-    less than 1e-9 * omega_mod between N and N + 5.
-    """
-    if model.omega_mod <= 0:
+    w = model.omega_mod
+    if w <= 0:
         raise DomainError("omega_mod must be positive")
-    n_min = minimum_truncation_order(model)
-    if truncation_order is None:
-        n_order = n_min
-    else:
-        if truncation_order < n_min:
-            raise DomainError(
-                f"truncation_order {truncation_order} below the required minimum {n_min}")
-        n_order = int(truncation_order)
-    if n_order > MAX_TRUNCATION_ORDER:   # checked before any matrix is built
-        raise DomainError(f"truncation order {n_order} exceeds {MAX_TRUNCATION_ORDER} "
-                          f"(|A|/omega_mod = {abs(model.A) / model.omega_mod:.3g} is too large)")
+    rate = (abs(model.omega_b) + abs(model.A)) / w
+    blocks = (max(2.0, rate) * math.sqrt(max(1.0, model.Omega / (0.02 * w)))
+              * max(1.0, model.Omega / w) ** 0.25)
+    if not blocks <= MAX_PROPAGATOR_STEPS // STEP_BLOCK:
+        raise DomainError(f"the drive needs more than {MAX_PROPAGATOR_STEPS} propagator steps "
+                          f"((|omega_b| + |A|)/w = {rate:.3g}, Omega/w = {model.Omega / w:.3g})")
+    return STEP_BLOCK * math.ceil(blocks)
 
-    drift_tol = DRIFT_TOLERANCE_FACTOR * model.omega_mod
-    drifts = []
-    while True:
-        evals, evecs, n_ph, (j1, j2) = _solve_pair(model, n_order)
-        pair = np.array([evals[j1], evals[j2]])
-        evals5, _, _, (k1, k2) = _solve_pair(model, n_order + 5)
-        pair5 = np.array([evals5[k1], evals5[k2]])
-        drift = float(np.max(np.abs(pair - pair5)))
-        drifts.append((n_order, drift))
-        if drift < drift_tol:
-            break
-        n_order *= 2
-        if n_order > MAX_TRUNCATION_ORDER:
-            raise ConvergenceError(
-                "Floquet truncation did not converge "
-                f"(last drift {drift:.3e} rad/s at N = {drifts[-1][0]})",
-                last=drifts[-1][0],
-                diagnostics={"drifts": drifts, "tolerance": drift_tol})
 
-    n_states = 2 * n_ph.size
-    weights = np.empty((2, 2, n_ph.size), dtype=complex)
-    for s, j in enumerate((j1, j2)):
-        vec = evecs[:, j]
-        weights[s, 0, :] = vec[0:n_states:2]   # alpha amplitudes vs photon number
-        weights[s, 1, :] = vec[1:n_states:2]   # beta amplitudes
-    return FloquetSolution(
-        quasi_energies=_fold_first_zone(pair, model.omega_mod),
-        pair_energies=pair,
-        mode_weights=weights,
-        photon_numbers=n_ph,
-        truncation_order=n_order,
-        omega_mod=model.omega_mod,
-    )
+def _interaction_propagator(model: DrivenTwoLevel, steps: int):
+    """U_I(T) = [[a, b], [-b*, a*]] in the interaction picture of the diagonal,
+    where H_I = (Omega/2)(cos theta sx - sin theta sy), theta = omega_b t - (A/w) sin wt.
+
+    Each step is one two-point Gauss-Legendre Magnus-4 exponential exp(-i v.sigma)
+    in closed form (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); the
+    steps are multiplied by pairwise reduction, later steps on the left.
+    """
+    w = model.omega_mod
+    h = 2.0 * math.pi / w / steps
+    theta = h * (np.arange(steps)[:, None] + _GAUSS_NODES)
+    theta = model.omega_b * theta - (model.A / w) * np.sin(w * theta)
+    hg = 0.5 * h * model.Omega
+    vx = 0.5 * hg * np.cos(theta).sum(axis=1)
+    vy = -0.5 * hg * np.sin(theta).sum(axis=1)
+    vz = (-math.sqrt(3.0) / 6.0 * hg * hg) * np.sin(theta[:, 0] - theta[:, 1])
+    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
+    sinc = np.sinc(norm / math.pi)
+    a, b = np.cos(norm) - 1j * vz * sinc, -(vy + 1j * vx) * sinc
+    while a.size > 1:
+        n = a.size - a.size % 2          # an odd last step waits for the next round
+        a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
+        a, b = (np.concatenate((a1 * a0 - b1 * b0.conj(), a[n:])),
+                np.concatenate((a1 * b0 + b1 * a0.conj(), b[n:])))
+    return complex(a[0]), complex(b[0])
+
+
+def _spectrum(model: DrivenTwoLevel, steps: int) -> FloquetSolution:
+    """U(T) = diag(exp(-i omega_alpha T), exp(-i omega_beta T)) U_I(T) has the
+    eigenvalues lambda = exp(-i s T -+ i phi), s the mean level, so the
+    quasi-energies -arg(lambda)/T are s +- phi/T.  atan2 keeps phi and the gap
+    precise when the gap is small.
+    """
+    w = model.omega_mod
+    period = 2.0 * math.pi / w
+    a, b = _interaction_propagator(model, steps)
+    p = complex(np.exp(-0.5j * model.omega_b * period) * a)
+    sin_phi = math.hypot(p.imag, abs(b))
+    e = (0.5 * (model.omega_alpha + model.omega_beta)
+         + np.array([-1.0, 1.0]) * math.atan2(sin_phi, p.real) / period)
+    return FloquetSolution(quasi_energies=np.sort(e - w * np.ceil(e / w - 0.5)), omega_mod=w,
+                           gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
+
+
+def floquet_spectrum(model: DrivenTwoLevel) -> FloquetSolution:
+    """Quasi-energies of the driven two-level system: the eigenphases of its
+    one-period propagator (Shirley, Phys. Rev. 138, B979 (1965))."""
+    return _spectrum(model, _step_count(model))
 
 
 class GapResult(NamedTuple):
@@ -267,8 +235,9 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
     w_expect = -omega_b / m.  Near an isolated avoided crossing the two-level
     form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so a Brent
     minimization of gap^2 started at w_expect lands on the center w_c in a
-    handful of eigensolves.  The truncation order is fixed once, at the window
-    center.  The center is located to a relative tolerance of GAP_XTOL_REL.
+    handful of propagator builds.  The step count is fixed once, at the window's
+    low edge where the phase turns fastest, so gap^2(w) is smooth.  The center
+    is located to a relative tolerance of GAP_XTOL_REL.
 
     Raises DomainError for an invalid window or m = 0, for a window that does
     not bracket w_expect, and when the minimizer ends within its tolerance of
@@ -284,14 +253,10 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
         raise DomainError(
             f"window [{w_lo}, {w_hi}] does not bracket the expected resonance {w_expect}")
 
-    # fix the truncation once, at the window center, with the +5 margin the
-    # drift check already validated
-    center_model = replace(model, omega_mod=0.5 * (w_lo + w_hi))
-    n_order = floquet_spectrum(center_model).truncation_order + 5
+    steps = _step_count(replace(model, omega_mod=w_lo))
 
     def gap_squared(w: float) -> float:
-        evals, _, _, (j1, j2) = _solve_pair(replace(model, omega_mod=w), n_order)
-        return float(evals[j2] - evals[j1]) ** 2
+        return _spectrum(replace(model, omega_mod=w), steps).gap ** 2
 
     w_min, gap2 = _brent_minimize(gap_squared, w_lo, w_hi, w_expect)
     edge_tol = 2.0 * GAP_XTOL_REL * w_min

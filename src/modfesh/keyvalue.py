@@ -10,16 +10,29 @@ Shared by the species/registry data files and the CLI configuration files::
     [transitions]
     D1 3 3 335.12056284 2.6980e-29 4.5612   <- bare rows become table rows
 
-Sections repeat; order is preserved.  Values are raw strings; callers parse.
+Sections repeat; order is preserved.  Values are raw strings; callers parse
+them with Section.get_float / Section.get_int (or finite / int for row tokens),
+so every number in every file is finite and every integer exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
 __all__ = ["Section", "parse_keyvalue", "load_keyvalue", "format_keyvalue"]
+
+_REQUIRED = object()
+
+
+def finite(text: str) -> float:
+    """float(text) that rejects nan and inf; also the argparse number type."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
 
 
 @dataclass
@@ -29,6 +42,27 @@ class Section:
     values: dict = field(default_factory=dict)       # key -> str
     value_lines: dict = field(default_factory=dict)  # key -> line number
     rows: list = field(default_factory=list)         # list of (line, [tokens])
+    path: object = None                              # file the section came from
+
+    def get_float(self, key: str, default=_REQUIRED) -> float:
+        """The finite number under key; default when the key is absent."""
+        return self._get(key, default, finite)
+
+    def get_int(self, key: str, default=_REQUIRED) -> int:
+        """The integer under key, written as one ('3', not '3.0'); default when
+        the key is absent."""
+        return self._get(key, default, int)
+
+    def _get(self, key, default, parse):
+        if key not in self.values:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {key!r} in [{self.name}]", self.path, self.line)
+            return default
+        try:
+            return parse(self.values[key])
+        except ValueError:
+            raise ConfigError(f"cannot parse {key!r} = {self.values[key]!r}",
+                              self.path, self.value_lines[key]) from None
 
 
 def parse_keyvalue(text: str, path=None) -> list[Section]:
@@ -44,7 +78,7 @@ def parse_keyvalue(text: str, path=None) -> list[Section]:
             name = line[1:-1].strip()
             if not name:
                 raise ConfigError("empty section name", path, lineno)
-            current = Section(name=name, line=lineno)
+            current = Section(name=name, line=lineno, path=path)
             sections.append(current)
             continue
         if current is None:

@@ -548,12 +548,28 @@ class TestUsageErrorsExitTwo:
         ({"scans/scan.json": SPECTRUM_JSON % "0.9", "states.cfg": REGISTRY},
          ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
          "states.cfg: line 5"),
+        ({"lin.csv": "intensity,center\nnan,1e5\n0.8,227.1e3\n1.2,226.3e3\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv: line 2"),
+        ({"cs.species": "[transitions]\nD2 3 4 nan 2.0e-29 3.3e7\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
+        ({"cs.species": "[species]\nground_F = 3.7\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
+        ({"states.cfg": REGISTRY.replace("-182e3", "nan").replace("a b", "19 21"),
+          "field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "registry = {tmp}/states.cfg")},
+         ("scan", "--config", "{tmp}/field.cfg", "--out", "{tmp}/x"), "states.cfg: line 2"),
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9",
+          "states.cfg": REGISTRY.replace("a b", "15 nan")},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 5"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
-            "registry-window_G"])
+            "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
+            "species-ground_F-3.7", "registry-E0-nan", "registry-window_G-nan"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
+            (tmp_path / name).write_text(text.replace("{tmp}", str(tmp_path)))
         code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert code == 2
         assert out == "" and "Traceback" not in err

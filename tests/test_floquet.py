@@ -7,11 +7,10 @@ import pytest
 from modfesh import cli, floquet
 from modfesh.errors import DomainError
 from modfesh.floquet import (DrivenTwoLevel, avoided_crossing_gap, effective_coupling,
-                             floquet_spectrum, minimum_truncation_order,
-                             resonance_frequencies)
+                             floquet_spectrum, resonance_frequencies)
 from modfesh.specfun import bessel_j
 
-from oracles import bessel_series
+from oracles import bessel_series, floquet_matrix_pair
 
 
 def model(omega_b=1.0, Omega=0.02, A=1.0, omega_mod=1.0):
@@ -68,16 +67,20 @@ class TestResonanceFrequencies:
             resonance_frequencies(1.0, 0)
 
 
+def zone_distance(x, y, omega):
+    """Distance between quasi-energies x and y around the zone of width omega."""
+    d = np.abs(np.asarray(x) - np.asarray(y)) % omega
+    return np.minimum(d, omega - d)
+
+
 class TestFloquetSpectrum:
     def test_bare_levels_when_uncoupled(self):
         m = DrivenTwoLevel(omega_alpha=0.31, omega_beta=-0.54, Omega=0.0, A=0.0,
                           omega_mod=1.0)
         sol = floquet_spectrum(m)
         # quasi-energies are the bare levels mod omega: -0.54 folds to +0.46
-        assert sorted(sol.quasi_energies) == pytest.approx([0.31, 0.46], abs=1e-12)
-        for pair_e, bare in zip(sol.pair_energies, (0.31, -0.54)):
-            assert (pair_e - bare) / m.omega_mod == pytest.approx(
-                round((pair_e - bare) / m.omega_mod), abs=1e-12)
+        assert list(sol.quasi_energies) == pytest.approx([0.31, 0.46], abs=1e-12)
+        assert sol.gap == pytest.approx(0.15, abs=1e-12)   # 0.15 < 1 - 0.15
         assert np.all(sol.quasi_energies > -0.5)
         assert np.all(sol.quasi_energies <= 0.5)
 
@@ -88,36 +91,34 @@ class TestFloquetSpectrum:
                             m1.Omega, m1.A, m1.omega_mod)
         s1 = floquet_spectrum(m1)
         s2 = floquet_spectrum(m2)
-        assert s2.pair_energies == pytest.approx(s1.pair_energies + shift, abs=1e-12)
-
-    def test_truncation_drift(self):
-        m = model(omega_b=1.0, Omega=0.02, A=2.0, omega_mod=1.0)
-        n0 = minimum_truncation_order(m)
-        s_a = floquet_spectrum(m, truncation_order=n0)
-        s_b = floquet_spectrum(m, truncation_order=n0 + 5)
-        assert np.max(np.abs(s_a.pair_energies - s_b.pair_energies)) < 1e-9 * m.omega_mod
-
-    def test_minimum_truncation_enforced(self):
-        m = model(A=3.0)
-        with pytest.raises(DomainError):
-            floquet_spectrum(m, truncation_order=3)
+        # a common shift moves each quasi-energy by the shift, around the zone
+        moved = zone_distance(s2.quasi_energies[:, None],
+                              s1.quasi_energies[None, :] + shift, m1.omega_mod).min(axis=1)
+        assert np.all(moved <= 1e-12)
+        assert s2.gap == pytest.approx(s1.gap, abs=1e-12)
 
     def test_truncation_cap_checked_before_solving(self, monkeypatch):
-        """A drive needing N > MAX_TRUNCATION_ORDER is refused before any matrix
-        is built: A/w = 71.5 needs N = 3 ceil(71.5) + 5 = 221."""
+        """A drive needing more than MAX_PROPAGATOR_STEPS Magnus steps is refused
+        before any array is built: (|omega_b| + |A|)/w = 2048.5 at Omega/w = 0.02
+        needs 32 * 2049 steps, one block above the cap."""
         def refuse(*args):
-            raise AssertionError("_solve_pair called")
+            raise AssertionError("propagator built")
 
-        monkeypatch.setattr(floquet, "_solve_pair", refuse)
-        m = model(A=71.5)
-        assert minimum_truncation_order(m) == floquet.MAX_TRUNCATION_ORDER + 1
+        monkeypatch.setattr(floquet, "_interaction_propagator", refuse)
+        assert floquet._step_count(model(A=2047.0)) == floquet.MAX_PROPAGATOR_STEPS
         with pytest.raises(DomainError):
-            floquet_spectrum(m)
+            floquet_spectrum(model(A=2047.5))
         with pytest.raises(DomainError):
-            floquet_spectrum(model(A=1.0), truncation_order=floquet.MAX_TRUNCATION_ORDER + 1)
-        # the CLI reports it as a domain error (exit 3)
-        assert cli.run(["floquet-gap", "--omega-b-hz", "-150e3", "--rabi-hz", "3e3",
-                        "--amplitude-hz", str(71.5 * 150e3), "--m", "1"]) == 3
+            floquet_spectrum(model(A=1.0, Omega=0.02 * 2048.0 ** 2))
+        # the CLI reports it as a domain error (exit 3): a huge drive, Rabi
+        # frequency or order
+        gap = ["floquet-gap", "--omega-b-hz", "-150e3", "--rabi-hz", "3e3",
+               "--amplitude-hz", "150e3", "--m", "1"]
+        for flag, value in (("--amplitude-hz", 2047.5 * 150e3), ("--rabi-hz", 1e12),
+                            ("--m", 3000)):
+            argv = list(gap)
+            argv[argv.index(flag) + 1] = str(value)
+            assert cli.run(argv) == 3, flag
 
     def test_drive_parity(self):
         m_plus = model(A=1.3, omega_mod=0.98)
@@ -126,11 +127,41 @@ class TestFloquetSpectrum:
         s_minus = floquet_spectrum(m_minus)
         assert s_minus.gap == pytest.approx(s_plus.gap, rel=1e-10)
 
-    def test_mode_weights_normalized(self):
-        sol = floquet_spectrum(model())
-        for s in range(2):
-            total = float(np.sum(np.abs(sol.mode_weights[s]) ** 2))
-            assert total == pytest.approx(1.0, rel=1e-12)
+    @pytest.mark.parametrize("rabi", [3.0, 30.0, 300.0])
+    def test_strong_coupling_step_count(self, rabi):
+        """Beyond the matrix oracle's reach (Omega >> w mixes the photon
+        sectors): the step count's Omega factors keep the gap within 1e-9 w of
+        the same propagator at 4x the steps."""
+        m = model(omega_b=1.0, Omega=rabi, A=1.0, omega_mod=0.99)
+        steps = floquet._step_count(m)
+        assert abs(floquet._spectrum(m, steps).gap
+                   - floquet._spectrum(m, 4 * steps).gap) <= 1e-9 * m.omega_mod
+
+    def test_non_finite_model_refused(self):
+        with pytest.raises(DomainError):
+            model(A=math.nan)
+        with pytest.raises(DomainError):
+            model(omega_b=math.inf)
+
+
+class TestMatrixAgreement:
+    """The propagator against the truncated Floquet matrix (tests/oracles.py):
+    gap and quasi-energies within 1e-9 w at 7 frequencies across each
+    criterion-04-style window 1 +- 0.02/m, up to Omega/w = 0.6."""
+
+    @pytest.mark.parametrize("rabi", [0.02, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("ratio", [0.5, 0.7, 1.0, 2.0, 2.5, 3.0, 5.5, 8.7])
+    @pytest.mark.parametrize("m_order", [1, 2, 3])
+    def test_gap_matches_matrix(self, m_order, ratio, rabi):
+        base = DrivenTwoLevel(0.0, float(m_order), rabi, ratio, 1.0)
+        half = 0.02 / m_order
+        for w in np.linspace(1.0 - half, 1.0 + half, 7):
+            m = replace(base, omega_mod=float(w))
+            sol = floquet_spectrum(m)
+            e1, e2 = floquet_matrix_pair(m)
+            assert abs(sol.gap - abs(e2 - e1)) <= 1e-9 * w
+            folded = sorted(e - w * math.ceil(e / w - 0.5) for e in (e1, e2))
+            assert np.all(zone_distance(sol.quasi_energies, folded, w) <= 1e-9 * w)
 
 
 class TestAvoidedCrossingGap:
@@ -223,17 +254,17 @@ def rwa_setting(m_order, ratio):
 
 
 class TestGapWorkCount:
-    """Work count, not wall time: dense eigensolves per gap search."""
+    """Work count, not wall time: one-period propagator builds per gap search."""
 
-    def test_eigh_calls_per_gap(self, monkeypatch):
+    def test_propagator_builds_per_gap(self, monkeypatch):
         calls = [0]
-        eigh = np.linalg.eigh
+        build = floquet._interaction_propagator
 
-        def counting_eigh(a, *args, **kwargs):
+        def counting_build(*args):
             calls[0] += 1
-            return eigh(a, *args, **kwargs)
+            return build(*args)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(floquet, "_interaction_propagator", counting_build)
         counts = []
         for m_order in (1, 2, 3):
             for ratio in (0.5, 1.0, 2.0, 3.0, 5.5, 8.7):
@@ -241,13 +272,13 @@ class TestGapWorkCount:
                 calls[0] = 0
                 avoided_crossing_gap(m, m_order, window)
                 counts.append(calls[0])
-        assert np.mean(counts) <= 12
-        assert max(counts) <= 20
+        assert np.mean(counts) <= 8
+        assert max(counts) <= 10
 
 
 class TestIndependentMinimizer:
     """The gap search against scipy's bounded minimizer of the same gap^2,
-    at the same truncation, beyond criterion 04's A/w <= 3."""
+    with the same step count, beyond criterion 04's A/w <= 3."""
 
     @pytest.mark.parametrize("m_order", [1, 2, 3])
     @pytest.mark.parametrize("ratio", [0.7, 2.5, 5.5, 8.7])
@@ -256,13 +287,10 @@ class TestIndependentMinimizer:
         m, window = rwa_setting(m_order, ratio)
         gap, center = avoided_crossing_gap(m, m_order, window)
 
-        center_model = replace(m, omega_mod=0.5 * sum(window))
-        n_order = floquet_spectrum(center_model).truncation_order + 5
+        steps = floquet._step_count(replace(m, omega_mod=window[0]))
 
         def gap_squared(w):
-            sol = floquet_spectrum(replace(m, omega_mod=w), truncation_order=n_order)
-            assert sol.truncation_order == n_order
-            return sol.gap ** 2
+            return floquet._spectrum(replace(m, omega_mod=w), steps).gap ** 2
 
         ref = minimize_scalar(gap_squared, bounds=window, method="bounded",
                               options={"xatol": 1e-12})
