@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .keyvalue import Section, finite, format_keyvalue, load_keyvalue
+from .keyvalue import Section, finite, format_keyvalue, load_keyvalue, write_text
 from .specfun import HalfInt
 
 __all__ = [
@@ -329,11 +329,9 @@ def save_species(species: AtomSpecies, path) -> None:
                                 repr(t.frequency),
                                 repr(t.reduced_dipole),
                                 repr(t.decay_rate)]))
-    text = format_keyvalue([sec_sp, sec_tr], header_comment=(
+    write_text(format_keyvalue([sec_sp, sec_tr], header_comment=(
         "species file: SI units except where the key name states otherwise\n"
-        "transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        "transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s")), path)
 
 
 def load_state_registry(path) -> tuple:
@@ -391,8 +389,6 @@ def save_state_registry(states, path) -> None:
             sec.values["crossing_partner"] = st.crossing_partner[0]
             sec.values["V_ij_Hz"] = repr(st.crossing_partner[1])
         sections.append(sec)
-    text = format_keyvalue(sections, header_comment=(
+    write_text(format_keyvalue(sections, header_comment=(
         "molecular-state registry: energies in Hz relative to threshold "
-        "(negative = bound), fields in Gauss"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        "(negative = bound), fields in Gauss")), path)

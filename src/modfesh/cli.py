@@ -9,7 +9,6 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -20,9 +19,12 @@ import numpy as np
 
 from . import atomdata, floquet, lightshift, scattering, spectra
 from .errors import ConfigError, ConvergenceError, DomainError
-from .keyvalue import finite, load_keyvalue
+from .keyvalue import finite, load_keyvalue, write_text
 
 SPECIES_ENV_VAR = "MODFESH_SPECIES"
+# cap on every count read from outside (grid and scan points, --m-max), checked
+# before anything is allocated; the goldens and the benchmark use at most ~2,000
+MAX_COUNT = 100_000
 
 _POLARIZATIONS = {
     "sigma-minus": lightshift.Polarization.sigma_minus,
@@ -30,6 +32,12 @@ _POLARIZATIONS = {
     "linear": lightshift.Polarization.linear,
     "pi": lightshift.Polarization.pi,
 }
+
+
+def _count(n: int, what: str, path=None, line=None) -> int:
+    if not 1 <= n <= MAX_COUNT:
+        raise ConfigError(f"{what} must be between 1 and {MAX_COUNT}, got {n}", path, line)
+    return n
 
 
 def _parse_grid(text: str):
@@ -42,9 +50,7 @@ def _parse_grid(text: str):
             start, stop, n = finite(parts[0]), finite(parts[1]), int(parts[2])
         except ValueError:
             raise ConfigError(f"cannot parse grid spec {text!r}") from None
-        if n < 1:
-            raise ConfigError("grid needs at least one point")
-        return np.linspace(start, stop, n)
+        return np.linspace(start, stop, _count(n, f"points of grid {text!r}"))
     try:
         return np.array([finite(text)])
     except ValueError:
@@ -68,33 +74,9 @@ def _load_species(args) -> atomdata.AtomSpecies:
     return atomdata.cesium()
 
 
-def _emit(args, columns, rows, payload_extra=None):
-    """Write rows as an aligned table, CSV, or JSON per --format."""
-    fmt = getattr(args, "format", "table")
-    out_path = getattr(args, "output", None)
-    if fmt == "json":
-        payload = {"schema_version": spectra.SCHEMA_VERSION, "columns": columns,
-                   "rows": [list(r) for r in rows]}
-        if payload_extra:
-            payload.update(payload_extra)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
-        lines = [f"# schema_version={spectra.SCHEMA_VERSION}", ",".join(columns)]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
-    else:
-        widths = [max(len(str(c)), 14) for c in columns]
-        lines = ["  ".join(str(c).ljust(w) for c, w in zip(columns, widths))]
-        for row in rows:
-            cells = [f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]
-            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _emit(args, header, columns):
+    """Write the columns (one sequence per header name) per --format and --output."""
+    write_text(spectra.render(args.format, header, columns), args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +109,15 @@ def cmd_light_table(args) -> int:
                                   polarization=_POLARIZATIONS[args.pol]())
     _, _, names, values = _LIGHT_TABLES[args.command]
     columns = (intensity, *values(field, species, f_level, f_level if m_f is None else m_f))
-    _emit(args, ["intensity_W_cm2", *names], zip(*(c.tolist() for c in columns)))
+    _emit(args, ["intensity_W_cm2", *names], columns)
     return 0
 
 
 def cmd_resonances(args) -> int:
     omega_b = 2.0 * math.pi * args.omega_b_hz
-    rows = [(m, w_res / (2.0 * math.pi))
-            for m, w_res in floquet.resonance_frequencies(omega_b, args.m_max)]
-    _emit(args, ["m", "f_res_Hz"], rows)
+    rows = [(m, w_res / (2.0 * math.pi)) for m, w_res in
+            floquet.resonance_frequencies(omega_b, _count(args.m_max, "--m-max"))]
+    _emit(args, ["m", "f_res_Hz"], list(zip(*rows)))
     return 0
 
 
@@ -159,7 +141,7 @@ def cmd_floquet_gap(args) -> int:
                                       model.Omega, model.A, center)
     rwa = abs(floquet.effective_coupling(model_at, args.m))
     _emit(args, ["m", "gap_Hz", "center_Hz", "rwa_gap_Hz"],
-          [(args.m, gap / (2 * math.pi), center / (2 * math.pi), rwa / (2 * math.pi))])
+          [[args.m], [gap / (2 * math.pi)], [center / (2 * math.pi)], [rwa / (2 * math.pi)]])
     return 0
 
 
@@ -170,7 +152,7 @@ def cmd_scattering_length(args) -> int:
                                       m=args.m)
     f = _parse_grid(args.grid)
     a_s = scattering.scattering_length(model, 2.0 * math.pi * f)
-    _emit(args, ["f_Hz", "a_s_a0"], zip(f.tolist(), a_s.tolist()))
+    _emit(args, ["f_Hz", "a_s_a0"], (f, a_s))
     return 0
 
 
@@ -185,7 +167,7 @@ def cmd_dressed(args) -> int:
                                                 k=args.k_wavenumber,
                                                 k_convention=args.k_convention,
                                                 reduced_mass=atomdata.CS_MASS / 2.0)
-    _emit(args, ["f_Hz", "alpha_a0", "beta_a0"], zip(f.tolist(), alpha.tolist(), beta.tolist()))
+    _emit(args, ["f_Hz", "alpha_a0", "beta_a0"], (f, alpha, beta))
     return 0
 
 
@@ -229,7 +211,7 @@ def cmd_scan(args) -> int:
             raise ConfigError("frequency scan needs at least one [resonance] section", path)
         start = scan_sec.get_float("start_hz")
         stop = scan_sec.get_float("stop_hz")
-        n = scan_sec.get_int("points")
+        n = _count(scan_sec.get_int("points"), "points", path, scan_sec.value_lines["points"])
         dc_shift = scan_sec.get_float("dc_shift_hz", 0.0)
         models = []
         for sec in res_secs:
@@ -264,7 +246,7 @@ def cmd_scan(args) -> int:
             raise ConfigError(f"state {label!r} not in registry", path, scan_sec.line)
         start = scan_sec.get_float("start_G")
         stop = scan_sec.get_float("stop_G")
-        n = scan_sec.get_int("points")
+        n = _count(scan_sec.get_int("points"), "points", path, scan_sec.value_lines["points"])
         spec = spectra.synthesize_field_scan(
             state, registry, scan_sec.get_float("f_mod_hz"),
             np.linspace(start, stop, n), widths,
@@ -285,96 +267,66 @@ def cmd_scan(args) -> int:
 # -- fit ---------------------------------------------------------------------
 
 def _read_plain_csv(path, n_cols_min):
-    """Numeric rows; only the first non-comment line may be a header, one
-    whose first field is not a number."""
-    rows = []
-    first = True
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if first:
-                first = False
-                try:
-                    float(fields[0])
-                except ValueError:
-                    continue   # header row
-            try:
-                rows.append([finite(f) for f in fields])
-            except ValueError:
-                raise ConfigError("cannot parse numeric row", path, lineno) from None
-            if len(fields) < n_cols_min:
-                raise ConfigError(f"need at least {n_cols_min} columns", path, lineno)
+    """(line number, numeric row) pairs; only the first non-comment line may
+    be a header, one whose first field is not a number."""
+    rows = spectra.read_csv_rows(path)
+    if rows:
+        try:
+            float(rows[0][1][0])
+        except ValueError:
+            del rows[0]   # header row
     if not rows:
         raise ConfigError("no data rows", path)
-    return rows
+    numeric = []
+    for lineno, fields in rows:
+        try:
+            numeric.append((lineno, [finite(f) for f in fields]))
+        except ValueError:
+            raise ConfigError("cannot parse numeric row", path, lineno) from None
+        if len(fields) < n_cols_min:
+            raise ConfigError(f"need at least {n_cols_min} columns", path, lineno)
+    return numeric
 
 
-def _fit_report(args, payload) -> None:
-    payload["schema_version"] = spectra.SCHEMA_VERSION
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+def _fit(args) -> dict:
+    """The report of --model fitted to --input; ConvergenceError if it fails."""
+    if args.model == "fano":
+        spec = spectra.read_spectrum_csv(args.input)
+        fit = spectra.fit_fano(spec, window=_parse_window(args.window) if args.window else None)
+        return {"params": {"center": fit.center, "width": fit.width, "q": fit.q,
+                           "amplitude": fit.amplitude, "offset": fit.offset},
+                "center_stderr": fit.center_stderr, "covariance": fit.covariance.tolist(),
+                "residual_norm": fit.residual_norm, "iterations": fit.iterations}
+    if args.model == "lz":
+        data = []
+        for lineno, r in _read_plain_csv(args.input, 3):
+            if r[2] not in (1.0, -1.0):
+                raise ConfigError(f"branch must be 1 or -1, got {r[2]!r}", args.input, lineno)
+            data.append((r[0], r[1], int(r[2])))
+        fit = spectra.fit_landau_zener(data)
+        return {"params": {"v_ij_hz": fit.v_ij, "e_i0_hz": fit.e_i0,
+                           "slope_i_hz_per_G": fit.slope_i, "e_j0_hz": fit.e_j0,
+                           "slope_j_hz_per_G": fit.slope_j, "b_center_G": fit.b_center},
+                "covariance": fit.covariance.tolist(), "residual_norm": fit.residual_norm,
+                "iterations": fit.iterations, "condition_warning": fit.condition_warning}
+    # linear shift compensation
+    rows = [r for _, r in _read_plain_csv(args.input, 2)]
+    sigma = [r[2] for r in rows] if all(len(r) >= 3 for r in rows) else None
+    fit = spectra.fit_linear_shift([(r[0], r[1]) for r in rows], sigma)
+    return {"params": {"zero_intensity_center_hz": fit.intercept,
+                       "slope_hz_per_intensity": fit.slope},
+            "stderr": {"intercept": fit.intercept_stderr, "slope": fit.slope_stderr},
+            "residual_norm": fit.residual_norm}
 
 
 def cmd_fit(args) -> int:
-    if args.model == "fano":
-        spec = spectra.read_spectrum_csv(args.input)
-        window = _parse_window(args.window) if args.window else None
-        try:
-            fit = spectra.fit_fano(spec, window=window)
-        except ConvergenceError as exc:
-            _fit_report(args, {"model": "fano", "converged": False, "error": str(exc),
-                               "last_params": list(map(float, exc.last))
-                               if exc.last is not None else None})
-            return 4
-        _fit_report(args, {
-            "model": "fano", "converged": True,
-            "params": {"center": fit.center, "width": fit.width, "q": fit.q,
-                       "amplitude": fit.amplitude, "offset": fit.offset},
-            "center_stderr": fit.center_stderr,
-            "covariance": fit.covariance.tolist(),
-            "residual_norm": fit.residual_norm,
-            "iterations": fit.iterations,
-        })
-        return 0
-    if args.model == "lz":
-        rows = _read_plain_csv(args.input, 3)
-        data = [(r[0], r[1], int(r[2])) for r in rows]
-        try:
-            fit = spectra.fit_landau_zener(data)
-        except ConvergenceError as exc:
-            _fit_report(args, {"model": "lz", "converged": False, "error": str(exc),
-                               "last_params": list(map(float, exc.last))
-                               if exc.last is not None else None})
-            return 4
-        _fit_report(args, {
-            "model": "lz", "converged": True,
-            "params": {"v_ij_hz": fit.v_ij, "e_i0_hz": fit.e_i0,
-                       "slope_i_hz_per_G": fit.slope_i, "e_j0_hz": fit.e_j0,
-                       "slope_j_hz_per_G": fit.slope_j, "b_center_G": fit.b_center},
-            "covariance": fit.covariance.tolist(),
-            "residual_norm": fit.residual_norm,
-            "iterations": fit.iterations,
-            "condition_warning": fit.condition_warning,
-        })
-        return 0
-    # linear shift compensation
-    rows = _read_plain_csv(args.input, 2)
-    sigma = [r[2] for r in rows] if all(len(r) >= 3 for r in rows) else None
-    fit = spectra.fit_linear_shift([(r[0], r[1]) for r in rows], sigma)
-    _fit_report(args, {
-        "model": "linear", "converged": True,
-        "params": {"zero_intensity_center_hz": fit.intercept,
-                   "slope_hz_per_intensity": fit.slope},
-        "stderr": {"intercept": fit.intercept_stderr, "slope": fit.slope_stderr},
-        "residual_norm": fit.residual_norm,
-    })
-    return 0
+    try:
+        report = {"converged": True, **_fit(args)}
+    except ConvergenceError as exc:
+        report = {"converged": False, "error": str(exc),
+                  "last_params": None if exc.last is None else list(map(float, exc.last))}
+    write_text(spectra.render_json({"model": args.model, **report}), args.output)
+    return 0 if report["converged"] else 4
 
 
 def cmd_energy_map(args) -> int:
@@ -388,10 +340,13 @@ def cmd_energy_map(args) -> int:
     for path in files:
         spec = spectra.read_spectrum_json(path)
         try:
-            b_field = float(spec.metadata["field_G"])
-            intensity = float(spec.metadata["intensity_W_cm2"])
+            b_field = finite(spec.metadata["field_G"])
+            intensity = finite(spec.metadata["intensity_W_cm2"])
         except KeyError as exc:
             raise ConfigError(f"spectrum metadata lacks {exc}", path) from None
+        except (TypeError, ValueError):
+            raise ConfigError("spectrum metadata field_G and intensity_W_cm2 must be finite "
+                              "numbers", path) from None
         scans.append((b_field, spec, intensity))
     registry = (atomdata.cesium_states() if args.registry == "builtin"
                 else atomdata.load_state_registry(args.registry))
@@ -403,8 +358,8 @@ def cmd_energy_map(args) -> int:
         sys.stdout.write(f"wrote {args.output} ({len(points)} points)\n")
     else:
         _emit(args, ["B_Gauss", "omega_res_Hz", "order_m", "state", "bound", "flagged"],
-              [(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound), int(p.flagged))
-               for p in points])
+              list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound),
+                          int(p.flagged)) for p in points])))
     n_flagged = sum(p.flagged for p in points)
     if n_flagged:
         sys.stderr.write(f"{n_flagged} ambiguous association(s) flagged\n")
@@ -504,7 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("energy-map", parents=[common],
-                       help="assemble the binding-energy map from processed scans")
+                       help="assemble the binding-energy map from processed scans",
+                       epilog="--output always writes the 8-column CSV (B_Gauss, omega_res_Hz, "
+                              "order_m, state, bound, sigma_Hz, flagged, note), whatever "
+                              "--format says; --format applies to stdout only")
     p.add_argument("--scan-dir", required=True,
                    help="directory of spectrum JSON files with field_G/intensity metadata")
     p.add_argument("--registry", default="builtin",

@@ -18,11 +18,13 @@ so every number in every file is finite and every integer exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["Section", "parse_keyvalue", "load_keyvalue", "format_keyvalue"]
+__all__ = ["Section", "parse_keyvalue", "load_keyvalue", "format_keyvalue",
+           "read_text", "write_text"]
 
 _REQUIRED = object()
 
@@ -98,13 +100,32 @@ def parse_keyvalue(text: str, path=None) -> list[Section]:
     return sections
 
 
-def load_keyvalue(path) -> list[Section]:
+def read_text(path) -> str:
+    """The text of a UTF-8 file: the one place the package reads a file.  A
+    file that cannot be read or decoded is a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read file: {exc}", path) from None
+
+
+def write_text(text: str, path=None) -> None:
+    """Write text to path with '\\n' line ends, or to stdout when path is None:
+    the one place the package writes a file.  A file that cannot be written is
+    a ConfigError naming it."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot read file: {exc}", path)
-    return parse_keyvalue(text, path=path)
+        raise ConfigError(f"cannot write file: {exc}", path) from None
+
+
+def load_keyvalue(path) -> list[Section]:
+    return parse_keyvalue(read_text(path), path=path)
 
 
 def format_keyvalue(sections, header_comment: str = "") -> str:

@@ -21,6 +21,7 @@ import numpy as np
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fitting import LinearFit, _covariance, levenberg_marquardt, weighted_linear_fit
+from .keyvalue import read_text, write_text
 from .scattering import (DressedChannelModel, ResonanceModel,
                          DEFAULT_UNITARITY_WAVENUMBER, K2_COEFF_DEFAULT,
                          K3_COEFF_DEFAULT, dressed_alpha_beta,
@@ -32,8 +33,8 @@ __all__ = [
     "fano_profile", "synthesize_spectrum", "synthesize_field_scan",
     "find_peaks", "fit_fano", "fit_linear_shift", "fit_landau_zener",
     "assemble_energy_map",
-    "write_spectrum_csv", "read_spectrum_csv",
-    "spectrum_to_json", "spectrum_from_json",
+    "write_spectrum_csv", "read_spectrum_csv", "read_csv_rows",
+    "spectrum_from_json", "render", "render_json",
     "write_spectrum_json", "read_spectrum_json", "write_energy_map_csv",
 ]
 
@@ -651,49 +652,90 @@ def _associate_peak(b_field, f0, f0_err, registry, m_max, tolerance, note) -> En
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "axis,value,relative_atoms,sigma"
+_MAP_HEADER = "B_Gauss,omega_res_Hz,order_m,state,bound,sigma_Hz,flagged,note"
+_ROWS = "\x00"   # stands for the row list in the JSON text until it is spliced in
+
+
+def _cells(column, fmt):
+    """Cell strings of one column, lazily.  In csv and table a float is repr
+    or .9g and anything else str; in json every value is as json.dumps
+    writes it.  A finite float array is formatted whole."""
+    number = "{:.9g}".format if fmt == "table" else repr
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+        if fmt != "json" or all(map(math.isfinite, column)):
+            return map(number, column)
+    if fmt == "json":
+        return map(json.dumps, column)
+    return (number(float(v)) if isinstance(v, float) else str(v) for v in column)
+
+
+def render_json(payload: dict) -> str:
+    """payload plus schema_version as JSON text, indent 2, sorted keys."""
+    return json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+def render(fmt: str, header, columns, payload=None, key: str = "rows") -> str:
+    """Text of a table given as one sequence per header name, in fmt 'csv'
+    (schema line, header, cells), 'table' (aligned) or 'json' (payload,
+    default {"columns": header}, plus the rows under key).
+
+    Only the small payload goes through json.dumps: with indent=2 it runs
+    the pure-Python encoder, so the row list is spliced in from the cells.
+    """
+    rows = zip(*(_cells(c, fmt) for c in columns))
+    if fmt == "json":
+        doc = {"columns": list(header)} if payload is None else dict(payload)
+        doc[key] = _ROWS
+        body = "\n    ],\n    [\n      ".join(map(",\n      ".join, rows))
+        return render_json(doc).replace(json.dumps(_ROWS),
+                                        f"[\n    [\n      {body}\n    ]\n  ]" if body else "[]")
+    if fmt == "csv":
+        lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(header), *map(",".join, rows)]
+    else:
+        widths = [max(len(h), 14) for h in header]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths))
+                 for row in (header, *rows)]
+    return "\n".join(lines) + "\n"
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:
     """CSV with shortest-round-trip decimal fields (bit-exact reload)."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", _CSV_HEADER]
-    for xi, yi, si in zip(spec.x, spec.y, spec.sigma):
-        lines.append(f"{spec.axis},{float(xi)!r},{float(yi)!r},{float(si)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(render("csv", _CSV_HEADER.split(","),
+                      ([spec.axis] * len(spec), spec.x, spec.y, spec.sigma)), path)
+
+
+def read_csv_rows(path) -> list:
+    """(line number, comma-separated fields) of each line of a text file that
+    is neither blank nor a '#' comment."""
+    lines = enumerate(map(str.strip, read_text(path).splitlines()), start=1)
+    return [(lineno, line.split(",")) for lineno, line in lines
+            if line and line[0] != "#"]
 
 
 def read_spectrum_csv(path, metadata: dict | None = None) -> Spectrum:
-    axis = None
-    xs, ys, ss = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        header_seen = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != _CSV_HEADER:
-                    raise ConfigError(f"expected header {_CSV_HEADER!r}, got {line!r}",
-                                      path, lineno)
-                header_seen = True
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ConfigError(f"expected 4 fields, got {len(fields)}", path, lineno)
-            if axis is None:
-                axis = fields[0]
-            elif fields[0] != axis:
-                raise ConfigError("inconsistent axis column", path, lineno)
-            try:
-                xs.append(float(fields[1]))
-                ys.append(float(fields[2]))
-                ss.append(float(fields[3]))
-            except ValueError:
-                raise ConfigError("cannot parse numeric fields", path, lineno) from None
-    if not header_seen:
+    rows = read_csv_rows(path)
+    if not rows:
         raise ConfigError("missing header row", path)
-    if not xs:
+    if ",".join(rows[0][1]) != _CSV_HEADER:
+        raise ConfigError(f"expected header {_CSV_HEADER!r}, got {','.join(rows[0][1])!r}",
+                          path, rows[0][0])
+    if len(rows) == 1:
         raise ConfigError("no data rows", path)
+    axis = rows[1][1][0]
+    xs, ys, ss = [], [], []
+    for lineno, fields in rows[1:]:
+        if len(fields) != 4:
+            raise ConfigError(f"expected 4 fields, got {len(fields)}", path, lineno)
+        if fields[0] != axis:
+            raise ConfigError("inconsistent axis column", path, lineno)
+        try:
+            xs.append(float(fields[1]))
+            ys.append(float(fields[2]))
+            ss.append(float(fields[3]))
+        except ValueError:
+            raise ConfigError("cannot parse numeric fields", path, lineno) from None
     try:
         return Spectrum(axis, np.array(xs), np.array(ys), np.array(ss),
                         dict(metadata) if metadata else {})
@@ -701,57 +743,39 @@ def read_spectrum_csv(path, metadata: dict | None = None) -> Spectrum:
         raise ConfigError(str(exc), path) from None
 
 
-def spectrum_to_json(spec: Spectrum) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spectrum",
-        "axis": spec.axis,
-        "metadata": spec.metadata,
-        "points": [[float(x), float(y), float(s)]
-                   for x, y, s in zip(spec.x, spec.y, spec.sigma)],
-    }
-
-
 def spectrum_from_json(payload: dict) -> Spectrum:
     try:
         pts = payload["points"]
         axis = payload["axis"]
-    except (KeyError, TypeError):
-        raise ConfigError("JSON spectrum needs 'axis' and 'points'") from None
+        metadata = dict(payload.get("metadata", {}))
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError("JSON spectrum needs 'axis', 'points' and object 'metadata'") from None
     try:
         arr = np.asarray(pts, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError("'points' must hold numbers") from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]")
-    return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2],
-                    dict(payload.get("metadata", {})))
+    return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
 
 
 def write_spectrum_json(spec: Spectrum, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(spectrum_to_json(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(render("json", (), (spec.x, spec.y, spec.sigma),
+                      {"axis": spec.axis, "kind": "spectrum", "metadata": spec.metadata},
+                      key="points"), path)
 
 
 def read_spectrum_json(path) -> Spectrum:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}", path) from None
+    text = read_text(path)
     try:
-        return spectrum_from_json(payload)
+        return spectrum_from_json(json.loads(text))
+    except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
+        raise ConfigError(f"invalid JSON: {exc}", path) from None
     except (ConfigError, DomainError) as exc:
         raise ConfigError(str(exc), path) from None
 
 
 def write_energy_map_csv(points, path) -> None:
-    lines = [f"# schema_version={SCHEMA_VERSION}",
-             "B_Gauss,omega_res_Hz,order_m,state,bound,sigma_Hz,flagged,note"]
-    for p in points:
-        note = p.note.replace(",", ";")
-        lines.append(f"{p.B!r},{p.omega_res!r},{p.order_m},{p.state_label},"
-                     f"{int(p.bound)},{p.sigma!r},{int(p.flagged)},{note}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound), p.sigma,
+             int(p.flagged), p.note.replace(",", ";")) for p in points]
+    write_text(render("csv", _MAP_HEADER.split(","), list(zip(*rows))), path)

@@ -1,11 +1,15 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modfesh
+from modfesh import floquet
 from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_state_registry
-from modfesh.cli import run
+from modfesh.cli import MAX_COUNT, run
 from modfesh.lightshift import LightField, Polarization, fictitious_field, scattering_rate
 from modfesh.scattering import ResonanceModel
 from modfesh.spectra import (read_spectrum_csv, synthesize_spectrum,
@@ -500,9 +504,17 @@ SPECTRUM_JSON = ('{"axis": "modulation_freq_Hz", "points": [[1e5, 1.0, 0.01], [1
                  '"metadata": {"field_G": 19.41, "intensity_W_cm2": 0.8}}')
 
 
+OVER_CAP = str(MAX_COUNT + 1)
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("allocated before the count was checked")
+
+
 class TestUsageErrorsExitTwo:
-    """Non-finite numbers and malformed scan-config values exit 2 without a
-    traceback; a config error names the file and line."""
+    """Non-finite numbers, malformed scan-config values and counts over
+    MAX_COUNT exit 2 without a traceback; a config error names the file and
+    line."""
 
     @pytest.mark.parametrize("argv,edit,line", [
         (("fictitious-field", "--intensity", "0.87", "--detuning", "nan", "--pol",
@@ -522,8 +534,17 @@ class TestUsageErrorsExitTwo:
         (None, ("f_mod_hz = 150e3", "f_mod_hz = inf"), 4),
         (None, ("points = 90", "points = 90.7"), 7),
         (GAP + ("--m", "0"), None, None),
+        (("fictitious-field", "--intensity", f"0.1:1:{OVER_CAP}") + LIGHT, None, None),
+        (SL + ("--grid", f"1e5:2e5:{OVER_CAP}"), None, None),
+        (DRESSED + ("--gamma-hz", "50", "--grid", f"220e3:240e3:{OVER_CAP}"), None, None),
+        (("resonances", "--omega-b-hz", "228.7e3", "--m-max", OVER_CAP), None, None),
+        (None, ("points = 90", f"points = {OVER_CAP}"), 7),
+        (None, ("points = 90", "points = -1"), 7),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
-    def test_exit_two(self, tmp_path, capsys, argv, edit, line):
+    def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
+        # an over-cap count must be refused before it sizes an allocation
+        monkeypatch.setattr(np, "linspace", _not_called)
+        monkeypatch.setattr(floquet, "resonance_frequencies", _not_called)
         if edit is not None:
             cfg = tmp_path / "field.cfg"
             cfg.write_text(FIELD_SCAN_CONFIG.replace(*edit))
@@ -563,9 +584,22 @@ class TestUsageErrorsExitTwo:
           "states.cfg": REGISTRY.replace("a b", "15 nan")},
          ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
          "states.cfg: line 5"),
+        ({"lz.csv": "B_Gauss,E_Hz,branch\n18.6,-1.8e5,1\n18.6,-1.9e5,0.6\n18.7,-1.8e5,1\n"},
+         ("fit", "--model", "lz", "--input", "{tmp}/lz.csv"), "lz.csv: line 3"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", '"abc"')},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", "NaN")},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace(
+            '{"field_G": 19.41, "intensity_W_cm2": 0.8}', "[1]")},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": "[" * 100_000 + "]" * 100_000},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
-            "species-ground_F-3.7", "registry-E0-nan", "registry-window_G-nan"])
+            "species-ground_F-3.7", "registry-E0-nan", "registry-window_G-nan",
+            "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
+            "json-deep-nesting"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -574,6 +608,94 @@ class TestUsageErrorsExitTwo:
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert f"{tmp_path}/{where}:" in err
+
+
+READS = ("missing", "directory", "not-utf8")
+WRITES = ("directory", "no-parent")
+TABLE_VERBS = {
+    "fictitious-field": ("fictitious-field", "--intensity", "0.87") + LIGHT,
+    "scattering-rate": ("scattering-rate", "--intensity", "0.87") + LIGHT,
+    "heating-rate": ("heating-rate", "--intensity", "0.87") + LIGHT,
+    "resonances": ("resonances", "--omega-b-hz", "228.7e3"),
+    "floquet-gap": GAP + ("--m", "1"),
+    "scattering-length": SL + ("--grid", "2e5:2.5e5:3"),
+    "dressed": DRESSED + ("--gamma-hz", "50"),
+}
+# case -> (argv with {p} for the path under test, what that path is made to be)
+FILE_FLAGS = {
+    "scan-config": (("scan", "--config", "{p}", "--out", "{tmp}/x"), READS),
+    "scan-out": (("scan", "--config", "{tmp}/freq.cfg", "--out", "{p}"), WRITES),
+    "fit-fano-input": (("fit", "--model", "fano", "--input", "{p}"), READS),
+    "fit-lz-input": (("fit", "--model", "lz", "--input", "{p}"), READS),
+    "fit-linear-input": (("fit", "--model", "linear", "--input", "{p}"), READS),
+    "fit-output": (("fit", "--model", "linear", "--input", "{tmp}/lin.csv", "--output", "{p}"),
+                   WRITES),
+    "energy-map-scan-dir": (("energy-map", "--scan-dir", "{p}"),
+                            ("missing", "file", "not-utf8-inside")),
+    "energy-map-registry": (("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{p}"),
+                            READS),
+    "energy-map-output": (("energy-map", "--scan-dir", "{tmp}/scans", "--output", "{p}"),
+                          WRITES),
+    "species": (("fictitious-field", "--species", "{p}", "--intensity", "0.87") + LIGHT, READS),
+    **{f"{verb}-output": (argv + ("--output", "{p}"), WRITES)
+       for verb, argv in TABLE_VERBS.items()},
+}
+NOT_UTF8 = b"\xff\xfe not UTF-8\n"
+
+
+class TestFileBoundary:
+    """Every file a verb reads or writes: a missing, unreadable, non-UTF-8 or
+    unwritable path exits 2, names the path and writes nothing to stdout."""
+
+    @pytest.mark.parametrize("case,kind", [(c, k) for c, (_, kinds) in FILE_FLAGS.items()
+                                           for k in kinds],
+                             ids=lambda v: v)
+    def test_exit_two(self, tmp_path, capsys, case, kind):
+        (tmp_path / "freq.cfg").write_text(FREQ_SCAN_CONFIG.replace("m = 1.7", "m = 1"))
+        (tmp_path / "lin.csv").write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n"
+                                          "1.2,226.3e3\n")
+        (tmp_path / "scans").mkdir()
+        (tmp_path / "scans" / "scan.json").write_text(SPECTRUM_JSON % "0.9")
+        # a .csv name: scan --out writes <base>.csv first, here the path itself
+        path = tmp_path / ("absent/target.csv" if kind == "no-parent" else "target.csv")
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(NOT_UTF8)
+        elif kind == "file":
+            path.write_text("not a directory\n")
+        elif kind == "not-utf8-inside":
+            path.mkdir()
+            (path / "scan.json").write_bytes(NOT_UTF8)
+        argv, _ = FILE_FLAGS[case]
+        code, out, err = run_cli(capsys, *(a.replace("{p}", str(path))
+                                           .replace("{tmp}", str(tmp_path)) for a in argv))
+        assert code == 2, err
+        assert out == "" and "Traceback" not in err
+        assert str(path) in err
+
+    def test_one_reader_one_writer(self):
+        """open() and Path.read_text/write_text-style calls appear in the
+        package only inside keyvalue.read_text and keyvalue.write_text, so
+        no reader or writer can bypass the boundary."""
+        file_calls = {"open", "read_text", "write_text", "read_bytes", "write_bytes",
+                      "loadtxt", "savetxt", "genfromtxt", "fromfile", "tofile"}
+        sites = []
+        for path in sorted(Path(modfesh.__file__).parent.glob("*.py")):
+            scopes = {}
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    for inner in ast.walk(node):
+                        scopes[id(inner)] = getattr(node, "name", "<lambda>")
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "open") or \
+                        (isinstance(func, ast.Attribute) and func.attr in file_calls):
+                    sites.append((path.stem, scopes.get(id(node), "<module>")))
+        assert sorted(sites) == [("keyvalue", "read_text"), ("keyvalue", "write_text")]
 
 
 class TestLightTableWorkCount:

@@ -11,8 +11,8 @@ from modfesh.scattering import DressedChannelModel, ResonanceModel, loss_rate_pr
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              fit_linear_shift, read_spectrum_csv, read_spectrum_json,
-                             spectrum_from_json, spectrum_to_json, synthesize_field_scan,
-                             synthesize_spectrum, write_spectrum_csv, write_spectrum_json)
+                             synthesize_field_scan, synthesize_spectrum, write_spectrum_csv,
+                             write_spectrum_json)
 
 TWO_PI = 2 * math.pi
 
@@ -455,7 +455,30 @@ class TestSpectrumIO:
         assert np.array_equal(loaded.x, spec.x)
         assert np.array_equal(loaded.y, spec.y)
         assert loaded.metadata["field_G"] == 19.41
-        assert spectrum_from_json(spectrum_to_json(spec)).metadata == spec.metadata
+        assert loaded.metadata == spec.metadata
+
+    @pytest.mark.parametrize("columns", [
+        (np.array([1.5, -np.inf, np.nan]), [1, -2, 3], ["a", "b,c", 'q"'],
+         [np.float64(0.1), 2.5e-300, float("inf")]),
+        (np.array([60000.0, 1e22]), np.array([0.9, 1.0]), [0, 1], ["4g(4)", ""]),
+        ([], [], [], []),
+    ])
+    def test_render_matches_reference(self, columns):
+        """render agrees with json.dumps and with the per-cell rule it replaced."""
+        header = ["x", "m", "label", "y"]
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        assert spectra.render("json", header, columns) == json.dumps(
+            {"columns": header, "rows": rows, "schema_version": spectra.SCHEMA_VERSION},
+            indent=2, sort_keys=True) + "\n"
+        csv = [f"# schema_version={spectra.SCHEMA_VERSION}", ",".join(header)]
+        table = ["  ".join(h.ljust(14) for h in header)]
+        for row in rows:
+            csv.append(",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                                for v in row))
+            table.append("  ".join((f"{v:.9g}" if isinstance(v, float) else str(v)).ljust(14)
+                                   for v in row))
+        assert spectra.render("csv", header, columns) == "\n".join(csv) + "\n"
+        assert spectra.render("table", header, columns) == "\n".join(table) + "\n"
 
     def test_csv_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
