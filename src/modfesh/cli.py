@@ -68,14 +68,24 @@ def _parse_window(text: str):
 
 
 def _load_species(args) -> atomdata.AtomSpecies:
-    path = getattr(args, "species", None) or os.environ.get(SPECIES_ENV_VAR)
+    path = args.species or os.environ.get(SPECIES_ENV_VAR)
     if path:
         return atomdata.load_species(path)
     return atomdata.cesium()
 
 
+def _load_registry(spec: str) -> list:
+    """The molecular-state registry named by 'builtin' or a file path."""
+    return atomdata.cesium_states() if spec == "builtin" else atomdata.load_state_registry(spec)
+
+
 def _emit(args, header, columns):
-    """Write the columns (one sequence per header name) per --format and --output."""
+    """Write the columns (one sequence per header name) per --format and --output;
+    DomainError, before anything is written, if a float column is not all finite."""
+    for name, column in zip(header, columns):
+        values = np.asarray(column)
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise DomainError(f"{name} is not finite for these inputs")
     write_text(spectra.render(args.format, header, columns), args.output)
 
 
@@ -235,9 +245,7 @@ def cmd_scan(args) -> int:
             except ValueError:
                 raise ConfigError(f"cannot parse width row {' '.join(tokens)!r}",
                                   path, lineno) from None
-        registry_arg = scan_sec.values.get("registry", "builtin")
-        registry = (atomdata.cesium_states() if registry_arg == "builtin"
-                    else atomdata.load_state_registry(registry_arg))
+        registry = _load_registry(scan_sec.values.get("registry", "builtin"))
         label = scan_sec.values.get("state")
         if label is None:
             raise ConfigError("field scan needs 'state = <label>'", path, scan_sec.line)
@@ -348,10 +356,8 @@ def cmd_energy_map(args) -> int:
             raise ConfigError("spectrum metadata field_G and intensity_W_cm2 must be finite "
                               "numbers", path) from None
         scans.append((b_field, spec, intensity))
-    registry = (atomdata.cesium_states() if args.registry == "builtin"
-                else atomdata.load_state_registry(args.registry))
     points = spectra.assemble_energy_map(
-        scans, registry, min_depth=args.min_depth,
+        scans, _load_registry(args.registry), min_depth=args.min_depth,
         min_separation_hz=args.min_separation_hz)
     if args.output:
         spectra.write_energy_map_csv(points, args.output)
@@ -383,13 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser._negative_number_matcher = _NEGATIVE_NUMBER
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--species", help=f"species data file (default: ${SPECIES_ENV_VAR} "
-                                          "or embedded cesium)")
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    common.add_argument("--output", help="write result to this file instead of stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write result to this file instead of stdout")
+    table = argparse.ArgumentParser(add_help=False, parents=[output])
+    table.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
-    light = argparse.ArgumentParser(add_help=False)
+    light = argparse.ArgumentParser(add_help=False, parents=[table])
+    light.add_argument("--species", help=f"species data file (default: ${SPECIES_ENV_VAR} "
+                                         "or embedded cesium)")
     light.add_argument("--intensity", required=True,
                        help="W/cm^2, single value or start:stop:points grid")
     light.add_argument("--detuning", type=finite, required=True,
@@ -399,20 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hyperfine manifold F (default: species ground F)")
 
     for verb, (help_text, takes_mf, _, _) in _LIGHT_TABLES.items():
-        p = sub.add_parser(verb, parents=[common, light], help=help_text)
+        p = sub.add_parser(verb, parents=[light], help=help_text)
         if takes_mf:
             p.add_argument("--mf", type=int, default=None,
                            help="mF (default: stretched, mF = F)")
         p.set_defaults(func=cmd_light_table)
 
-    p = sub.add_parser("resonances", parents=[common],
+    p = sub.add_parser("resonances", parents=[table],
                        help="modulation-resonance positions (fundamental + subharmonics)")
     p.add_argument("--omega-b-hz", type=finite, required=True,
                    help="free-to-bound gap omega_b/2pi in Hz (positive: state below threshold)")
     p.add_argument("--m-max", type=int, default=3)
     p.set_defaults(func=cmd_resonances)
 
-    p = sub.add_parser("floquet-gap", parents=[common],
+    p = sub.add_parser("floquet-gap", parents=[table],
                        help="numerical avoided-crossing gap vs the RWA prediction")
     p.add_argument("--omega-b-hz", type=finite, required=True)
     p.add_argument("--rabi-hz", type=finite, required=True, help="bare coupling Omega/2pi")
@@ -421,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", default=None, help="scan window lo:hi in Hz")
     p.set_defaults(func=cmd_floquet_gap)
 
-    p = sub.add_parser("scattering-length", parents=[common],
+    p = sub.add_parser("scattering-length", parents=[table],
                        help="effective scattering length vs modulation frequency")
     p.add_argument("--a-bk", type=finite, required=True, help="background length, Bohr radii")
     p.add_argument("--delta-m-hz", type=finite, required=True)
@@ -430,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="frequency grid start:stop:points in Hz")
     p.set_defaults(func=cmd_scattering_length)
 
-    p = sub.add_parser("dressed", parents=[common],
+    p = sub.add_parser("dressed", parents=[table],
                        help="dressed-atom complex scattering length alpha - i beta")
     p.add_argument("--a-bk", type=finite, required=True)
     p.add_argument("--delta-m-hz", type=finite, required=True)
@@ -444,21 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
                    default="collision_energy")
     p.set_defaults(func=cmd_dressed)
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="synthesize a loss spectrum from a config file")
+    p = sub.add_parser("scan", help="synthesize a loss spectrum from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output base path (.csv and .json)")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("fit", parents=[common],
+    p = sub.add_parser("fit", parents=[output],
                        help="fit a spectrum or crossing data; JSON report")
     p.add_argument("--model", choices=("fano", "lz", "linear"), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--window", default=None, help="fano fit window lo:hi (axis units)")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("energy-map", parents=[common],
+    p = sub.add_parser("energy-map", parents=[table],
                        help="assemble the binding-energy map from processed scans",
                        epilog="--output always writes the 8-column CSV (B_Gauss, omega_res_Hz, "
                               "order_m, state, bound, sigma_Hz, flagged, note), whatever "

@@ -1,11 +1,10 @@
 """Damped least-squares (Levenberg-Marquardt) engine and closed-form linear fits.
 
 The LM driver works on a residual vector r(p) (already whitened by the caller
-when measurement sigmas are known) and an optional analytic Jacobian; without
-one it falls back to forward differences with step h = sqrt(eps) max(|x|, 1).
+when measurement sigmas are known) and its analytic Jacobian.
 
 Convergence is declared on a scale-invariant gradient test,
-max_i |g_i| max(|p_i|, 1) <= tol * max(1, cost), on a machine-precision
+max_i |g_i| max(|p_i|, 1) <= GRAD_TOL * max(1, cost), on a machine-precision
 step stall or on a step lowering the cost by at most COST_RTOL of it;
 running out of iterations, or a Jacobian (or J^T J) with a NaN or inf
 entry, raises ConvergenceError carrying the last iterate.
@@ -20,27 +19,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["LMResult", "levenberg_marquardt", "finite_difference_jacobian",
-           "LinearFit", "weighted_linear_fit"]
+__all__ = ["LMResult", "levenberg_marquardt", "LinearFit", "weighted_linear_fit"]
 
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+LM_MAX_ITER = 200  # iteration budget of every production fit
+
+GRAD_TOL = 1e-10   # scale-invariant gradient test, see the module docstring
+LAMBDA0 = 1e-3     # initial damping
 # MINPACK's ftol (More 1978): ends the large-residual fits whose J^T J overstates
 # the curvature, which otherwise crawl linearly along a valley to max_iter
 COST_RTOL = 1e-10
-
-
-def finite_difference_jacobian(residual, params, r0=None):
-    """Forward-difference Jacobian with step h = sqrt(eps) * max(|x|, 1)."""
-    p = np.asarray(params, dtype=float)
-    if r0 is None:
-        r0 = np.asarray(residual(p), dtype=float)
-    jac = np.empty((r0.size, p.size))
-    for i in range(p.size):
-        h = _SQRT_EPS * max(abs(p[i]), 1.0)
-        p_step = p.copy()
-        p_step[i] += h
-        jac[:, i] = (np.asarray(residual(p_step), dtype=float) - r0) / h
-    return jac
 
 
 @dataclass
@@ -63,9 +50,7 @@ def _covariance(jtj, residual_norm, n_points, n_params):
     return cov, float(np.linalg.cond(jtj))
 
 
-def levenberg_marquardt(residual, x0, jacobian=None, *,
-                        max_iter: int = 200, grad_tol: float = 1e-10,
-                        lambda0: float = 1e-3) -> LMResult:
+def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) -> LMResult:
     """Minimize 0.5 ||r(p)||^2 from x0; returns parameters and covariance.
 
     The covariance is s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is
@@ -74,15 +59,12 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
     p = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(p), dtype=float)
     cost = 0.5 * float(r @ r)
-    lam = lambda0
+    lam = LAMBDA0
     n_points = r.size
 
     def derivatives(p, r):
         """J^T J, gradient and gradient measure at p; ConvergenceError unless finite."""
-        if jacobian is not None:
-            jac = np.asarray(jacobian(p), dtype=float)
-        else:
-            jac = finite_difference_jacobian(residual, p, r)
+        jac = np.asarray(jacobian(p), dtype=float)
         jtj = jac.T @ jac
         # the diagonal of J^T J holds the squared column norms of J, so J^T J
         # is finite only if J is
@@ -95,7 +77,7 @@ def levenberg_marquardt(residual, x0, jacobian=None, *,
 
     for iteration in range(1, max_iter + 1):
         jtj, grad, grad_measure = derivatives(p, r)
-        if grad_measure <= grad_tol * max(1.0, cost):
+        if grad_measure <= GRAD_TOL * max(1.0, cost):
             cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
             return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
 

@@ -107,7 +107,6 @@ class LightField:
     detuning: float                    # Hz
     polarization: Polarization
     modulation_depth: float = 0.0      # fraction in [0, 1]
-    modulation_freq: float = 0.0       # Hz
 
     def __post_init__(self):
         intensity = np.asarray(self.intensity, dtype=float)

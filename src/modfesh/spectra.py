@@ -20,11 +20,10 @@ import numpy as np
 
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fitting import LinearFit, _covariance, levenberg_marquardt, weighted_linear_fit
+from .fitting import (LM_MAX_ITER, LinearFit, _covariance, levenberg_marquardt,
+                      weighted_linear_fit)
 from .keyvalue import read_text, write_text
-from .scattering import (DressedChannelModel, ResonanceModel,
-                         DEFAULT_UNITARITY_WAVENUMBER, K2_COEFF_DEFAULT,
-                         K3_COEFF_DEFAULT, dressed_alpha_beta,
+from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          equivalent_resonance_model, loss_rate_proxy)
 
 __all__ = [
@@ -44,6 +43,7 @@ SCHEMA_VERSION = 1
 
 RELATIVE_ATOMS_MAX = 1.2
 M_ORDER_RATIO_TOLERANCE = 0.03   # peak-ratio tolerance for m-order assignment
+M_ORDER_MAX = 3                  # highest drive order |m| tried in the assignment
 Q_SYMMETRIC = 2.0 / np.finfo(float).eps   # Fano q of a symmetric dip (see FanoFit)
 
 
@@ -114,12 +114,12 @@ def _composite_alpha_beta(resonances, omega):
     return alpha, beta
 
 
-def _loss_spectrum(axis, x, alpha, beta, a_bk, *, hold_time, density, k3_coeff,
-                   k2_coeff, cap_wavenumber, noise_sigma, seed, metadata) -> Spectrum:
+def _loss_spectrum(axis, x, alpha, beta, a_bk, *, hold_time, density, noise_sigma, seed,
+                   metadata) -> Spectrum:
     """Relative atom number from the composite (alpha, beta), normalized by the
     background rate at a_bk, then seeded Gaussian noise, clipping and metadata."""
-    rate = loss_rate_proxy(alpha, beta, density, k3_coeff, k2_coeff, cap_wavenumber)
-    rate_bg = loss_rate_proxy(a_bk, 0.0, density, k3_coeff, k2_coeff, cap_wavenumber)
+    rate = loss_rate_proxy(alpha, beta, density)
+    rate_bg = loss_rate_proxy(a_bk, 0.0, density)
     y = np.exp(-(rate - rate_bg) * hold_time)
     sigma = np.full_like(y, float(noise_sigma))
     if noise_sigma > 0.0:
@@ -134,11 +134,7 @@ def _loss_spectrum(axis, x, alpha, beta, a_bk, *, hold_time, density, k3_coeff,
 
 
 def synthesize_spectrum(resonances, grid_hz, *, hold_time: float = 5e-3,
-                        density: float = 1e13,
-                        k3_coeff: float = K3_COEFF_DEFAULT,
-                        k2_coeff: float = K2_COEFF_DEFAULT,
-                        cap_wavenumber: float = DEFAULT_UNITARITY_WAVENUMBER,
-                        noise_sigma: float = 0.0, seed=None,
+                        density: float = 1e13, noise_sigma: float = 0.0, seed=None,
                         metadata: dict | None = None) -> Spectrum:
     """Loss spectrum versus modulation frequency (grid in Hz, monotone).
 
@@ -153,19 +149,14 @@ def synthesize_spectrum(resonances, grid_hz, *, hold_time: float = 5e-3,
     omega = 2.0 * math.pi * grid_hz
     alpha, beta = _composite_alpha_beta(list(resonances), omega)
     return _loss_spectrum(AXIS_FREQ, grid_hz, alpha, beta, resonances[0].a_bk,
-                          hold_time=hold_time, density=density, k3_coeff=k3_coeff,
-                          k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber,
+                          hold_time=hold_time, density=density,
                           noise_sigma=noise_sigma, seed=seed, metadata=metadata)
 
 
 def synthesize_field_scan(state: MolecularState, registry, f_mod_hz: float,
                           b_grid, widths_hz, *, a_bk: float = 200.0,
-                          orders=None, dc_shift_hz: float = 0.0,
-                          hold_time: float = 5e-3, density: float = 1e13,
-                          k3_coeff: float = K3_COEFF_DEFAULT,
-                          k2_coeff: float = K2_COEFF_DEFAULT,
-                          cap_wavenumber: float = DEFAULT_UNITARITY_WAVENUMBER,
-                          noise_sigma: float = 0.0, seed=None,
+                          dc_shift_hz: float = 0.0, hold_time: float = 5e-3,
+                          density: float = 1e13, noise_sigma: float = 0.0, seed=None,
                           metadata: dict | None = None) -> Spectrum:
     """Loss versus magnetic field at fixed modulation frequency.
 
@@ -178,18 +169,15 @@ def synthesize_field_scan(state: MolecularState, registry, f_mod_hz: float,
     b_grid = np.asarray(b_grid, dtype=float)
     if b_grid.size < 2 or np.any(np.diff(b_grid) <= 0):
         raise DomainError("field grid must be monotonically increasing")
-    if orders is None:
-        orders = sorted(widths_hz)
     omega_b = -2.0 * math.pi * (molecular_energy(state, b_grid, registry) + dc_shift_hz)
     # a state below threshold (omega_b > 0) resonates at order -|m|: the
     # denominator -m w - omega0 is the same with the sign moved onto w
     omega = np.where(omega_b > 0, -2.0 * math.pi * f_mod_hz, 2.0 * math.pi * f_mod_hz)
     models = [ResonanceModel(a_bk=a_bk, delta_m=2.0 * math.pi * widths_hz[k],
-                             omega0=omega_b, m=k) for k in orders]
+                             omega0=omega_b, m=k) for k in sorted(widths_hz)]
     alpha, beta = _composite_alpha_beta(models, omega)
     return _loss_spectrum(AXIS_FIELD, b_grid, alpha, beta, a_bk,
-                          hold_time=hold_time, density=density, k3_coeff=k3_coeff,
-                          k2_coeff=k2_coeff, cap_wavenumber=cap_wavenumber,
+                          hold_time=hold_time, density=density,
                           noise_sigma=noise_sigma, seed=seed,
                           metadata={"modulation_freq_Hz": f_mod_hz, "state": state.label,
                                     **(metadata or {})})
@@ -290,7 +278,7 @@ def _fano_initial_guess(x, y):
     return np.array([x[i_min], width])
 
 
-def fit_fano(spec: Spectrum, window=None, max_iter: int = 200) -> FanoFit:
+def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     """Fano fit over an axis window (the whole spectrum when None) by variable
     projection (Golub & Pereyra 1973): LM over (center, width) from one start,
     solving for the linear (b0, b1, b2) of _fano_from_linear by weighted QR, with
@@ -332,7 +320,7 @@ def fit_fano(spec: Spectrum, window=None, max_iter: int = 200) -> FanoFit:
         return dphi - q_mat @ (q_mat.T @ dphi)
 
     result = levenberg_marquardt(lambda p: project(*p)[5], _fano_initial_guess(x, y),
-                                 jacobian, max_iter=max_iter)
+                                 jacobian)
     c, w = float(result.params[0]), abs(float(result.params[1]))
     a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
     jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
@@ -446,7 +434,7 @@ def _lz_initial_guess(b, e, branch_sign):
                      max(abs(e[n // 2] - 0.5 * (l_lo[0] + l_hi[0])), 1e-9)])
 
 
-def fit_landau_zener(branch_data, init=None, max_iter: int = 200) -> LandauZenerFit:
+def fit_landau_zener(branch_data) -> LandauZenerFit:
     """Fit an avoided crossing to (B, E, branch) samples; branch is +1 for the
     upper and -1 for the lower branch.  Returns |V_ij| with the two bare lines
     (referenced to the mean field for conditioning).  Data covering a single
@@ -474,9 +462,8 @@ def fit_landau_zener(branch_data, init=None, max_iter: int = 200) -> LandauZener
         _, jac = _lz_model_and_jacobian(p, b, sgn)
         return jac
 
-    p0 = np.asarray(init, dtype=float) if init is not None else _lz_initial_guess(b, e, sgn)
     try:
-        result = levenberg_marquardt(residual, p0, jacobian, max_iter=max_iter)
+        result = levenberg_marquardt(residual, _lz_initial_guess(b, e, sgn), jacobian)
     except ConvergenceError as exc:
         # degenerate geometry (single branch away from the crossing) leaves the
         # fit crawling along a flat valley: return the iterate with a warning
@@ -494,7 +481,7 @@ def fit_landau_zener(branch_data, init=None, max_iter: int = 200) -> LandauZener
             v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
             e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
             covariance=cov, residual_norm=float(math.sqrt(r_last @ r_last)),
-            iterations=max_iter,
+            iterations=LM_MAX_ITER,
             condition_warning=("ill-conditioned fit (did not converge; condition "
                                f"number {np.linalg.cond(jtj):.2e}); single-branch "
                                "data may not span the crossing"))
@@ -540,27 +527,21 @@ def _cluster_centers(fits, window):
 
 
 def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
-                        min_separation_hz: float = 8e3, m_max: int = 3,
-                        ratio_tolerance: float = M_ORDER_RATIO_TOLERANCE,
-                        fit_halfwidth_hz: float | None = None,
-                        cluster_window_hz: float | None = None) -> list:
+                        min_separation_hz: float = 8e3) -> list:
     """Peaks -> Fano centers -> linear shift compensation -> state association.
 
     scans: iterable of (B_gauss, Spectrum, intensity_W_cm2) with frequency-axis
     spectra; several intensities per field enable the DC-shift compensation.
     Peaks are associated with the registry state and drive order whose
-    predicted |E(B)|/|m| lies within ratio_tolerance; two states within
-    tolerance flag the point instead of guessing.  A dip whose two neighbouring
-    samples are both shallower than min_depth is one noisy sample, not a line,
-    and is skipped.  A Fano fit that fails, ends more than min_separation_hz/2
-    from its dip or is shallower than min_depth measures noise rather than a
-    line and is dropped.
+    predicted |E(B)|/|m|, |m| <= M_ORDER_MAX, lies within M_ORDER_RATIO_TOLERANCE;
+    two states within tolerance flag the point instead of guessing.  Each dip
+    is fitted over +-2.5 min_separation_hz, and centers within
+    0.6 min_separation_hz of each other are one line seen at several
+    intensities.  A dip whose two neighbouring samples are both shallower
+    than min_depth is one noisy sample, not a line, and is skipped.  A Fano
+    fit that fails, ends more than min_separation_hz/2 from its dip or is
+    shallower than min_depth measures noise rather than a line and is dropped.
     """
-    if fit_halfwidth_hz is None:
-        fit_halfwidth_hz = 2.5 * min_separation_hz
-    if cluster_window_hz is None:
-        cluster_window_hz = 0.6 * min_separation_hz
-
     by_field = {}
     for b_field, spec, intensity in scans:
         if spec.axis != AXIS_FREQ:
@@ -576,7 +557,7 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
                 i = int(np.searchsorted(spec.x, xc))
                 if min(spec.y[i - 1], spec.y[i + 1]) > 1.0 - min_depth:
                     continue
-                window = (xc - fit_halfwidth_hz, xc + fit_halfwidth_hz)
+                window = (xc - 2.5 * min_separation_hz, xc + 2.5 * min_separation_hz)
                 try:
                     fit = fit_fano(spec, window=window)
                 except (DomainError, ConvergenceError):
@@ -588,7 +569,7 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
         if not peak_fits:
             continue
         intensities_present = sorted({pf[0] for pf in peak_fits})
-        for cluster in _cluster_centers(peak_fits, cluster_window_hz):
+        for cluster in _cluster_centers(peak_fits, 0.6 * min_separation_hz):
             note = ""
             n_int = len({c[0] for c in cluster})
             if n_int >= 2:
@@ -608,12 +589,11 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
                     note = "peak seen at a single intensity; left uncompensated"
                 else:
                     note = "single intensity; uncompensated center"
-            points.append(_associate_peak(b_field, f0, f0_err, registry, m_max,
-                                          ratio_tolerance, note))
+            points.append(_associate_peak(b_field, f0, f0_err, registry, note))
     return points
 
 
-def _associate_peak(b_field, f0, f0_err, registry, m_max, tolerance, note) -> EnergyMapPoint:
+def _associate_peak(b_field, f0, f0_err, registry, note) -> EnergyMapPoint:
     candidates = []
     for state in registry:
         try:
@@ -623,10 +603,10 @@ def _associate_peak(b_field, f0, f0_err, registry, m_max, tolerance, note) -> En
         fb = abs(e_state)
         if fb == 0.0:
             continue
-        for k in range(1, m_max + 1):
+        for k in range(1, M_ORDER_MAX + 1):
             predicted = fb / k
             rel = abs(f0 - predicted) / predicted
-            if rel <= tolerance:
+            if rel <= M_ORDER_RATIO_TOLERANCE:
                 candidates.append((rel, state.label, k, e_state < 0))
     if not candidates:
         return EnergyMapPoint(B=b_field, omega_res=f0, order_m=0, state_label="",

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 import modfesh
 from modfesh import floquet
 from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_state_registry
-from modfesh.cli import MAX_COUNT, run
+from modfesh.cli import MAX_COUNT, build_parser, run
 from modfesh.lightshift import LightField, Polarization, fictitious_field, scattering_rate
 from modfesh.scattering import ResonanceModel
 from modfesh.spectra import (read_spectrum_csv, synthesize_spectrum,
@@ -55,6 +56,39 @@ class TestGlobalBehavior:
         expected = fictitious_field(LightField(0.87, -23e9, Polarization.sigma_minus()),
                                     cesium(), 3) * (0.25 / 0.2503)
         assert json.loads(out)["rows"][0][1] == pytest.approx(expected, rel=1e-9)
+
+
+TABLE_FLAGS = ["--format", "--output"]
+LIGHT_FLAGS = TABLE_FLAGS + ["--detuning", "--f-level", "--intensity", "--pol", "--species"]
+# verb -> the option strings it takes; README "Command line" says which verbs
+# take the shared --format, --output and --species
+OPTIONS = {
+    "fictitious-field": LIGHT_FLAGS,
+    "scattering-rate": LIGHT_FLAGS + ["--mf"],
+    "heating-rate": LIGHT_FLAGS + ["--mf"],
+    "resonances": TABLE_FLAGS + ["--m-max", "--omega-b-hz"],
+    "floquet-gap": TABLE_FLAGS + ["--amplitude-hz", "--m", "--omega-b-hz", "--rabi-hz",
+                                  "--window"],
+    "scattering-length": TABLE_FLAGS + ["--a-bk", "--delta-m-hz", "--grid", "--m",
+                                        "--omega0-hz"],
+    "dressed": TABLE_FLAGS + ["--a-bk", "--delta-m-hz", "--delta-shift-hz", "--gamma-hz",
+                              "--grid", "--k-convention", "--k-wavenumber", "--m",
+                              "--omega-b-hz"],
+    "scan": ["--config", "--out", "--seed"],
+    "fit": ["--input", "--model", "--output", "--window"],
+    "energy-map": TABLE_FLAGS + ["--min-depth", "--min-separation-hz", "--registry",
+                                 "--scan-dir"],
+}
+
+
+def test_option_surface():
+    """Each verb takes exactly the options it reads: no flag that changes nothing."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    found = {verb: sorted(s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                          for s in a.option_strings)
+             for verb, p in sub.choices.items()}
+    assert found == {verb: sorted(opts) for verb, opts in OPTIONS.items()}
 
 
 class TestFictitiousField:
@@ -540,18 +574,28 @@ class TestUsageErrorsExitTwo:
         (("resonances", "--omega-b-hz", "228.7e3", "--m-max", OVER_CAP), None, None),
         (None, ("points = 90", f"points = {OVER_CAP}"), 7),
         (None, ("points = 90", "points = -1"), 7),
+        (("scan", "--config", "c.cfg", "--out", "o5", "--output", "ignored.txt",
+          "--format", "json", "--species", "nothere.species"), None, None),
+        (("fit", "--model", "linear", "--input", "lin.csv", "--format", "csv"), None, None),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # an over-cap count must be refused before it sizes an allocation
         monkeypatch.setattr(np, "linspace", _not_called)
         monkeypatch.setattr(floquet, "resonance_frequencies", _not_called)
+        # valid inputs for the rows with a flag their verb does not take
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(FIELD_SCAN_CONFIG)
+        (tmp_path / "lin.csv").write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n"
+                                          "1.2,226.3e3\n")
         if edit is not None:
             cfg = tmp_path / "field.cfg"
             cfg.write_text(FIELD_SCAN_CONFIG.replace(*edit))
             argv = ("scan", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        before = sorted(tmp_path.iterdir())
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
         if edit is not None:
             assert f"{cfg}: line {line}:" in err
 
@@ -608,6 +652,23 @@ class TestUsageErrorsExitTwo:
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert f"{tmp_path}/{where}:" in err
+
+
+class TestNonFiniteOutputExitsThree:
+    """A table whose numbers overflow exits 3 and prints nothing, not inf
+    with exit 0."""
+
+    @pytest.mark.parametrize("argv,column", [
+        (("fictitious-field", "--intensity", "1e308") + LIGHT, "B_fict_G"),
+        (("scattering-length", "--a-bk", "1e308", "--delta-m-hz", "1e3", "--omega0-hz",
+          "228.7e3", "--m", "-1", "--grid", "228.7001e3:228.7002e3:4"), "a_s_a0"),
+        (("resonances", "--omega-b-hz", "1e308", "--m-max", "2"), "f_res_Hz"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_non_finite_output_exits_three(self, capsys, argv, column):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == "" and "Traceback" not in err
+        assert column in err
 
 
 READS = ("missing", "directory", "not-utf8")

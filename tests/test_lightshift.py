@@ -191,7 +191,7 @@ class TestLevelModulation:
     def field(self, depth, intensity=1.0):
         return LightField(intensity=intensity, detuning=-23e9,
                           polarization=Polarization.sigma_minus(),
-                          modulation_depth=depth, modulation_freq=150e3)
+                          modulation_depth=depth)
 
     def test_zero_depth_pure_dc(self):
         drive = level_modulation_amplitude(self.field(0.0), shift_slope=1e3)
