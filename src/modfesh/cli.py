@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -382,7 +383,10 @@ def cmd_energy_map(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.?\d+([eE][-+]?\d+)?$")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one read-only parser of the process, built on first call: parse_args
+    returns a fresh Namespace each time and never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="modfesh",
         description="Modulation-induced Feshbach resonance toolkit")
@@ -490,7 +494,8 @@ def main(argv=None) -> int:
 def run(argv=None) -> int:
     """Entry point with the exit-code contract applied."""
     try:
-        return main(argv)
+        with np.errstate(all="ignore"):   # no numpy warnings on stderr; _emit refuses inf/nan
+            return main(argv)
     except SystemExit as exc:   # argparse: 0 for --help, 2 for usage errors
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)

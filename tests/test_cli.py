@@ -2,6 +2,9 @@ import argparse
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -537,6 +540,14 @@ window_G = a b
 SPECTRUM_JSON = ('{"axis": "modulation_freq_Hz", "points": [[1e5, 1.0, 0.01], [1.1e5, %s, 0.01]], '
                  '"metadata": {"field_G": 19.41, "intensity_W_cm2": 0.8}}')
 
+# rows whose numbers overflow float64 on the way to the table
+OVERFLOW = {
+    "fictitious-field": ("fictitious-field", "--intensity", "1e308") + LIGHT,
+    "scattering-length": ("scattering-length", "--a-bk", "1e308", "--delta-m-hz", "1e3",
+                          "--omega0-hz", "228.7e3", "--m", "-1",
+                          "--grid", "228.7001e3:228.7002e3:4"),
+}
+
 
 OVER_CAP = str(MAX_COUNT + 1)
 
@@ -659,9 +670,8 @@ class TestNonFiniteOutputExitsThree:
     with exit 0."""
 
     @pytest.mark.parametrize("argv,column", [
-        (("fictitious-field", "--intensity", "1e308") + LIGHT, "B_fict_G"),
-        (("scattering-length", "--a-bk", "1e308", "--delta-m-hz", "1e3", "--omega0-hz",
-          "228.7e3", "--m", "-1", "--grid", "228.7001e3:228.7002e3:4"), "a_s_a0"),
+        (OVERFLOW["fictitious-field"], "B_fict_G"),
+        (OVERFLOW["scattering-length"], "a_s_a0"),
         (("resonances", "--omega-b-hz", "1e308", "--m-max", "2"), "f_res_Hz"),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
     def test_non_finite_output_exits_three(self, capsys, argv, column):
@@ -669,6 +679,20 @@ class TestNonFiniteOutputExitsThree:
         assert code == 3
         assert out == "" and "Traceback" not in err
         assert column in err
+
+    def test_stderr_is_the_error_line_alone(self):
+        """A fresh `python -m modfesh.cli` prints no numpy overflow warning
+        ahead of the error line."""
+        src = str(Path(modfesh.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for verb, argv in OVERFLOW.items():
+            proc = subprocess.run([sys.executable, "-m", "modfesh.cli", *argv], env=env,
+                                  capture_output=True, text=True, check=False)
+            assert proc.returncode == 3, verb
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("domain error: ") and \
+                proc.stderr.count("\n") == 1, proc.stderr
 
 
 READS = ("missing", "directory", "not-utf8")
@@ -779,3 +803,27 @@ class TestLightTableWorkCount:
             assert len(out.splitlines()) == points + 2
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestParserBuiltOnce:
+    """run() reuses the one parser of the process: after the first call no
+    argparse parser is built, whatever the verb, error or --help."""
+
+    def test_repeated_runs_build_no_parser(self, capsys, monkeypatch):
+        verbs = [("resonances", "--omega-b-hz", "228.7e3", "--format", "csv"),
+                 ("fictitious-field", "--intensity", "0.87") + LIGHT,
+                 SL + ("--grid", "2e5:2.5e5:3"),
+                 DRESSED + ("--gamma-hz", "50", "--format", "json"),
+                 GAP + ("--m", "1")]
+        calls = [(argv, 0) for argv in verbs] * 3 + [
+            (("resonances", "--bogus", "1"), 2), (("fictitious-field", "--intensity", "0.87"), 2),
+            (("scan",), 2), (("--help",), 0), (("floquet-gap", "--help"), 0)]
+        assert run_cli(capsys, *verbs[0])[0] == 0          # warm-up: builds the parser
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        for argv, expected in calls:
+            assert run_cli(capsys, *argv)[0] == expected, argv
+        assert built == []
+        assert build_parser() is build_parser()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -187,13 +188,14 @@ def _cases():
 CASES = _cases()
 
 
-def run_case(name: str, tmp: Path, capsys) -> dict:
-    """Run one case in tmp; returns {golden file name: text}."""
+def run_case(name: str, tmp: Path, capsys, extra=()) -> dict:
+    """Run one case in tmp, with extra appended to its argv; returns
+    {golden file name: text}."""
     argv, setup, written = CASES[name]
     if setup is not None:
         setup(tmp)
     capsys.readouterr()
-    code = run([a.replace("{tmp}", str(tmp)) for a in argv])
+    code = run([a.replace("{tmp}", str(tmp)) for a in (*argv, *extra)])
     out, err = capsys.readouterr()
     assert code == 0, err
     outputs = {f"{name}.stdout": out.replace(str(tmp), "{tmp}")}
@@ -215,15 +217,50 @@ def _close_numbers(expected: str, actual: str, rtol: float) -> bool:
                for e, a in zip(exp_nums, act_nums))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden(name, tmp_path, capsys):
-    for file_name, text in run_case(name, tmp_path, capsys).items():
+def _assert_golden(name: str, outputs: dict):
+    for file_name, text in outputs.items():
         expected = (GOLDEN_DIR / file_name).read_text(encoding="utf-8")
         if name.startswith("floquet-gap-"):
             # the text around the numbers (columns, layout, m) stays exact
             assert _close_numbers(expected, text, FLOQUET_RTOL), (file_name, text)
         else:
             assert text == expected, file_name
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name, tmp_path, capsys):
+    _assert_golden(name, run_case(name, tmp_path, capsys))
+
+
+def test_shared_parser_keeps_no_state(tmp_path, capsys):
+    """Every case again in this process, in reverse order, each after a usage
+    error and a --help of its verb: run() shares one parser, and no call
+    changes what the next one parses."""
+    for name in sorted(CASES, reverse=True):
+        verb = CASES[name][0][0]
+        assert run([verb, "--bogus", "1"]) == 2
+        assert run([verb, "--help"]) == 0
+        (tmp_path / name).mkdir()
+        _assert_golden(name, run_case(name, tmp_path / name, capsys))
+
+
+@pytest.mark.parametrize("name,first,changes", [
+    ("scan-freq", ("--seed", "7"), True),
+    ("dressed-csv", ("--delta-shift-hz", "5"), True),
+    # the registry file holds the builtin states, so only a carried-over path shows
+    ("energy-map-csv", ("--registry", "{tmp}/states.cfg"), False),
+], ids=["scan-seed", "dressed-delta-shift", "energy-map-registry"])
+def test_option_does_not_carry_over(name, first, changes, tmp_path, capsys):
+    """A value given in one call is not the default of the next: the same
+    case without it gives the plain golden.  The first call's directory is
+    gone by then, so a path that carried over would fail to read."""
+    (tmp_path / "first").mkdir()
+    outputs = run_case(name, tmp_path / "first", capsys, first)
+    assert changes == any(text != (GOLDEN_DIR / file_name).read_text(encoding="utf-8")
+                          for file_name, text in outputs.items())
+    shutil.rmtree(tmp_path / "first")
+    (tmp_path / "second").mkdir()
+    _assert_golden(name, run_case(name, tmp_path / "second", capsys))
 
 
 def test_every_verb_has_a_golden():
