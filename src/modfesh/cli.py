@@ -80,13 +80,17 @@ def _load_registry(spec: str) -> list:
     return atomdata.cesium_states() if spec == "builtin" else atomdata.load_state_registry(spec)
 
 
-def _emit(args, header, columns):
-    """Write the columns (one sequence per header name) per --format and --output;
-    DomainError, before anything is written, if a float column is not all finite."""
+def _check_finite(header, columns):
+    """DomainError if a float column (one sequence per header name) is not all finite."""
     for name, column in zip(header, columns):
         values = np.asarray(column)
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise DomainError(f"{name} is not finite for these inputs")
+
+
+def _emit(args, header, columns):
+    """Write the columns per --format and --output if _check_finite passes."""
+    _check_finite(header, columns)
     write_text(spectra.render(args.format, header, columns), args.output)
 
 
@@ -266,8 +270,7 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"unknown axis {axis!r}", path, scan_sec.line)
 
     base = Path(args.out)
-    spectra.write_spectrum_csv(spec, base.with_suffix(".csv"))
-    spectra.write_spectrum_json(spec, base.with_suffix(".json"))
+    spectra.write_spectrum(spec, base)
     sys.stdout.write(f"wrote {base.with_suffix('.csv')} and {base.with_suffix('.json')} "
                      f"({len(spec)} points)\n")
     return 0
@@ -360,13 +363,15 @@ def cmd_energy_map(args) -> int:
     points = spectra.assemble_energy_map(
         scans, _load_registry(args.registry), min_depth=args.min_depth,
         min_separation_hz=args.min_separation_hz)
+    header = ["B_Gauss", "omega_res_Hz", "order_m", "state", "bound", "flagged", "sigma_Hz"]
+    columns = list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound),
+                          int(p.flagged), p.sigma) for p in points]))
+    _check_finite(header, columns)
     if args.output:
         spectra.write_energy_map_csv(points, args.output)
         sys.stdout.write(f"wrote {args.output} ({len(points)} points)\n")
     else:
-        _emit(args, ["B_Gauss", "omega_res_Hz", "order_m", "state", "bound", "flagged"],
-              list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound),
-                          int(p.flagged)) for p in points])))
+        write_text(spectra.render(args.format, header[:-1], columns[:-1]))   # no sigma_Hz
     n_flagged = sum(p.flagged for p in points)
     if n_flagged:
         sys.stderr.write(f"{n_flagged} ambiguous association(s) flagged\n")

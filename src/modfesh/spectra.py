@@ -32,9 +32,9 @@ __all__ = [
     "fano_profile", "synthesize_spectrum", "synthesize_field_scan",
     "find_peaks", "fit_fano", "fit_linear_shift", "fit_landau_zener",
     "assemble_energy_map",
-    "write_spectrum_csv", "read_spectrum_csv", "read_csv_rows",
+    "write_spectrum", "read_spectrum_csv", "read_csv_rows",
     "spectrum_from_json", "render", "render_json",
-    "write_spectrum_json", "read_spectrum_json", "write_energy_map_csv",
+    "read_spectrum_json", "write_energy_map_csv",
 ]
 
 AXIS_FREQ = "modulation_freq_Hz"
@@ -651,20 +651,27 @@ def _cells(column, fmt):
 
 
 def render_json(payload: dict) -> str:
-    """payload plus schema_version as JSON text, indent 2, sorted keys."""
-    return json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2,
-                      sort_keys=True) + "\n"
+    """payload plus schema_version as JSON text, indent 2, sorted keys;
+    DomainError if payload holds a NaN or an infinity."""
+    try:
+        return json.dumps({**payload, "schema_version": SCHEMA_VERSION}, indent=2,
+                          sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("a number in the JSON output is not finite for these inputs") from None
 
 
 def render(fmt: str, header, columns, payload=None, key: str = "rows") -> str:
     """Text of a table given as one sequence per header name, in fmt 'csv'
     (schema line, header, cells), 'table' (aligned) or 'json' (payload,
-    default {"columns": header}, plus the rows under key).
+    default {"columns": header}, plus the rows under key)."""
+    return _layout(fmt, header, [_cells(c, fmt) for c in columns], payload, key)
 
-    Only the small payload goes through json.dumps: with indent=2 it runs
-    the pure-Python encoder, so the row list is spliced in from the cells.
-    """
-    rows = zip(*(_cells(c, fmt) for c in columns))
+
+def _layout(fmt: str, header, cells, payload=None, key: str = "rows") -> str:
+    """render's text from the cell strings of each column.  Only the small
+    payload goes through json.dumps: with indent=2 it runs the pure-Python
+    encoder, so the row list is spliced in from the cells."""
+    rows = zip(*cells)
     if fmt == "json":
         doc = {"columns": list(header)} if payload is None else dict(payload)
         doc[key] = _ROWS
@@ -680,10 +687,14 @@ def render(fmt: str, header, columns, payload=None, key: str = "rows") -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_spectrum_csv(spec: Spectrum, path) -> None:
-    """CSV with shortest-round-trip decimal fields (bit-exact reload)."""
-    write_text(render("csv", _CSV_HEADER.split(","),
-                      ([spec.axis] * len(spec), spec.x, spec.y, spec.sigma)), path)
+def write_spectrum(spec: Spectrum, base) -> None:
+    """base.csv and base.json (base a Path) from one repr of each number."""
+    x, y, sigma = (list(_cells(c, "csv")) for c in (spec.x, spec.y, spec.sigma))
+    write_text(_layout("csv", _CSV_HEADER.split(","), ([spec.axis] * len(spec), x, y, sigma)),
+               base.with_suffix(".csv"))
+    write_text(_layout("json", (), (x, y, sigma), {"axis": spec.axis, "kind": "spectrum",
+                                                    "metadata": spec.metadata}, "points"),
+               base.with_suffix(".json"))
 
 
 def read_csv_rows(path) -> list:
@@ -737,12 +748,6 @@ def spectrum_from_json(payload: dict) -> Spectrum:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]")
     return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
-
-
-def write_spectrum_json(spec: Spectrum, path) -> None:
-    write_text(render("json", (), (spec.x, spec.y, spec.sigma),
-                      {"axis": spec.axis, "kind": "spectrum", "metadata": spec.metadata},
-                      key="points"), path)
 
 
 def read_spectrum_json(path) -> Spectrum:

@@ -24,7 +24,7 @@ from modfesh.scattering import (DressedChannelModel, ResonanceModel,
                                 scattering_length, width_from_coupling)
 from modfesh.specfun import bessel_j, wigner_3j, wigner_6j
 from modfesh.spectra import (assemble_energy_map, fit_landau_zener,
-                             synthesize_spectrum, write_spectrum_csv)
+                             synthesize_spectrum, write_spectrum)
 
 from oracles import wigner_3j_racah, wigner_6j_contraction
 
@@ -299,10 +299,11 @@ def test_criterion_09_full_pipeline_round_trip(tmp_path):
 
     # determinism: identical seeds give byte-identical spectra files
     scans_again, _ = _pipeline_scans(tag_seed=1000)
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_spectrum_csv(scans[0][1], f1)
-    write_spectrum_csv(scans_again[0][1], f2)
-    repro_ok = f1.read_bytes() == f2.read_bytes()
+    f1, f2 = tmp_path / "a", tmp_path / "b"
+    write_spectrum(scans[0][1], f1)
+    write_spectrum(scans_again[0][1], f2)
+    repro_ok = all(f1.with_suffix(ext).read_bytes() == f2.with_suffix(ext).read_bytes()
+                   for ext in (".csv", ".json"))
     for (b1, s1, i1), (b2, s2, i2) in zip(scans, scans_again):
         repro_ok &= np.array_equal(s1.y, s2.y) and i1 == i2
 

@@ -16,8 +16,17 @@ from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_state
 from modfesh.cli import MAX_COUNT, build_parser, run
 from modfesh.lightshift import LightField, Polarization, fictitious_field, scattering_rate
 from modfesh.scattering import ResonanceModel
-from modfesh.spectra import (read_spectrum_csv, synthesize_spectrum,
-                             write_spectrum_csv, write_spectrum_json)
+from modfesh.spectra import (read_spectrum_csv, read_spectrum_json, synthesize_spectrum,
+                             write_spectrum)
+
+
+def run_module(*argv):
+    """`python -m modfesh.cli argv` in a fresh interpreter, text output captured."""
+    src = str(Path(modfesh.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "modfesh.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +277,18 @@ class TestScan:
         assert a.with_suffix(".csv").read_bytes() == b.with_suffix(".csv").read_bytes()
         assert a.with_suffix(".json").read_bytes() == b.with_suffix(".json").read_bytes()
 
+    @pytest.mark.parametrize("axis", ["freq", "field"])
+    def test_csv_and_json_agree_bit_for_bit(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text({"freq": SCAN_CONFIG, "field": FIELD_SCAN_CONFIG}[axis])
+        base = tmp_path / "out"
+        assert run_cli(capsys, "scan", "--config", str(cfg), "--out", str(base))[0] == 0
+        from_csv = read_spectrum_csv(base.with_suffix(".csv"))
+        from_json = read_spectrum_json(base.with_suffix(".json"))
+        assert from_csv.axis == from_json.axis
+        for column in ("x", "y", "sigma"):
+            assert np.array_equal(getattr(from_csv, column), getattr(from_json, column))
+
     def test_field_axis_scan(self, tmp_path, capsys):
         cfg = tmp_path / "field.cfg"
         cfg.write_text(
@@ -307,9 +328,8 @@ class TestFit:
         grid = np.linspace(200e3, 256e3, 300)
         spec = synthesize_spectrum([model], grid, density=3e12,
                                    noise_sigma=0.01, seed=seed)
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(spec, path)
-        return path
+        write_spectrum(spec, tmp_path / "spec")
+        return tmp_path / "spec.csv"
 
     def test_fano_roundtrip(self, tmp_path, capsys):
         path = self.synth_csv(tmp_path)
@@ -379,7 +399,7 @@ class TestFit:
         spec = synthesize_spectrum([model], grid, density=3e12,
                                    noise_sigma=0.01, seed=7)
         path = tmp_path / "spike.csv"
-        write_spectrum_csv(spec, path)
+        write_spectrum(spec, tmp_path / "spike")
         code, out, _ = run_cli(capsys, "fit", "--model", "fano", "--input", str(path))
         if code == 4:
             report = json.loads(out)
@@ -391,7 +411,9 @@ class TestFit:
 
 
 class TestEnergyMap:
-    def make_scan_dir(self, tmp_path):
+    def make_scan_dir(self, tmp_path, intensity_unit=1.0):
+        """Three 4g(4) scans at 19.41 G; their metadata gives the intensities
+        0.4, 0.8 and 1.2 in units of intensity_unit W/cm^2."""
         registry = cesium_states()
         state = next(s for s in registry if s.label == "4g(4)")
         scan_dir = tmp_path / "scans"
@@ -405,9 +427,21 @@ class TestEnergyMap:
             spec = synthesize_spectrum(models, np.linspace(95e3, 250e3, 1100),
                                        density=3e12, noise_sigma=0.01, seed=50 + i,
                                        metadata={"field_G": 19.41,
-                                                 "intensity_W_cm2": intensity})
-            write_spectrum_json(spec, scan_dir / f"scan_{i}.json")
+                                                 "intensity_W_cm2": intensity * intensity_unit})
+            write_spectrum(spec, scan_dir / f"scan_{i}")
         return scan_dir
+
+    @pytest.mark.parametrize("output", [False, True])
+    def test_non_finite_rows_exit_three_writing_nothing(self, tmp_path, capsys, output):
+        """Intensities near the float limit overflow the shift compensation:
+        the map exits 3 before it writes stdout or --output."""
+        scan_dir = self.make_scan_dir(tmp_path, intensity_unit=2.5e300)
+        out_csv = tmp_path / "map.csv"
+        code, out, err = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir),
+                                 *(("--output", str(out_csv)) if output else ()))
+        assert code == 3
+        assert out == "" and err == "domain error: omega_res_Hz is not finite for these inputs\n"
+        assert not out_csv.exists()
 
     def test_closed_loop(self, tmp_path, capsys):
         scan_dir = self.make_scan_dir(tmp_path)
@@ -491,7 +525,7 @@ class TestEnergyMap:
         spec = synthesize_spectrum([model], np.linspace(100e3, 200e3, 600),
                                    density=3e12,
                                    metadata={"field_G": 19.41, "intensity_W_cm2": 0.8})
-        write_spectrum_json(spec, scan_dir / "scan.json")
+        write_spectrum(spec, scan_dir / "scan")
         out_csv = tmp_path / "map.csv"
         code, _, err = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir),
                                "--output", str(out_csv))
@@ -683,16 +717,24 @@ class TestNonFiniteOutputExitsThree:
     def test_stderr_is_the_error_line_alone(self):
         """A fresh `python -m modfesh.cli` prints no numpy overflow warning
         ahead of the error line."""
-        src = str(Path(modfesh.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         for verb, argv in OVERFLOW.items():
-            proc = subprocess.run([sys.executable, "-m", "modfesh.cli", *argv], env=env,
-                                  capture_output=True, text=True, check=False)
+            proc = run_module(*argv)
             assert proc.returncode == 3, verb
             assert proc.stdout == ""
             assert proc.stderr.startswith("domain error: ") and \
                 proc.stderr.count("\n") == 1, proc.stderr
+
+    @pytest.mark.parametrize("rows", ["1e300,1e300\n2e300,3e300\n3e300,1e300\n",
+                                      "1,1e308\n2,-1e308\n3,1e308\n"], ids=["nan", "inf"])
+    def test_non_finite_fit_report_exits_three(self, tmp_path, rows):
+        """A linear fit that overflows is refused, not reported as converged
+        with NaN or Infinity (not JSON) and exit 0."""
+        (tmp_path / "lin.csv").write_text(rows)
+        proc = run_module("fit", "--model", "linear", "--input", str(tmp_path / "lin.csv"))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("domain error: a number in the JSON output is not finite "
+                               "for these inputs\n")
 
 
 READS = ("missing", "directory", "not-utf8")

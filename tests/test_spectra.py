@@ -11,8 +11,7 @@ from modfesh.scattering import DressedChannelModel, ResonanceModel, loss_rate_pr
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              fit_linear_shift, read_spectrum_csv, read_spectrum_json,
-                             synthesize_field_scan, synthesize_spectrum, write_spectrum_csv,
-                             write_spectrum_json)
+                             synthesize_field_scan, synthesize_spectrum, write_spectrum)
 
 TWO_PI = 2 * math.pi
 
@@ -435,25 +434,23 @@ class TestSpectrumIO:
 
     def test_csv_bit_exact_roundtrip(self, tmp_path):
         spec = self.make()
-        path = tmp_path / "spec.csv"
-        write_spectrum_csv(spec, path)
-        loaded = read_spectrum_csv(path)
+        write_spectrum(spec, tmp_path / "spec")
+        loaded = read_spectrum_csv(tmp_path / "spec.csv")
         assert np.array_equal(loaded.x, spec.x)
         assert np.array_equal(loaded.y, spec.y)
         assert np.array_equal(loaded.sigma, spec.sigma)
         assert loaded.axis == spec.axis
         # writing again reproduces identical bytes
-        path2 = tmp_path / "spec2.csv"
-        write_spectrum_csv(loaded, path2)
-        assert path.read_bytes() == path2.read_bytes()
+        write_spectrum(loaded, tmp_path / "spec2")
+        assert (tmp_path / "spec.csv").read_bytes() == (tmp_path / "spec2.csv").read_bytes()
 
     def test_json_roundtrip(self, tmp_path):
         spec = self.make()
-        path = tmp_path / "spec.json"
-        write_spectrum_json(spec, path)
-        loaded = read_spectrum_json(path)
+        write_spectrum(spec, tmp_path / "spec")
+        loaded = read_spectrum_json(tmp_path / "spec.json")
         assert np.array_equal(loaded.x, spec.x)
         assert np.array_equal(loaded.y, spec.y)
+        assert np.array_equal(loaded.sigma, spec.sigma)
         assert loaded.metadata["field_G"] == 19.41
         assert loaded.metadata == spec.metadata
 
@@ -479,6 +476,31 @@ class TestSpectrumIO:
                                    for v in row))
         assert spectra.render("csv", header, columns) == "\n".join(csv) + "\n"
         assert spectra.render("table", header, columns) == "\n".join(table) + "\n"
+
+    def test_write_spectrum_formats_each_column_once(self, tmp_path, monkeypatch):
+        """One write_spectrum formats x, y and sigma once for both files, and
+        each file holds the bytes render gives for it."""
+        spec = Spectrum(AXIS_FREQ, np.linspace(150e3, 250e3, 7),
+                        [0.1, 1.2, 0.0, 5e-324, 0.3, 1.0, 0.7],
+                        [1e22, 5e-324, 0.1, 0.0, 0.01, 2.5e-300, 1 / 3],
+                        {"field_G": 19.41, "intensity_W_cm2": 0.87})
+        cells, calls = spectra._cells, []
+
+        def counted(column, fmt):
+            calls.append(fmt)
+            return cells(column, fmt)
+
+        monkeypatch.setattr(spectra, "_cells", counted)
+        write_spectrum(spec, tmp_path / "spec")
+        monkeypatch.undo()
+        assert len(calls) == 3   # x, y, sigma; the separate csv and json writers made 7
+        csv = spectra.render("csv", spectra._CSV_HEADER.split(","),
+                             ([spec.axis] * len(spec), spec.x, spec.y, spec.sigma))
+        js = spectra.render("json", (), (spec.x, spec.y, spec.sigma),
+                            {"axis": spec.axis, "kind": "spectrum", "metadata": spec.metadata},
+                            key="points")
+        assert (tmp_path / "spec.csv").read_bytes() == csv.encode()
+        assert (tmp_path / "spec.json").read_bytes() == js.encode()
 
     def test_csv_malformed(self, tmp_path):
         path = tmp_path / "bad.csv"
