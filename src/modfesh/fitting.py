@@ -1,7 +1,14 @@
 """Damped least-squares (Levenberg-Marquardt) engine and closed-form linear fits.
 
 The LM driver works on a residual vector r(p) (already whitened by the caller
-when measurement sigmas are known) and its analytic Jacobian.
+when measurement sigmas are known) and its analytic Jacobian.  Each step
+solves (J^T J + S + lambda diag(J^T J)) s = -J^T r, where S is a secant
+estimate of the large-residual term sum_i r_i hess(r_i) of the Hessian that
+Gauss-Newton leaves out: the structured Dennis-Gay-Welsch update of NL2SOL
+(Dennis, Gay & Welsch 1981, ACM TOMS 7, 348), here applied to the reduced
+problem of a variable-projection fit (Golub & Pereyra 2003, Inverse Problems
+19, R1).  S starts at zero, so a zero-residual problem is plain LM; where the
+residual is large, Gauss-Newton alone converges only linearly.
 
 Convergence is declared on a scale-invariant gradient test,
 max_i |g_i| max(|p_i|, 1) <= GRAD_TOL * max(1, cost), on a machine-precision
@@ -50,11 +57,32 @@ def _covariance(jtj, residual_norm, n_points, n_params):
     return cov, float(np.linalg.cond(jtj))
 
 
+def _secant_update(secant, step, y, y_sharp):
+    """Dennis-Gay-Welsch update of S ~ sum_i r_i hess(r_i) after the step s,
+    with y the change of the gradient J^T r and y_sharp = (J_new - J)^T r_new:
+    S is first sized by min(1, |s.y_sharp| / |s.S s|), then
+    S += [w y^T + y w^T] / (y.s) - (w.s) y y^T / (y.s)^2 with w = y_sharp - S s,
+    which is S += u y^T + y u^T with u = [w - (w.s) y / (2 y.s)] / (y.s).
+    Skipped when y.s <= 0."""
+    ys = float(y @ step)
+    if ys <= 0.0:
+        return secant
+    s_s = secant @ step
+    curvature = float(step @ s_s)
+    if curvature != 0.0:
+        tau = min(1.0, abs(float(step @ y_sharp)) / abs(curvature))
+        secant, s_s = tau * secant, tau * s_s
+    w = y_sharp - s_s
+    u_yt = np.outer((w - (0.5 * float(w @ step) / ys) * y) / ys, y)
+    return secant + u_yt + u_yt.T
+
+
 def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) -> LMResult:
     """Minimize 0.5 ||r(p)||^2 from x0; returns parameters and covariance.
 
-    The covariance is s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is
-    meaningful both for whitened residuals (s ~ 1) and raw ones.
+    The steps carry the secant term S of the module docstring.  The covariance
+    is s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is meaningful both
+    for whitened residuals (s ~ 1) and raw ones.
     """
     p = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(p), dtype=float)
@@ -63,7 +91,7 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
     n_points = r.size
 
     def derivatives(p, r):
-        """J^T J, gradient and gradient measure at p; ConvergenceError unless finite."""
+        """J, J^T J, gradient and gradient measure at p; ConvergenceError unless finite."""
         jac = np.asarray(jacobian(p), dtype=float)
         jtj = jac.T @ jac
         # the diagonal of J^T J holds the squared column norms of J, so J^T J
@@ -73,20 +101,26 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
                 f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
                 last=p.copy(), diagnostics={"cost": cost})
         grad = jac.T @ r
-        return jtj, grad, float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
+        return jac, jtj, grad, float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
 
+    def result(iteration):
+        norm = math.sqrt(2.0 * cost)
+        cov, cond = _covariance(jtj, norm, n_points, p.size)
+        return LMResult(p, cov, norm, iteration, grad_measure, cond)
+
+    jac, jtj, grad, grad_measure = derivatives(p, r)
+    secant = np.zeros((p.size, p.size))
     for iteration in range(1, max_iter + 1):
-        jtj, grad, grad_measure = derivatives(p, r)
         if grad_measure <= GRAD_TOL * max(1.0, cost):
-            cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
-            return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
+            return result(iteration)
 
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
         scale = np.maximum(np.abs(p), 1.0)
+        hessian = jtj + secant
         while lam < 1e14:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(hessian + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
@@ -98,17 +132,19 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
                            or cost - cost_new <= COST_RTOL * cost)
                 p, r, cost = p_new, r_new, cost_new
                 lam = max(lam / 3.0, 1e-12)
+                # the new point's derivatives serve the stall exit, the secant
+                # update and the next iteration alike
+                jac_new, jtj, grad_new, grad_measure = derivatives(p, r)
                 if stalled:
-                    jtj, grad, grad_measure = derivatives(p, r)
-                    cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
-                    return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
+                    return result(iteration)
+                secant = _secant_update(secant, step, grad_new - grad, (jac_new - jac).T @ r)
+                jac, grad = jac_new, grad_new
                 break
             lam *= 10.0
         else:
             # damping maxed out with no acceptable step: the iterate is
             # stationary to working precision, return it (MINPACK-style)
-            cov, cond = _covariance(jtj, math.sqrt(2.0 * cost), n_points, p.size)
-            return LMResult(p, cov, math.sqrt(2.0 * cost), iteration, grad_measure, cond)
+            return result(iteration)
 
     raise ConvergenceError(
         f"no convergence within {max_iter} iterations "

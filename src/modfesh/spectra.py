@@ -397,6 +397,15 @@ def _lz_model_and_jacobian(params, b, branch_sign):
     return model, jac
 
 
+def _line(bb, ee):
+    """(intercept, slope) of the least-squares line through (bb, ee); flat
+    through the mean when the fields do not vary."""
+    if np.unique(bb).size < 2:
+        return float(np.mean(ee)) if ee.size else 0.0, 0.0
+    fit = weighted_linear_fit(bb, ee)
+    return fit.intercept, fit.slope
+
+
 def _lz_initial_guess(b, e, branch_sign):
     upper = branch_sign > 0
     lower = ~upper
@@ -412,25 +421,15 @@ def _lz_initial_guess(b, e, branch_sign):
         v0 = max(v0, 1e-12)
         # bare lines swap branches at the crossing
         left = b < b_c
-        line1_mask_u = upper & ~left
-        line1_mask_l = lower & left
-        line2_mask_u = upper & left
-        line2_mask_l = lower & ~left
-        def fit_line(mask_a, mask_b):
-            bb = np.concatenate([b[mask_a], b[mask_b]])
-            ee = np.concatenate([e[mask_a], e[mask_b]])
-            if np.unique(bb).size < 2:
-                return np.array([float(np.mean(ee)) if ee.size else 0.0, 0.0])
-            return np.polyfit(bb, ee, 1)[::-1]   # (intercept, slope)
-        l1 = fit_line(line1_mask_l, line1_mask_u)
-        l2 = fit_line(line2_mask_l, line2_mask_u)
-        return np.array([l1[0], l1[1], l2[0], l2[1], v0])
+        line1 = (upper & ~left) | (lower & left)
+        line2 = (upper & left) | (lower & ~left)
+        return np.array([*_line(b[line1], e[line1]), *_line(b[line2], e[line2]), v0])
     # single branch: straight lines through the outer thirds
     n = b.size
     third = max(2, n // 3)
-    l_lo = np.polyfit(b[:third], e[:third], 1)[::-1]
-    l_hi = np.polyfit(b[-third:], e[-third:], 1)[::-1]
-    return np.array([l_lo[0], l_lo[1], l_hi[0], l_hi[1],
+    l_lo = _line(b[:third], e[:third])
+    l_hi = _line(b[-third:], e[-third:])
+    return np.array([*l_lo, *l_hi,
                      max(abs(e[n // 2] - 0.5 * (l_lo[0] + l_hi[0])), 1e-9)])
 
 

@@ -377,6 +377,21 @@ class TestFit:
         report = json.loads(out)
         assert report["params"]["v_ij_hz"] == pytest.approx(25e3, abs=1.5e3)
 
+    def test_lz_overflow_stderr_is_the_error_line(self, tmp_path, capsys):
+        """Fields and energies near the float limit fail with one error line
+        and nothing from numpy ahead of it: no RankWarning from a polynomial
+        fit in the initial guess (tier-1 turns a RuntimeWarning into an error)."""
+        path = tmp_path / "lz.csv"
+        path.write_text("B_Gauss,E_Hz,branch\n1e300,1e300,1\n2e300,3e300,-1\n3e300,2e300,1\n"
+                        "4e300,5e300,-1\n5e300,4e300,1\n6e300,1e300,-1\n")
+        code, out, err = run_cli(capsys, "fit", "--model", "lz", "--input", str(path))
+        assert code in (3, 4)
+        assert "Traceback" not in err and "Warning" not in err
+        if code == 3:
+            assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(out)["converged"] is False
+
     def test_linear_fit(self, tmp_path, capsys):
         path = tmp_path / "lin.csv"
         path.write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n1.2,226.3e3\n")

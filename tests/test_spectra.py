@@ -267,8 +267,9 @@ class TestFanoFit:
                                         abs=1e-6)
         assert y.max() <= self.TRUE["offset"] + 1e-12
 
-    def test_work_count(self, monkeypatch):
-        """One LM start per fit, and few iterations on the Monte-Carlo set."""
+    @staticmethod
+    def lm_iterations(monkeypatch):
+        """The iteration count of every LM run that spectra starts from now on."""
         iterations = []
 
         def counted(*args, **kwargs):
@@ -278,10 +279,70 @@ class TestFanoFit:
 
         lm = spectra.levenberg_marquardt
         monkeypatch.setattr(spectra, "levenberg_marquardt", counted)
+        return iterations
+
+    def test_work_count(self, monkeypatch):
+        """One LM start per fit, and few iterations on the Monte-Carlo set."""
+        iterations = self.lm_iterations(monkeypatch)
         for seed in range(100):
             fit_fano(self.spectrum(noise=0.01, seed=seed, n=50))
             assert len(iterations) == seed + 1
         assert np.mean(iterations) <= 12
+
+    @staticmethod
+    def large_residual_windows():
+        """24 energy-map-like fit windows: loss spectra of a bound state seen
+        at drive orders 1 and 2 (150 Hz spacing, 1 % noise), +-20 kHz around
+        each dip.  The Fano line is not the synthesized lineshape, so the
+        whitened cost is ~170-800 over ~267 points: a large-residual problem."""
+        windows = []
+        for energy in (128.37e3, 171.93e3, 236.11e3, 297.52e3):
+            grid = np.arange(energy / 2 - 22e3, energy + 22e3, 150.0)
+            models = [bound_resonance(energy, width, order)
+                      for width, order in ((3e3, 1), (4e3, 2))]
+            for seed in range(3):
+                spec = synthesize_spectrum(models, grid, density=2.5e12, noise_sigma=0.01,
+                                           seed=seed)
+                windows += [(spec, (xc - 20e3, xc + 20e3))
+                            for xc in find_peaks(spec, 0.05, 8e3)]
+        assert len(windows) == 24
+        return windows
+
+    def test_large_residual_work_count(self, monkeypatch):
+        """Without the secant term of the Hessian, LM converges only linearly
+        on these windows (11.75 iterations a fit on average); with it, 7.6."""
+        iterations = self.lm_iterations(monkeypatch)
+        for spec, window in self.large_residual_windows():
+            fit_fano(spec, window=window)
+        assert len(iterations) == 24
+        assert np.mean(iterations) <= 10
+
+    def test_large_residual_oracle(self):
+        """scipy's least_squares on the five-parameter profile, started from
+        the reported fit, finds no better center."""
+        least_squares = pytest.importorskip("scipy.optimize").least_squares
+        for spec, (lo, hi) in self.large_residual_windows():
+            fit = fit_fano(spec, window=(lo, hi))
+            mask = (spec.x >= lo) & (spec.x <= hi)
+            x, y, w = spec.x[mask], spec.y[mask], 1.0 / spec.sigma[mask]
+            ref = least_squares(lambda p: (fano_profile(x, *p) - y) * w,
+                                [fit.center, fit.width, fit.q, fit.amplitude, fit.offset],
+                                jac=lambda p: spectra._fano_jacobian(x, p) * w[:, None],
+                                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+            assert abs(ref.x[0] - fit.center) < 0.01 * fit.center_stderr
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, -3.0, spectra.Q_SYMMETRIC])
+    @pytest.mark.parametrize("width", [300.0, 1500.0, 4000.0])
+    def test_small_residual_exact_and_quick(self, q, width):
+        """Noiseless dips: the secant term, which starts at zero, neither
+        spoils the center nor slows a zero-residual fit much."""
+        center = 200037.0
+        x = np.arange(180e3, 220e3 + 1.0, 150.0)
+        spec = Spectrum(AXIS_FREQ, x, fano_profile(x, center, width, q, 0.5, 1.0),
+                        np.zeros_like(x))
+        fit = fit_fano(spec)
+        assert fit.center == pytest.approx(center, abs=1e-6)
+        assert fit.iterations <= 12
 
     def test_large_residual_crawl_converges(self):
         """A noisy dip ~2.4 grid steps wide, dominated by noise (cost ~1060 over
