@@ -147,6 +147,10 @@ def cmd_floquet_gap(args) -> int:
     w_expect = -omega_b / args.m
     if args.window:
         lo, hi = _parse_window(args.window)
+        f_expect = -args.omega_b_hz / args.m
+        if not lo <= f_expect <= hi:        # checked here so the message is in Hz
+            raise DomainError(f"window [{lo}, {hi}] Hz does not bracket the expected "
+                              f"resonance {f_expect} Hz")
         window = (2.0 * math.pi * lo, 2.0 * math.pi * hi)
     else:
         half = 0.02 * w_expect / abs(args.m)

@@ -11,6 +11,8 @@ oracle for that prediction.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -112,47 +114,64 @@ def _step_count(model: DrivenTwoLevel) -> int:
     return STEP_BLOCK * math.ceil(blocks)
 
 
+@functools.lru_cache(maxsize=1)
+def _drive_phase(steps: int):
+    """Read-only (tau, sin tau), (steps, 2) each: the drive phase tau = w t at step
+    k's Gauss nodes, 2 pi (k + node)/steps, so a gap search tabulates it once."""
+    tau = (2.0 * math.pi / steps) * (np.arange(steps)[:, None] + _GAUSS_NODES)
+    sin_tau = np.sin(tau)
+    tau.flags.writeable = sin_tau.flags.writeable = False
+    return tau, sin_tau
+
+
 def _interaction_propagator(model: DrivenTwoLevel, steps: int):
     """U_I(T) = [[a, b], [-b*, a*]] in the interaction picture of the diagonal,
     where H_I = (Omega/2)(cos theta sx - sin theta sy), theta = omega_b t - (A/w) sin wt.
 
-    Each step is one two-point Gauss-Legendre Magnus-4 exponential exp(-i v.sigma)
-    in closed form (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)); the
-    steps are multiplied by pairwise reduction, later steps on the left.
+    Each step is one two-point Gauss-Legendre Magnus-4 exponential exp(-i v.sigma) in
+    closed form (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), from theta =
+    (omega_b/w) tau - (A/w) sin tau at its nodes (phase table _drive_phase(steps)) and
+    z = exp(i theta): vx - i vy = (hg/2)(z0 + z1), sin(theta0 - theta1) = Im z0 z1*.
+    Steps are multiplied pairwise, later on the left, over arrays padded with identity
+    steps to a power of two (exact: an odd last step waits a round as unpadded), and
+    the last 16 in order as Python complex numbers: there numpy's call cost dominates.
     """
     w = model.omega_mod
-    h = 2.0 * math.pi / w / steps
-    theta = h * (np.arange(steps)[:, None] + _GAUSS_NODES)
-    theta = model.omega_b * theta - (model.A / w) * np.sin(w * theta)
-    hg = 0.5 * h * model.Omega
-    vx = 0.5 * hg * np.cos(theta).sum(axis=1)
-    vy = -0.5 * hg * np.sin(theta).sum(axis=1)
-    vz = (-math.sqrt(3.0) / 6.0 * hg * hg) * np.sin(theta[:, 0] - theta[:, 1])
-    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-    sinc = np.sinc(norm / math.pi)
-    a, b = np.cos(norm) - 1j * vz * sinc, -(vy + 1j * vx) * sinc
-    while a.size > 1:
-        n = a.size - a.size % 2          # an odd last step waits for the next round
-        a0, b0, a1, b1 = a[0:n:2], b[0:n:2], a[1:n:2], b[1:n:2]
-        a, b = (np.concatenate((a1 * a0 - b1 * b0.conj(), a[n:])),
-                np.concatenate((a1 * b0 + b1 * a0.conj(), b[n:])))
-    return complex(a[0]), complex(b[0])
+    tau, sin_tau = _drive_phase(steps)
+    z0, z1 = np.exp(1j * ((model.omega_b / w) * tau - (model.A / w) * sin_tau)).T
+    hg = math.pi / w / steps * model.Omega            # h Omega / 2, h = T / steps
+    ib = (-0.5j * hg) * (z0 + z1)                                   # -i (vx - i vy)
+    minus_vz = (math.sqrt(3.0) / 6.0 * hg * hg) * (z0 * z1.conj()).imag
+    norm = np.sqrt(ib.real ** 2 + ib.imag ** 2 + minus_vz ** 2)
+    sinc = np.divide(np.sin(norm), norm, out=np.ones_like(norm), where=norm > 0)
+    size = 1 << (steps - 1).bit_length()
+    a, b = np.ones(size, complex), np.zeros(size, complex)
+    np.cos(norm, out=a.real[:steps])                # a = cos|v| - i vz sinc|v|
+    np.multiply(minus_vz, sinc, out=a.imag[:steps])
+    np.multiply(ib, sinc, out=b[:steps])            # b = -i (vx - i vy) sinc|v|
+    while a.size > 16:
+        a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
+        a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
+    u_a, u_b = 1.0, 0.0
+    for a1, b1 in zip(a.tolist(), b.tolist()):
+        u_a, u_b = a1 * u_a - b1 * u_b.conjugate(), a1 * u_b + b1 * u_a.conjugate()
+    return u_a, u_b
 
 
 def _spectrum(model: DrivenTwoLevel, steps: int) -> FloquetSolution:
     """U(T) = diag(exp(-i omega_alpha T), exp(-i omega_beta T)) U_I(T) has the
     eigenvalues lambda = exp(-i s T -+ i phi), s the mean level, so the
     quasi-energies -arg(lambda)/T are s +- phi/T.  atan2 keeps phi and the gap
-    precise when the gap is small.
-    """
+    precise when the gap is small."""
     w = model.omega_mod
     period = 2.0 * math.pi / w
     a, b = _interaction_propagator(model, steps)
-    p = complex(np.exp(-0.5j * model.omega_b * period) * a)
+    p = cmath.exp(-0.5j * model.omega_b * period) * a
     sin_phi = math.hypot(p.imag, abs(b))
-    e = (0.5 * (model.omega_alpha + model.omega_beta)
-         + np.array([-1.0, 1.0]) * math.atan2(sin_phi, p.real) / period)
-    return FloquetSolution(quasi_energies=np.sort(e - w * np.ceil(e / w - 0.5)), omega_mod=w,
+    s = 0.5 * (model.omega_alpha + model.omega_beta)
+    phi = math.atan2(sin_phi, p.real) / period
+    e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
+    return FloquetSolution(quasi_energies=np.array(e), omega_mod=w,
                            gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
 
 
@@ -236,8 +255,9 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
     form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so a Brent
     minimization of gap^2 started at w_expect lands on the center w_c in a
     handful of propagator builds.  The step count is fixed once, at the window's
-    low edge where the phase turns fastest, so gap^2(w) is smooth.  The center
-    is located to a relative tolerance of GAP_XTOL_REL.
+    low edge where the phase turns fastest, so gap^2(w) is smooth and every build
+    reads one drive-phase table and pads its step product with identity steps.
+    The center is located to a relative tolerance of GAP_XTOL_REL.
 
     Raises DomainError for an invalid window or m = 0, for a window that does
     not bracket w_expect, and when the minimizer ends within its tolerance of

@@ -6,6 +6,8 @@ arithmetic (fractions) with a single final square root, the 6-j oracle is
 a brute-force contraction of four 3-j symbols over all magnetic quantum
 numbers, and the Floquet oracle diagonalizes the truncated Floquet matrix
 (Shirley, Phys. Rev. 138, B979 (1965)) instead of propagating over a period.
+The propagator oracle multiplies the Magnus steps one at a time as 2x2
+matrices, each exponentiated through its eigendecomposition.
 """
 
 from __future__ import annotations
@@ -144,3 +146,30 @@ def floquet_matrix_pair(model, n_order=None):
     dist = np.abs(evals - evals[j1])
     dist[j1] = np.inf
     return float(evals[j1]), float(evals[int(np.argmin(dist))])
+
+
+def magnus_sequential_propagator(model, steps):
+    """First row (a, b) of the interaction-picture one-period propagator of a
+    modfesh.floquet.DrivenTwoLevel, H_I(t) = (Omega/2)(cos theta sx - sin theta sy)
+    with theta = omega_b t - (A/w) sin wt, as the plain product, step by step,
+    of two-point Gauss-Legendre Magnus-4 exponentials exp(-i M), M = (h/2)(H1 + H2)
+    + i (sqrt(3)/12) h^2 [H1, H2] (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)), each taken through the eigendecomposition of the Hermitian M.
+    """
+    w = model.omega_mod
+    h = 2.0 * math.pi / w / steps
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    sy = np.array([[0.0, -1j], [1j, 0.0]])
+    nodes = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+    def hamiltonian(t):
+        theta = model.omega_b * t - model.A / w * math.sin(w * t)
+        return 0.5 * model.Omega * (math.cos(theta) * sx - math.sin(theta) * sy)
+
+    u = np.eye(2, dtype=complex)
+    for k in range(steps):
+        h1, h2 = (hamiltonian(h * (k + c)) for c in nodes)
+        m = 0.5 * h * (h1 + h2) + 1j * math.sqrt(3.0) / 12.0 * h * h * (h1 @ h2 - h2 @ h1)
+        lam, vec = np.linalg.eigh(m)
+        u = (vec * np.exp(-1j * lam)) @ vec.conj().T @ u
+    return complex(u[0, 0]), complex(u[0, 1])

@@ -183,6 +183,17 @@ class TestResonancesAndGap:
         for field in lines[2].split(","):
             float(field)
 
+    def test_floquet_gap_window_error_in_hz(self, capsys):
+        """A --window that misses the resonance is reported in the Hz it was
+        given in, not in rad/s (936,194 for 149,000 Hz)."""
+        code, out, err = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-150000",
+                                 "--rabi-hz", "3000", "--amplitude-hz", "150000",
+                                 "--m", "1", "--window", "149000:149001")
+        assert code == 3
+        assert out == "" and "Traceback" not in err
+        assert "149000" in err and "149001" in err and "150000" in err and "Hz" in err
+        assert "936" not in err and "942" not in err
+
 
 class TestScatteringLengthCmd:
     def test_grid_values(self, capsys):

@@ -10,7 +10,7 @@ from modfesh.floquet import (DrivenTwoLevel, avoided_crossing_gap, effective_cou
                              floquet_spectrum, resonance_frequencies)
 from modfesh.specfun import bessel_j
 
-from oracles import bessel_series, floquet_matrix_pair
+from oracles import bessel_series, floquet_matrix_pair, magnus_sequential_propagator
 
 
 def model(omega_b=1.0, Omega=0.02, A=1.0, omega_mod=1.0):
@@ -245,6 +245,26 @@ class TestRwaOracle:
         assert abs(gap - rwa) <= 0.01 * rwa
 
 
+class TestPaddedProduct:
+    """The identity-padded pairwise product against a plain sequential product
+    of the same Magnus steps (tests/oracles.py), at step counts that are not
+    powers of two, and at Omega = 0, where |v| = 0 and every step is 1."""
+
+    @pytest.mark.parametrize("steps", [96, 160, 224, 384, 4 * 96, 4 * 160, 4 * 224, 4 * 384])
+    @pytest.mark.parametrize("setting", [(0.0, 3.0, 0.02, 8.7, 1.0 - 0.02 / 3),
+                                         (0.0, 1.0, 0.6, 2.5, 0.98),
+                                         (0.0, 2.0, 0.0, 1.0, 1.0)],
+                             ids=["m3-A8.7", "strong-rabi", "Omega-0"])
+    def test_matches_sequential_product(self, steps, setting):
+        m = DrivenTwoLevel(*setting)
+        a, b = floquet._interaction_propagator(m, steps)
+        a_ref, b_ref = magnus_sequential_propagator(m, steps)
+        assert abs(a - a_ref) <= 1e-13 and abs(b - b_ref) <= 1e-13
+        assert abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-13
+        if m.Omega == 0.0:
+            assert (a, b) == (1.0, 0.0)
+
+
 def rwa_setting(m_order, ratio):
     """Continuum-side level resonant at omega = 1, Omega/omega = 0.02, and the
     criterion-04 window 1 +- 0.02/m."""
@@ -254,9 +274,12 @@ def rwa_setting(m_order, ratio):
 
 
 class TestGapWorkCount:
-    """Work count, not wall time: one-period propagator builds per gap search."""
+    """Work count, not wall time: one-period propagator builds per gap search,
+    and drive-phase tables per search."""
 
-    def test_propagator_builds_per_gap(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """[number of _interaction_propagator calls so far]"""
         calls = [0]
         build = floquet._interaction_propagator
 
@@ -265,6 +288,9 @@ class TestGapWorkCount:
             return build(*args)
 
         monkeypatch.setattr(floquet, "_interaction_propagator", counting_build)
+        return calls
+
+    def test_propagator_builds_per_gap(self, calls):
         counts = []
         for m_order in (1, 2, 3):
             for ratio in (0.5, 1.0, 2.0, 3.0, 5.5, 8.7):
@@ -274,6 +300,18 @@ class TestGapWorkCount:
                 counts.append(calls[0])
         assert np.mean(counts) <= 8
         assert max(counts) <= 10
+
+    def test_phase_table_built_once_per_search(self, calls):
+        floquet._drive_phase.cache_clear()
+        m, window = rwa_setting(3, 8.7)
+        avoided_crossing_gap(m, 3, window)
+        info = floquet._drive_phase.cache_info()
+        assert calls[0] > 1
+        assert info.misses == 1 and info.hits == calls[0] - 1
+
+    def test_phase_table_is_read_only(self):
+        for table in floquet._drive_phase(96):
+            assert table.shape == (96, 2) and not table.flags.writeable
 
 
 class TestIndependentMinimizer:
