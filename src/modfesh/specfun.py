@@ -2,15 +2,14 @@
 
 Angular momenta are tracked as doubled integers (``HalfInt``) so that
 half-integer bookkeeping and triangle/parity selection rules are exact.
-Wigner symbols use Racah's closed-form alternating sums over a log-factorial
-table; selection-rule zeros are returned as exact ``0.0`` before any floating
-arithmetic happens.
+Wigner symbols sum Racah's closed forms exactly in rational arithmetic and
+take one square root of the exact squared value (Johansson & Forssen, SIAM J.
+Sci. Comput. 38, A376 (2016)); selection-rule zeros are exact ``0.0``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +18,7 @@ from .errors import DomainError
 __all__ = ["HalfInt", "bessel_j", "wigner_3j", "wigner_6j"]
 
 BESSEL_MAX_ORDER = 200
+WIGNER_MAX_J = 200
 
 
 @dataclass(frozen=True, order=True)
@@ -35,16 +35,21 @@ class HalfInt:
         if isinstance(value, int):
             return cls(2 * value)
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                # Fraction would expand an exponent ('1e999999999') into a huge integer
+                if "e" in value.lower():
+                    raise ValueError(value)
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise DomainError(f"cannot interpret {value!r} as a half-integer") from None
         if isinstance(value, Fraction):
             if value.denominator not in (1, 2):
                 raise DomainError(f"{value} is not a half-integer")
             return cls(int(value * 2))
         if isinstance(value, float):
-            twice = round(2 * value)
-            if abs(2 * value - twice) > 1e-9:
+            if not math.isfinite(value) or abs(2 * value - round(2 * value)) > 1e-9:
                 raise DomainError(f"{value} is not a half-integer")
-            return cls(twice)
+            return cls(round(2 * value))
         raise DomainError(f"cannot interpret {value!r} as a half-integer")
 
     @property
@@ -130,26 +135,18 @@ def bessel_j(n: int, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wigner symbols (Racah closed forms over log-factorials)
+# Wigner symbols (Racah closed forms in exact rational arithmetic)
 # ---------------------------------------------------------------------------
 
-# built once at import (covers all Racah sums up to j ~ 250); growth beyond
-# that is rare and guarded by a lock so concurrent callers stay safe
-_LOG_FACT = [0.0, 0.0]
-while len(_LOG_FACT) < 1024:
-    _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
-_LOG_FACT_LOCK = threading.Lock()
-
-
-def _log_fact(n: int) -> float:
-    """log(n!) from the precomputed table (lock-protected lazy extension)."""
-    if n < 0:
-        raise DomainError(f"negative factorial argument {n}")
-    if n >= len(_LOG_FACT):
-        with _LOG_FACT_LOCK:
-            while len(_LOG_FACT) <= n:
-                _LOG_FACT.append(_LOG_FACT[-1] + math.log(len(_LOG_FACT)))
-    return _LOG_FACT[n]
+def _doubled_js(*js) -> list:
+    """Doubled angular momenta, checked against 0 <= j <= WIGNER_MAX_J before
+    the Racah sums build any factorial."""
+    twice = [HalfInt.coerce(j).twice for j in js]
+    if min(twice) < 0:
+        raise DomainError("angular momenta must be non-negative")
+    if max(twice) > 2 * WIGNER_MAX_J:
+        raise DomainError(f"j = {HalfInt(max(twice))} exceeds supported {WIGNER_MAX_J}")
+    return twice
 
 
 def _triangle_ok(a: int, b: int, c: int) -> bool:
@@ -157,34 +154,38 @@ def _triangle_ok(a: int, b: int, c: int) -> bool:
     return (abs(a - b) <= c <= a + b) and (a + b + c) % 2 == 0
 
 
-def _log_delta(a: int, b: int, c: int) -> float:
-    """log of the triangle coefficient Delta(abc) for doubled arguments."""
-    return (_log_fact((a + b - c) // 2)
-            + _log_fact((a - b + c) // 2)
-            + _log_fact((-a + b + c) // 2)
-            - _log_fact((a + b + c) // 2 + 1))
+def _delta(a: int, b: int, c: int) -> tuple:
+    """Triangle coefficient Delta(abc) for doubled arguments, as the exact
+    (numerator, denominator) pair of integers."""
+    fact = math.factorial
+    return (fact((a + b - c) // 2) * fact((a - b + c) // 2) * fact((-a + b + c) // 2),
+            fact((a + b + c) // 2 + 1))
 
 
-# below this cancellation level the float sum has lost too many digits and
-# the exact big-integer route takes over
-_CANCELLATION_FLOOR = 1e-2
+def _racah_sum(lows, highs, weight=lambda t: 1) -> tuple:
+    """Racah's alternating sum over max(lows) <= t <= min(highs) of
+    (-1)^t weight(t) / (prod (t - lo)! prod (hi - t)!), exactly, as an integer
+    over a common denominator that every term's denominator divides."""
+    tmin, tmax = max(lows), min(highs)
+    if tmax < tmin:
+        return 0, 1
+    fact = math.factorial
+    common = math.prod(fact(tmax - lo) for lo in lows) * math.prod(fact(hi - tmin) for hi in highs)
+    total = sum((-1 if t % 2 else 1) * weight(t) * common
+                // math.prod(fact(t - lo) for lo in lows)
+                // math.prod(fact(hi - t) for hi in highs)
+                for t in range(tmin, tmax + 1))
+    return total, common
 
 
-def _alternating_sum(log_terms, signs):
-    """sum_i signs[i] * exp(log_terms[i]), factored around the peak term."""
-    log_max = max(log_terms)
-    acc = 0.0
-    for lt, s in zip(log_terms, signs):
-        acc += s * math.exp(lt - log_max)
-    return acc, log_max
-
-
-def _sqrt_signed(sum_frac: Fraction, radicand_frac: Fraction, phase: float) -> float:
-    """phase * sum * sqrt(radicand) with the magnitude squared kept exact."""
-    if sum_frac == 0:
+def _signed_sqrt(total: int, common: int, num: int, den: int, phase: int) -> float:
+    """phase * (total / common) * sqrt(num / den), rounded once from the exact
+    square: int / int true division is correctly rounded.  The sign comes from
+    the integer sum: past j ~ 150 the sum alone overflows a float."""
+    if total == 0:
         return 0.0
-    sign = phase if sum_frac > 0 else -phase
-    return sign * math.sqrt(float(sum_frac * sum_frac * radicand_frac))
+    sign = phase if total > 0 else -phase
+    return sign * math.sqrt(total * total * num / (common * common * den))
 
 
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
@@ -192,12 +193,11 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
 
     Arguments may be HalfInt, int, float or '7/2'-style strings.  Violated
     selection rules (triangle, m-sum, |m| <= j) give exact 0.0; inconsistent
-    half-integers (j + m not an integer) raise DomainError.
+    half-integers (j + m not an integer) and j > WIGNER_MAX_J raise
+    DomainError.
     """
-    tj1, tj2, tj3 = (HalfInt.coerce(j).twice for j in (j1, j2, j3))
+    tj1, tj2, tj3 = _doubled_js(j1, j2, j3)
     tm1, tm2, tm3 = (HalfInt.coerce(m).twice for m in (m1, m2, m3))
-    if tj1 < 0 or tj2 < 0 or tj3 < 0:
-        raise DomainError("angular momenta must be non-negative")
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if (tj + tm) % 2:
             raise DomainError("j + m must be an integer for each column")
@@ -208,97 +208,33 @@ def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     if not _triangle_ok(tj1, tj2, tj3):
         return 0.0
 
-    # summation limits (all quantities below are plain integers)
-    t1 = (tj2 - tj3 - tm1) // 2
-    t2 = (tj1 - tj3 + tm2) // 2
-    t3 = (tj1 + tj2 - tj3) // 2
-    t4 = (tj1 - tm1) // 2
-    t5 = (tj2 + tm2) // 2
-    tmin = max(0, t1, t2)
-    tmax = min(t3, t4, t5)
-    if tmax < tmin:
-        return 0.0
-
-    log_pref = 0.5 * (_log_delta(tj1, tj2, tj3)
-                      + _log_fact((tj1 + tm1) // 2) + _log_fact((tj1 - tm1) // 2)
-                      + _log_fact((tj2 + tm2) // 2) + _log_fact((tj2 - tm2) // 2)
-                      + _log_fact((tj3 + tm3) // 2) + _log_fact((tj3 - tm3) // 2))
-    log_terms = []
-    signs = []
-    for t in range(tmin, tmax + 1):
-        log_terms.append(-(_log_fact(t) + _log_fact(t - t1) + _log_fact(t - t2)
-                           + _log_fact(t3 - t) + _log_fact(t4 - t) + _log_fact(t5 - t)))
-        signs.append(-1.0 if t % 2 else 1.0)
-    acc, log_max = _alternating_sum(log_terms, signs)
-    phase = -1.0 if ((tj1 - tj2 - tm3) // 2) % 2 else 1.0
-    if abs(acc) >= _CANCELLATION_FLOOR:
-        return phase * acc * math.exp(log_pref + log_max)
-
-    # heavy cancellation (large j): redo the alternating sum exactly
-    fact = math.factorial
-    total = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        denom = (fact(t) * fact(t - t1) * fact(t - t2)
-                 * fact(t3 - t) * fact(t4 - t) * fact(t5 - t))
-        total += Fraction(-1 if t % 2 else 1, denom)
-    radicand = Fraction(
-        fact((tj1 + tj2 - tj3) // 2) * fact((tj1 - tj2 + tj3) // 2)
-        * fact((-tj1 + tj2 + tj3) // 2)
-        * fact((tj1 + tm1) // 2) * fact((tj1 - tm1) // 2)
-        * fact((tj2 + tm2) // 2) * fact((tj2 - tm2) // 2)
-        * fact((tj3 + tm3) // 2) * fact((tj3 - tm3) // 2),
-        fact((tj1 + tj2 + tj3) // 2 + 1))
-    return _sqrt_signed(total, radicand, phase)
+    total, common = _racah_sum(
+        (0, (tj2 - tj3 - tm1) // 2, (tj1 - tj3 + tm2) // 2),
+        ((tj1 + tj2 - tj3) // 2, (tj1 - tm1) // 2, (tj2 + tm2) // 2))
+    num, den = _delta(tj1, tj2, tj3)
+    num *= math.prod(math.factorial((tj + sign * tm) // 2)
+                     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)) for sign in (1, -1))
+    phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
+    return _signed_sqrt(total, common, num, den, phase)
 
 
 def wigner_6j(j1, j2, j3, j4, j5, j6) -> float:
     """Wigner 6-j symbol {j1 j2 j3 / j4 j5 j6} via the Racah formula.
 
     Returns exact 0.0 when any of the four triads (j1 j2 j3), (j1 j5 j6),
-    (j4 j2 j6), (j4 j5 j3) violates the triangle rule.
+    (j4 j2 j6), (j4 j5 j3) violates the triangle rule; j > WIGNER_MAX_J
+    raises DomainError.
     """
-    ta, tb, tc, td, te, tf = (HalfInt.coerce(j).twice for j in (j1, j2, j3, j4, j5, j6))
-    if min(ta, tb, tc, td, te, tf) < 0:
-        raise DomainError("angular momenta must be non-negative")
+    ta, tb, tc, td, te, tf = _doubled_js(j1, j2, j3, j4, j5, j6)
     triads = ((ta, tb, tc), (ta, te, tf), (td, tb, tf), (td, te, tc))
     for a, b, c in triads:
         if not _triangle_ok(a, b, c):
             return 0.0
 
-    s1 = (ta + tb + tc) // 2
-    s2 = (ta + te + tf) // 2
-    s3 = (td + tb + tf) // 2
-    s4 = (td + te + tc) // 2
-    p1 = (ta + tb + td + te) // 2
-    p2 = (tb + tc + te + tf) // 2
-    p3 = (ta + tc + td + tf) // 2
-    tmin = max(s1, s2, s3, s4)
-    tmax = min(p1, p2, p3)
-    if tmax < tmin:
-        return 0.0
-
-    log_pref = 0.5 * sum(_log_delta(a, b, c) for a, b, c in triads)
-    log_terms = []
-    signs = []
-    for t in range(tmin, tmax + 1):
-        log_terms.append(_log_fact(t + 1)
-                         - (_log_fact(t - s1) + _log_fact(t - s2) + _log_fact(t - s3)
-                            + _log_fact(t - s4) + _log_fact(p1 - t) + _log_fact(p2 - t)
-                            + _log_fact(p3 - t)))
-        signs.append(-1.0 if t % 2 else 1.0)
-    acc, log_max = _alternating_sum(log_terms, signs)
-    if abs(acc) >= _CANCELLATION_FLOOR:
-        return acc * math.exp(log_pref + log_max)
-
-    fact = math.factorial
-    total = Fraction(0)
-    for t in range(tmin, tmax + 1):
-        denom = (fact(t - s1) * fact(t - s2) * fact(t - s3) * fact(t - s4)
-                 * fact(p1 - t) * fact(p2 - t) * fact(p3 - t))
-        total += Fraction((-1 if t % 2 else 1) * fact(t + 1), denom)
-    radicand = Fraction(1)
-    for a, b, c in triads:
-        radicand *= Fraction(
-            fact((a + b - c) // 2) * fact((a - b + c) // 2) * fact((-a + b + c) // 2),
-            fact((a + b + c) // 2 + 1))
-    return _sqrt_signed(total, radicand, 1.0)
+    total, common = _racah_sum(
+        [(a + b + c) // 2 for a, b, c in triads],
+        [(ta + tb + td + te) // 2, (tb + tc + te + tf) // 2, (ta + tc + td + tf) // 2],
+        lambda t: math.factorial(t + 1))
+    deltas = [_delta(a, b, c) for a, b, c in triads]
+    return _signed_sqrt(total, common, math.prod(n for n, _ in deltas),
+                        math.prod(d for _, d in deltas), 1)

@@ -7,7 +7,9 @@ a brute-force contraction of four 3-j symbols over all magnetic quantum
 numbers, and the Floquet oracle diagonalizes the truncated Floquet matrix
 (Shirley, Phys. Rev. 138, B979 (1965)) instead of propagating over a period.
 The propagator oracle multiplies the Magnus steps one at a time as 2x2
-matrices, each exponentiated through its eigendecomposition.
+matrices, each exponentiated through its eigendecomposition.  The
+fictitious-field oracle sums second-order shifts over every excited sublevel
+instead of contracting to the vector polarizability.
 """
 
 from __future__ import annotations
@@ -173,3 +175,43 @@ def magnus_sequential_propagator(model, steps):
         lam, vec = np.linalg.eigh(m)
         u = (vec * np.exp(-1j * lam)) @ vec.conj().T @ u
     return complex(u[0, 0]), complex(u[0, 1])
+
+
+def sum_over_states_fictitious_field(field, species, F):
+    """Fictitious magnetic field B_z^f in Gauss of the ground manifold F (one
+    per field intensity), from the second-order shift of each |F, m> summed
+    over every |F', m'>.
+
+    The co-rotating part shifts |F, m> by -(E0/2)^2 sum |<F', m'|d.u|F, m>|^2
+    / (hbar (w_F'F - w)); the counter-rotating part is the same with u*
+    (sigma+ <-> sigma-) over hbar (w_F'F + w); E0^2 = 2 I mu0 c.  The dipole
+    elements are (2F'+1)(2F+1)(2J+1) (3-j)^2 (6-j)^2 |<J||d||J'>|^2, from
+    wigner_3j_racah and wigner_6j_contraction.  A field B along z shifts
+    |F, m> by g_F mu_B m B, so B_z^f is the part of the shift linear in m (a
+    quadratic fit over m, exact for a rank <= 2 shift) over g_F mu_B.  No step
+    goes through the 6-j-reduced vector polarizability.
+    """
+    from modfesh.atomdata import C_LIGHT, HBAR, MU0, MU_BOHR
+
+    omega = field.angular_frequency(species)
+    pol = field.polarization
+    weight = {+1: abs(pol.u_plus) ** 2, 0: abs(pol.u_zero) ** 2, -1: abs(pol.u_minus) ** 2}
+    ms = np.arange(-F, F + 1)
+    shifts = np.zeros(len(ms))
+    for tr in species.transitions:
+        if tr.F != F:
+            continue
+        j, fp = float(tr.J), tr.F_prime
+        sj = wigner_6j_contraction(float(tr.J_prime), j, 1, F, fp, float(species.nuclear_spin))
+        for k, m in enumerate(ms):
+            for q in (-1, 0, 1):
+                # u_q drives d_{-q}: |F, m> -> |F', m - q>
+                tj = wigner_3j_racah(F, 1, fp, m, -q, q - m)
+                me_sq = ((2 * fp + 1) * (2 * F + 1) * (2 * j + 1)
+                         * tj ** 2 * sj ** 2 * tr.reduced_dipole ** 2)
+                shifts[k] -= me_sq / (4.0 * HBAR) * (
+                    weight[q] / (tr.angular_frequency - omega)
+                    + weight[-q] / (tr.angular_frequency + omega))
+    slope = np.polyfit(ms, shifts, 2)[1]
+    e0_sq = 2.0 * field.intensity * 1.0e4 * MU0 * C_LIGHT
+    return e0_sq * slope / (species.ground_gF * MU_BOHR) * 1.0e4

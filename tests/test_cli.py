@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,21 @@ class TestRates:
                                "--format", "json")
         assert code == 0
         assert json.loads(out)["rows"][0][1] == pytest.approx(10.9643, rel=1e-4)
+
+    def test_angular_momentum_over_cap_exits_three(self, tmp_path, capsys):
+        """A species file with F = 100000 is refused at WIGNER_MAX_J before
+        the Racah sums build a factorial, not evaluated for seconds."""
+        species = tmp_path / "big.species"
+        species.write_text("[species]\nnuclear_spin = 200001/2\nground_F = 100000\n"
+                           "[transitions]\n"
+                           "D2 100000 100001 351730902170000.0 3.7971e-29 32815191.9\n")
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "scattering-rate", "--species", str(species),
+                                 "--f-level", "100000", "--mf", "0", "--pol", "pi",
+                                 "--intensity", "1.0", "--detuning", "-24e9")
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 3
+        assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
 
 
 class TestResonancesAndGap:
@@ -692,6 +708,9 @@ class TestUsageErrorsExitTwo:
         ({"cs.species": "[species]\nground_F = 3.7\n"},
          ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
          "cs.species: line 2"),
+        ({"cs.species": "[species]\nnuclear_spin = 1/0\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
         ({"states.cfg": REGISTRY.replace("-182e3", "nan").replace("a b", "19 21"),
           "field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "registry = {tmp}/states.cfg")},
          ("scan", "--config", "{tmp}/field.cfg", "--out", "{tmp}/x"), "states.cfg: line 2"),
@@ -712,8 +731,8 @@ class TestUsageErrorsExitTwo:
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
-            "species-ground_F-3.7", "registry-E0-nan", "registry-window_G-nan",
-            "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
+            "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
+            "registry-window_G-nan", "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
             "json-deep-nesting"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():

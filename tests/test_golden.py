@@ -207,14 +207,21 @@ def run_case(name: str, tmp: Path, capsys, extra=()) -> dict:
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def _close_numbers(expected: str, actual: str, rtol: float) -> bool:
-    """Equal text outside numbers, and numbers equal to a relative rtol."""
+def _max_rel_diff(expected: str, actual: str):
+    """Largest |e - a| / max(|e|, |a|) over the numbers of two texts; None when
+    the text outside the numbers differs."""
     exp_nums, act_nums = _NUMBER.findall(expected), _NUMBER.findall(actual)
     if _NUMBER.sub("#", expected) != _NUMBER.sub("#", actual) or \
             len(exp_nums) != len(act_nums):
-        return False
-    return all(math.isclose(float(e), float(a), rel_tol=rtol, abs_tol=0.0)
-               for e, a in zip(exp_nums, act_nums))
+        return None
+    pairs = [(float(e), float(a)) for e, a in zip(exp_nums, act_nums)]
+    return max((abs(e - a) / max(abs(e), abs(a)) for e, a in pairs if e != a), default=0.0)
+
+
+def _close_numbers(expected: str, actual: str, rtol: float) -> bool:
+    """Equal text outside numbers, and numbers equal to a relative rtol."""
+    diff = _max_rel_diff(expected, actual)
+    return diff is not None and diff <= rtol
 
 
 def _assert_golden(name: str, outputs: dict):
@@ -299,7 +306,12 @@ def _regenerate():
                 continue
             path.write_text(text, encoding="utf-8")
             changed += 1
-            print(f"wrote {path}")
+            if old is None:
+                note = "new file"
+            else:
+                diff = _max_rel_diff(old, text)
+                note = "layout changed" if diff is None else f"max relative difference {diff:.3g}"
+            print(f"wrote {path}: {note}")
     print(f"{changed} golden files changed")
 
 

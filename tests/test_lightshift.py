@@ -9,6 +9,8 @@ from modfesh.lightshift import (LightField, Polarization, fictitious_field,
                                 heating_rate, level_modulation_amplitude,
                                 scattering_rate, vector_polarizability)
 
+from oracles import sum_over_states_fictitious_field
+
 # frozen reference values, computed independently with sympy Wigner symbols
 # and cross-checked against second-order perturbation theory over the full
 # |F, m> manifold (and, for the rate, against the Kramers-Heisenberg form):
@@ -83,6 +85,15 @@ class TestFictitiousField:
     def test_benchmark_magnitude(self, cs):
         b = fictitious_field(self.field(), cs, 3)
         assert abs(b) * 1e3 == pytest.approx(B_FICT_REF_MG, rel=1e-6)
+
+    @pytest.mark.parametrize("pol", ["sigma_minus", "sigma_plus", "linear", "pi"])
+    @pytest.mark.parametrize("detuning", [-23e9, -24e9, 24e9])
+    def test_sum_over_states_oracle(self, cs, pol, detuning):
+        """The 6-j-reduced formula gives the m-linear part of the shifts of the
+        |3, m> summed over every |F', m'> (28.61 mG at 23 GHz red, sigma-)."""
+        field = self.field(detuning=detuning, pol=getattr(Polarization, pol)())
+        assert fictitious_field(field, cs, 3) == pytest.approx(
+            sum_over_states_fictitious_field(field, cs, 3), rel=1e-9, abs=1e-12)
 
     def test_linear_polarization_zero(self, cs):
         b = fictitious_field(self.field(pol=Polarization.linear()), cs, 3)

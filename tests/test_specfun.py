@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from modfesh.errors import DomainError
-from modfesh.specfun import HalfInt, bessel_j, wigner_3j, wigner_6j
+from modfesh.specfun import WIGNER_MAX_J, HalfInt, bessel_j, wigner_3j, wigner_6j
 
 from oracles import bessel_series, wigner_3j_racah, wigner_6j_contraction
 
@@ -26,6 +26,9 @@ class TestHalfInt:
             HalfInt.coerce(0.3)
         with pytest.raises(DomainError):
             HalfInt.coerce("1/3")
+        for value in (math.nan, math.inf, -math.inf, "abc", "1/0", "1e400000"):
+            with pytest.raises(DomainError):
+                HalfInt.coerce(value)
 
     def test_str(self):
         assert str(HalfInt(7)) == "7/2"
@@ -176,7 +179,7 @@ class TestWigner3j:
             assert total == pytest.approx(expected, abs=1e-11)
 
     def test_large_j_stable(self):
-        # log-factorial route must stay finite for j ~ 100
+        # the exact Racah sum stays finite and accurate at j ~ 100
         val = wigner_3j(100, 100, 100, 2, -5, 3)
         assert math.isfinite(val)
         sympy_wigner = pytest.importorskip("sympy.physics.wigner")
@@ -244,3 +247,50 @@ class TestWigner6j:
     def test_large_j_stable(self):
         val = wigner_6j(80, 80, 80, 80, 80, 80)
         assert math.isfinite(val)
+        # past j ~ 150 the Racah sum alone overflows a float; the symbol does not
+        val = wigner_6j(200, 200, 200, 200, 200, 200)
+        sympy_wigner = pytest.importorskip("sympy.physics.wigner")
+        ref = float(sympy_wigner.wigner_6j(200, 200, 200, 200, 200, 200))
+        assert val == pytest.approx(ref, rel=1e-12)
+
+
+class TestWignerLimits:
+    def test_j_above_cap_is_a_domain_error(self):
+        over = WIGNER_MAX_J + 0.5
+        with pytest.raises(DomainError):
+            wigner_3j(over, 1, over - 1, 0.5, 0, -0.5)
+        with pytest.raises(DomainError):
+            wigner_6j(1, 1, 1, over, over, over)
+        assert wigner_3j(WIGNER_MAX_J, 1, WIGNER_MAX_J, 1, 0, -1) != 0.0
+
+    def test_correctly_rounded_within_one_ulp(self):
+        """Every cesium 3-j (F 1 F'; m p -m-p) and 200 seeded non-zero 6-j with
+        doubled arguments <= 8 lie within 1 ulp of sympy's exact value."""
+        sympy_wigner = pytest.importorskip("sympy.physics.wigner")
+        from sympy import Rational
+
+        def exact(fn, *twice):
+            return float(fn(*(Rational(t, 2) for t in twice)).evalf(30))
+
+        def within_ulp(val, ref):
+            return abs(val - ref) <= math.ulp(ref)
+
+        for f in (3, 4):
+            for fp in (f - 1, f, f + 1):
+                for p in (-1, 0, 1):
+                    for m in range(-f, f + 1):
+                        twice = (2 * f, 2, 2 * fp, 2 * m, 2 * p, -2 * (m + p))
+                        val = wigner_3j(*(HalfInt(t) for t in twice))
+                        assert within_ulp(val, exact(sympy_wigner.wigner_3j, *twice)), twice
+        rng = np.random.default_rng(16)
+        checked = 0
+        while checked < 200:
+            twice = ta, tb, tc, td, te, tf = tuple(int(t) for t in rng.integers(0, 9, size=6))
+            if any(sum(triad) % 2 for triad in ((ta, tb, tc), (ta, te, tf),
+                                                 (td, tb, tf), (td, te, tc))):
+                continue            # sympy refuses a triad of odd perimeter
+            ref = exact(sympy_wigner.wigner_6j, *twice)
+            if ref == 0.0:
+                continue
+            assert within_ulp(wigner_6j(*(HalfInt(t) for t in twice)), ref), twice
+            checked += 1
