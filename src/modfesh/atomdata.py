@@ -277,7 +277,7 @@ def load_species(path) -> AtomSpecies:
             if "nuclear_spin" in sec.values:
                 try:
                     updates["nuclear_spin"] = HalfInt.coerce(sec.values["nuclear_spin"])
-                except (DomainError, ValueError):
+                except DomainError:
                     raise ConfigError(
                         f"nuclear_spin: cannot parse {sec.values['nuclear_spin']!r}",
                         path, sec.value_lines["nuclear_spin"]) from None

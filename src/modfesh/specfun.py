@@ -10,6 +10,7 @@ Sci. Comput. 38, A376 (2016)); selection-rule zeros are exact ``0.0``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,11 +30,12 @@ class HalfInt:
 
     @classmethod
     def coerce(cls, value) -> "HalfInt":
-        """Accept HalfInt, int, float, Fraction or strings like '7/2'."""
+        """Accept HalfInt, integers (numpy's too), float, Fraction or strings like '7/2'."""
         if isinstance(value, HalfInt):
             return value
-        if isinstance(value, int):
-            return cls(2 * value)
+        # int first: it skips the ~1 us abstract-class check on the common path
+        if isinstance(value, (int, numbers.Integral)):
+            return cls(2 * int(value))
         if isinstance(value, str):
             try:
                 # Fraction would expand an exponent ('1e999999999') into a huge integer

@@ -20,8 +20,7 @@ import numpy as np
 
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fitting import (LM_MAX_ITER, LinearFit, _covariance, levenberg_marquardt,
-                      weighted_linear_fit)
+from .fitting import LinearFit, _covariance, levenberg_marquardt, weighted_linear_fit
 from .keyvalue import read_text, write_text
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          equivalent_resonance_model, loss_rate_proxy)
@@ -397,61 +396,52 @@ def _lz_model_and_jacobian(params, b, branch_sign):
     return model, jac
 
 
-def _line(bb, ee):
-    """(intercept, slope) of the least-squares line through (bb, ee); flat
-    through the mean when the fields do not vary."""
-    if np.unique(bb).size < 2:
-        return float(np.mean(ee)) if ee.size else 0.0, 0.0
-    fit = weighted_linear_fit(bb, ee)
-    return fit.intercept, fit.slope
-
-
-def _lz_initial_guess(b, e, branch_sign):
-    upper = branch_sign > 0
-    lower = ~upper
-    if upper.any() and lower.any():
-        # crossing center: field of minimum branch separation (pair nearest B)
-        bu, eu = b[upper], e[upper]
-        bl, el = b[lower], e[lower]
-        gaps = []
-        for bb, ee in zip(bu, eu):
-            i = int(np.argmin(np.abs(bl - bb)))
-            gaps.append((float(ee - el[i]), float(bb)))
-        v0, b_c = min(gaps, key=lambda g: (g[0], g[1]))
-        v0 = max(v0, 1e-12)
-        # bare lines swap branches at the crossing
-        left = b < b_c
-        line1 = (upper & ~left) | (lower & left)
-        line2 = (upper & left) | (lower & ~left)
-        return np.array([*_line(b[line1], e[line1]), *_line(b[line2], e[line2]), v0])
-    # single branch: straight lines through the outer thirds
-    n = b.size
-    third = max(2, n // 3)
-    l_lo = _line(b[:third], e[:third])
-    l_hi = _line(b[-third:], e[-third:])
-    return np.array([*l_lo, *l_hi,
-                     max(abs(e[n // 2] - 0.5 * (l_lo[0] + l_hi[0])), 1e-9)])
+def _lz_initial_guess(b, e):
+    """Closed-form start (e_i0, slope_i, e_j0, slope_j, V) from the conic
+    (E - M)^2 - D^2/4 = V^2/4, M and D linear in B, through both branches: it
+    is linear in the c of [E, E B, 1, B, B^2] c = -E^2, so one solve needs no
+    branch labels (Bookstein 1979; Fitzgibbon, Pilu & Fisher 1999).  B and E
+    are scaled before squaring, and E is centered so that coinciding branches
+    (a rank-deficient solve) get a minimum-norm start where LM does not stall.
+    Line i takes the larger slope; V is from |V^2|, as V = 0 is stationary."""
+    b_scale = float(np.max(np.abs(b))) or 1.0
+    e_scale = float(np.max(np.abs(e))) or 1.0
+    e_mid = float(np.mean(e / e_scale))
+    x, y = b / b_scale, e / e_scale - e_mid
+    design = np.column_stack([y, y * x, np.ones_like(x), x, x * x])
+    c1, c2, c3, c4, c5 = np.linalg.lstsq(design, -y * y, rcond=None)[0]
+    m0, m1 = -0.5 * c1, -0.5 * c2
+    d1 = 2.0 * math.sqrt(max(m1 * m1 - c5, 0.0))
+    d0 = (4.0 * m0 * m1 - 2.0 * c4) / d1 if d1 > 0 else 0.0
+    v = math.sqrt(abs(4.0 * (m0 * m0 - c3) - d0 * d0))
+    m0, slope = m0 + e_mid, e_scale / b_scale
+    return np.array([(m0 + 0.5 * d0) * e_scale, (m1 + 0.5 * d1) * slope,
+                     (m0 - 0.5 * d0) * e_scale, (m1 - 0.5 * d1) * slope, v * e_scale])
 
 
 def fit_landau_zener(branch_data) -> LandauZenerFit:
     """Fit an avoided crossing to (B, E, branch) samples; branch is +1 for the
     upper and -1 for the lower branch.  Returns |V_ij| with the two bare lines
-    (referenced to the mean field for conditioning).  Data covering a single
-    branch that does not span the crossing yields an ill-conditioned warning
-    in the result rather than an error."""
+    (referenced to the mean field for conditioning).  Non-finite samples raise
+    DomainError and non-convergence ConvergenceError; single-branch data that
+    does not span the crossing converges with an ill-conditioned warning."""
     data = list(branch_data)
     if len(data) < 5:
         raise DomainError("need at least 5 samples to constrain 5 parameters")
     b_raw = np.array([d[0] for d in data], dtype=float)
     e = np.array([d[1] for d in data], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(b_raw) & np.isfinite(e)))
+    if bad.size:
+        raise DomainError(f"sample {bad[0]} is not finite: B = {b_raw[bad[0]]}, E = {e[bad[0]]}")
     sgn = np.array([1 if d[2] > 0 else -1 for d in data], dtype=float)
     # which group is called '+' is a naming convention; canonicalize so the
     # higher-energy group carries +1 (makes the fit label-swap invariant)
-    if (sgn > 0).any() and (sgn < 0).any():
-        if e[sgn > 0].mean() < e[sgn < 0].mean():
-            sgn = -sgn
+    if (sgn > 0).any() and (sgn < 0).any() and e[sgn > 0].mean() < e[sgn < 0].mean():
+        sgn = -sgn
     b_center = float(np.mean(b_raw))
     b = b_raw - b_center
+    if not np.isfinite(b).all():
+        raise DomainError("the fields span more than the float range")
 
     def residual(p):
         model, _ = _lz_model_and_jacobian(p, b, sgn)
@@ -461,29 +451,7 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
         _, jac = _lz_model_and_jacobian(p, b, sgn)
         return jac
 
-    try:
-        result = levenberg_marquardt(residual, _lz_initial_guess(b, e, sgn), jacobian)
-    except ConvergenceError as exc:
-        # degenerate geometry (single branch away from the crossing) leaves the
-        # fit crawling along a flat valley: return the iterate with a warning
-        # rather than failing, per the ill-conditioned contract
-        p_last = np.asarray(exc.last, dtype=float)
-        jac = jacobian(p_last)
-        jtj = jac.T @ jac
-        if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj) <= 1e10:
-            raise
-        r_last = residual(p_last)
-        dof = max(r_last.size - p_last.size, 1)
-        cov = (float(r_last @ r_last) / dof) * np.linalg.pinv(jtj)
-        e_i0, s_i, e_j0, s_j, v = p_last
-        return LandauZenerFit(
-            v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
-            e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
-            covariance=cov, residual_norm=float(math.sqrt(r_last @ r_last)),
-            iterations=LM_MAX_ITER,
-            condition_warning=("ill-conditioned fit (did not converge; condition "
-                               f"number {np.linalg.cond(jtj):.2e}); single-branch "
-                               "data may not span the crossing"))
+    result = levenberg_marquardt(residual, _lz_initial_guess(b, e), jacobian)
     e_i0, s_i, e_j0, s_j, v = result.params
     warning = None
     if result.condition > 1e10:

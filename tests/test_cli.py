@@ -104,6 +104,22 @@ def test_option_surface():
     assert found == {verb: sorted(opts) for verb, opts in OPTIONS.items()}
 
 
+def test_no_unused_imports():
+    """Every module-level import of a package module (bar __init__) is read."""
+    unused = []
+    for path in sorted(Path(modfesh.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported - read)]
+    assert unused == []
+
+
 class TestFictitiousField:
     def test_benchmark_row(self, capsys):
         code, out, _ = run_cli(capsys, "fictitious-field", "--intensity", "0.87",
@@ -405,19 +421,24 @@ class TestFit:
         assert report["params"]["v_ij_hz"] == pytest.approx(25e3, abs=1.5e3)
 
     def test_lz_overflow_stderr_is_the_error_line(self, tmp_path, capsys):
-        """Fields and energies near the float limit fail with one error line
-        and nothing from numpy ahead of it: no RankWarning from a polynomial
-        fit in the initial guess (tier-1 turns a RuntimeWarning into an error)."""
+        """Fields and energies near the float limit fail with one error line or
+        a non-converged report, and nothing from numpy ahead of it: the conic
+        start scales B and E before squaring them (tier-1 turns a
+        RuntimeWarning into an error)."""
         path = tmp_path / "lz.csv"
-        path.write_text("B_Gauss,E_Hz,branch\n1e300,1e300,1\n2e300,3e300,-1\n3e300,2e300,1\n"
-                        "4e300,5e300,-1\n5e300,4e300,1\n6e300,1e300,-1\n")
-        code, out, err = run_cli(capsys, "fit", "--model", "lz", "--input", str(path))
-        assert code in (3, 4)
-        assert "Traceback" not in err and "Warning" not in err
-        if code == 3:
-            assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
-        else:
-            assert err == "" and json.loads(out)["converged"] is False
+        for rows in ("1e300,1e300,1\n2e300,3e300,-1\n3e300,2e300,1\n"
+                     "4e300,5e300,-1\n5e300,4e300,1\n6e300,1e300,-1\n",
+                     # energies and fields whose differences leave the float range
+                     "1,1.7e308,1\n2,1.7e308,-1\n3,-1.7e308,1\n4,-1.7e308,-1\n5,1.7e308,1\n",
+                     "1.7e308,1,1\n1.7e308,2,-1\n-1.7e308,3,1\n1.7e308,4,-1\n5,5,1\n"):
+            path.write_text("B_Gauss,E_Hz,branch\n" + rows)
+            code, out, err = run_cli(capsys, "fit", "--model", "lz", "--input", str(path))
+            assert code in (3, 4)
+            assert "Traceback" not in err and "Warning" not in err
+            if code == 3:
+                assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
+            else:
+                assert err == "" and json.loads(out)["converged"] is False
 
     def test_linear_fit(self, tmp_path, capsys):
         path = tmp_path / "lin.csv"

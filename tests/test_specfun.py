@@ -17,6 +17,8 @@ J1_AT_1 = 0.44005058574493352
 class TestHalfInt:
     def test_coerce_forms(self):
         assert HalfInt.coerce(3).twice == 6
+        assert HalfInt.coerce(np.int64(3)) == HalfInt(6)
+        assert type(HalfInt.coerce(np.int64(3)).twice) is int
         assert HalfInt.coerce(3.5).twice == 7
         assert HalfInt.coerce("7/2").twice == 7
         assert HalfInt.coerce(HalfInt(5)).twice == 5

@@ -12,6 +12,7 @@ from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              fit_linear_shift, read_spectrum_csv, read_spectrum_json,
                              synthesize_field_scan, synthesize_spectrum, write_spectrum)
+from test_acceptance import _lz_synthetic
 
 TWO_PI = 2 * math.pi
 
@@ -484,6 +485,47 @@ class TestLandauZener:
             data = lz_branches()[:5]
         fit = fit_landau_zener(data)
         assert fit.condition_warning is not None
+
+    @pytest.mark.parametrize("data,v_hz", [
+        ([d for d in lz_branches() if d[2] > 0 and d[0] < 18.64], 25e3),
+        (lz_branches()[:5], 25e3),
+        (lz_branches()[21:26], 25e3),
+        ([d for d in lz_branches(v_hz=0.0) if d[2] > 0], None),
+        (lz_branches()[10::21] * 3, None),
+        (lz_branches(slope_i=-8e3), None),
+        (lz_branches(v_hz=0.0, slope_i=-8e3), None),
+    ], ids=["upper-left-of-crossing", "first-five", "five-lower", "v0-one-branch",
+            "one-field", "parallel-lines", "equal-lines"])
+    def test_degenerate_inputs(self, data, v_hz):
+        """Noiseless degenerate geometries are fitted exactly in a few
+        iterations, warn exactly where J^T J at the solution is
+        ill-conditioned, and single-branch data still determines the coupling."""
+        fit = fit_landau_zener(data)
+        assert fit.iterations <= 10
+        assert fit.residual_norm < 1e-6
+        b = np.array([d[0] for d in data]) - fit.b_center
+        params = [fit.e_i0, fit.slope_i, fit.e_j0, fit.slope_j, fit.v_ij]
+        _, jac = spectra._lz_model_and_jacobian(params, b, np.array([d[2] for d in data]))
+        assert (fit.condition_warning is not None) == (np.linalg.cond(jac.T @ jac) > 1e10)
+        if v_hz is not None:
+            assert fit.v_ij == pytest.approx(v_hz, rel=1e-6)
+
+    def test_non_finite_sample_is_a_domain_error(self, capfd):
+        for row in ((18.6, math.nan, 1), (math.inf, -182e3, -1)):
+            data = lz_branches()
+            data[7] = row
+            with pytest.raises(DomainError, match="sample 7 is not finite"):
+                fit_landau_zener(data)
+        assert capfd.readouterr().err == ""
+
+    def test_work_count(self, monkeypatch):
+        """About three LM iterations per fit on criterion 08's 100 seeds (the
+        branch-pairing start this conic replaced took 3.96)."""
+        iterations = TestFanoFit.lm_iterations(monkeypatch)
+        for seed in range(100):
+            fit_landau_zener(_lz_synthetic(seed))
+        assert len(iterations) == 100
+        assert np.mean(iterations) <= 3.5
 
 
 class TestSpectrumIO:
