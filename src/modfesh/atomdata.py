@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .keyvalue import Section, finite, format_keyvalue, load_keyvalue, write_text
+from .keyvalue import REQUIRED, Section, finite, format_keyvalue, load_keyvalue, write_text
 from .specfun import HalfInt
 
 __all__ = [
@@ -256,6 +256,12 @@ def crossing_field(state: MolecularState, registry) -> float:
 # File I/O: species and molecular-state registry files
 # ---------------------------------------------------------------------------
 
+# [species] keys: (AtomSpecies field, key, parser)
+_SPECIES_KEYS = (("name", "name", str), ("mass", "mass_kg", finite),
+                 ("nuclear_spin", "nuclear_spin", HalfInt.coerce),
+                 ("ground_F", "ground_F", int), ("ground_gF", "ground_gF", finite))
+
+
 def load_species(path) -> AtomSpecies:
     """Load a species file on top of the embedded cesium defaults.
 
@@ -264,55 +270,36 @@ def load_species(path) -> AtomSpecies:
     line F F' frequency_Hz reduced_dipole_Cm decay_rad_s
     (raw SI values so that save/load round trips are bit-exact).
     """
-    base = cesium()
-    sections = load_keyvalue(path)
-    updates = {}
-    transitions = {(t.line, t.F, t.F_prime): t for t in base.transitions}
-    for sec in sections:
-        if sec.name == "species":
-            if "name" in sec.values:
-                updates["name"] = sec.values["name"]
-            if "mass_kg" in sec.values:
-                updates["mass"] = sec.get_float("mass_kg")
-            if "nuclear_spin" in sec.values:
-                try:
-                    updates["nuclear_spin"] = HalfInt.coerce(sec.values["nuclear_spin"])
-                except DomainError:
-                    raise ConfigError(
-                        f"nuclear_spin: cannot parse {sec.values['nuclear_spin']!r}",
-                        path, sec.value_lines["nuclear_spin"]) from None
-            if "ground_F" in sec.values:
-                updates["ground_F"] = sec.get_int("ground_F")
-            if "ground_gF" in sec.values:
-                updates["ground_gF"] = sec.get_float("ground_gF")
-            for key in sec.values:
-                if key not in ("name", "mass_kg", "nuclear_spin", "ground_F", "ground_gF"):
-                    raise ConfigError(f"unknown key {key!r} in [species]",
-                                      path, sec.value_lines[key])
-        elif sec.name == "transitions":
-            for lineno, tokens in sec.rows:
-                if len(tokens) != 6:
-                    raise ConfigError(
-                        "transition row needs 6 columns: line F F' freq_Hz dipole_Cm decay_rad_s",
-                        path, lineno)
-                line_name = tokens[0]
-                try:
-                    f_lo = int(tokens[1])
-                    f_hi = int(tokens[2])
-                    freq, dip, gam = map(finite, tokens[3:])
-                except ValueError:
-                    raise ConfigError("cannot parse transition row numbers",
-                                      path, lineno) from None
-                j_prime = HalfInt(1) if line_name == "D1" else HalfInt(3)
-                try:
-                    transitions[(line_name, f_lo, f_hi)] = Transition(
-                        line_name, f_lo, f_hi, freq, dip, HalfInt(1), j_prime, gam)
-                except DomainError as exc:
-                    raise ConfigError(str(exc), path, lineno) from None
-        else:
-            raise ConfigError(f"unknown section [{sec.name}]", path, sec.line)
+    species = cesium()
+    sections = load_keyvalue(path, ("species", "transitions"))
+    for sec in sections["species"]:
+        species = replace(species, **{name: sec.get(key, parse, getattr(species, name))
+                                      for name, key, parse in _SPECIES_KEYS})
+        sec.done()
+    transitions = {(t.line, t.F, t.F_prime): t for t in species.transitions}
+    for sec in sections["transitions"]:
+        for lineno, tokens in sec.take_rows():
+            if len(tokens) != 6:
+                raise ConfigError(
+                    "transition row needs 6 columns: line F F' freq_Hz dipole_Cm decay_rad_s",
+                    path, lineno)
+            line_name = tokens[0]
+            try:
+                f_lo = int(tokens[1])
+                f_hi = int(tokens[2])
+                freq, dip, gam = map(finite, tokens[3:])
+            except ValueError:
+                raise ConfigError("cannot parse transition row numbers",
+                                  path, lineno) from None
+            j_prime = HalfInt(1) if line_name == "D1" else HalfInt(3)
+            try:
+                transitions[(line_name, f_lo, f_hi)] = Transition(
+                    line_name, f_lo, f_hi, freq, dip, HalfInt(1), j_prime, gam)
+            except DomainError as exc:
+                raise ConfigError(str(exc), path, lineno) from None
+        sec.done()
     ordered = tuple(sorted(transitions.values(), key=lambda t: (t.line, t.F, t.F_prime)))
-    return replace(base, transitions=ordered, **updates)
+    return replace(species, transitions=ordered)
 
 
 def save_species(species: AtomSpecies, path) -> None:
@@ -334,40 +321,28 @@ def save_species(species: AtomSpecies, path) -> None:
         "transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s")), path)
 
 
+def _window(text: str) -> tuple:
+    """'19 21' -> (19.0, 21.0); anything but two finite numbers is a ValueError."""
+    low, high = map(finite, text.split())
+    return low, high
+
+
 def load_state_registry(path) -> tuple:
     """Registry file: one [state <label>] section per molecular state."""
-    sections = load_keyvalue(path)
     states = []
-    for sec in sections:
-        if not sec.name.startswith("state"):
-            raise ConfigError(f"unknown section [{sec.name}] (expected [state <label>])",
-                              path, sec.line)
-        label = sec.name[len("state"):].strip()
-        if not label:
-            raise ConfigError("state section needs a label: [state 4g(4)]", path, sec.line)
-        e0 = sec.get_float("E0_Hz")
-        mu = sec.get_float("mu_rel_Hz_per_G")
-        b_ref = sec.get_float("B_ref_G")
-        window = DEFAULT_FIELD_WINDOW_G
-        if "window_G" in sec.values:
-            tokens = sec.values["window_G"].split()
-            if len(tokens) != 2:
-                raise ConfigError("window_G needs two values: low high",
-                                  path, sec.value_lines["window_G"])
-            try:
-                window = (finite(tokens[0]), finite(tokens[1]))
-            except ValueError:
-                raise ConfigError(f"window_G: cannot parse {sec.values['window_G']!r}",
-                                  path, sec.value_lines["window_G"]) from None
-        partner = None
-        if "crossing_partner" in sec.values:
-            v = sec.get_float("V_ij_Hz")
-            partner = (sec.values["crossing_partner"], v)
-        elif "V_ij_Hz" in sec.values:
-            raise ConfigError("V_ij_Hz given without crossing_partner",
-                              path, sec.value_lines["V_ij_Hz"])
+    for sec in load_keyvalue(path, ("state <label>",))["state"]:
+        if any(st.label == sec.label for st in states):
+            raise ConfigError(f"duplicate state label {sec.label!r}", path, sec.line)
+        e0 = sec.get("E0_Hz", finite, REQUIRED)
+        mu = sec.get("mu_rel_Hz_per_G", finite, REQUIRED)
+        b_ref = sec.get("B_ref_G", finite, REQUIRED)
+        window = sec.get("window_G", _window, DEFAULT_FIELD_WINDOW_G)
+        partner = sec.get("crossing_partner", str, None)
+        if partner is not None:
+            partner = (partner, sec.get("V_ij_Hz", finite, REQUIRED))
+        sec.done()
         try:
-            states.append(MolecularState(label, e0, mu, b_ref, window, partner))
+            states.append(MolecularState(sec.label, e0, mu, b_ref, window, partner))
         except DomainError as exc:
             raise ConfigError(str(exc), path, sec.line) from None
     for st in states:
@@ -379,7 +354,7 @@ def load_state_registry(path) -> tuple:
 def save_state_registry(states, path) -> None:
     sections = []
     for st in states:
-        sec = Section(f"state {st.label}", 0, values={
+        sec = Section("state", 0, label=st.label, values={
             "E0_Hz": repr(st.E0),
             "mu_rel_Hz_per_G": repr(st.mu_rel),
             "B_ref_G": repr(st.B_ref),

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import atomdata, floquet, lightshift, scattering, spectra
 from .errors import ConfigError, ConvergenceError, DomainError
-from .keyvalue import finite, load_keyvalue, write_text
+from .keyvalue import REQUIRED, finite, load_keyvalue, write_text
 
 SPECIES_ENV_VAR = "MODFESH_SPECIES"
 # cap on every count read from outside (grid and scan points, --m-max), checked
@@ -194,59 +194,48 @@ def cmd_dressed(args) -> int:
 
 def cmd_scan(args) -> int:
     path = args.config
-    sections = load_keyvalue(path)
-    scan_sec = None
-    res_secs = []
-    widths_sec = None
-    for sec in sections:
-        if sec.name == "scan":
-            scan_sec = sec
-        elif sec.name == "resonance":
-            res_secs.append(sec)
-        elif sec.name == "widths":
-            widths_sec = sec
-        else:
-            raise ConfigError(f"unknown section [{sec.name}]", path, sec.line)
-    if scan_sec is None:
-        raise ConfigError("missing [scan] section", path)
-
-    axis = scan_sec.values.get("axis", spectra.AXIS_FREQ)
-    seed = scan_sec.get_int("seed", None)
-    if args.seed is not None:
-        seed = args.seed
+    sections = load_keyvalue(path, ("scan", "resonance", "widths"))
+    if len(sections["scan"]) != 1:
+        raise ConfigError("a scan config needs exactly one [scan] section", path,
+                          sections["scan"][1].line if sections["scan"] else None)
+    scan_sec = sections["scan"][0]
+    axis = scan_sec.get("axis", str, spectra.AXIS_FREQ)
+    if axis not in (spectra.AXIS_FREQ, spectra.AXIS_FIELD):
+        raise ConfigError(f"unknown axis {axis!r}", path, scan_sec.line)
+    refused = "widths" if axis == spectra.AXIS_FREQ else "resonance"
+    if sections[refused]:
+        raise ConfigError(f"a {axis} scan takes no [{refused}] section", path,
+                          sections[refused][0].line)
+    seed = scan_sec.get("seed", int, None)
     common = dict(
-        hold_time=scan_sec.get_float("hold_time_ms", 5.0) * 1e-3,
-        density=scan_sec.get_float("density_cm3", 1e13),
-        noise_sigma=scan_sec.get_float("noise_sigma", 0.0),
-        seed=seed,
+        hold_time=scan_sec.get("hold_time_ms", finite, 5.0) * 1e-3,
+        density=scan_sec.get("density_cm3", finite, 1e13),
+        noise_sigma=scan_sec.get("noise_sigma", finite, 0.0),
+        seed=seed if args.seed is None else args.seed,
     )
-    metadata = {}
-    for key in ("field_G", "intensity_W_cm2"):
-        if key in scan_sec.values:
-            metadata[key] = scan_sec.get_float(key)
+    metadata = {key: scan_sec.get(key, finite, None) for key in ("field_G", "intensity_W_cm2")}
+    metadata = {key: value for key, value in metadata.items() if value is not None}
+    dc_shift = scan_sec.get("dc_shift_hz", finite, 0.0)
+    n = scan_sec.get("points", lambda text: _count(int(text), "points"), REQUIRED)
 
     if axis == spectra.AXIS_FREQ:
-        if not res_secs:
+        if not sections["resonance"]:
             raise ConfigError("frequency scan needs at least one [resonance] section", path)
-        start = scan_sec.get_float("start_hz")
-        stop = scan_sec.get_float("stop_hz")
-        n = _count(scan_sec.get_int("points"), "points", path, scan_sec.value_lines["points"])
-        dc_shift = scan_sec.get_float("dc_shift_hz", 0.0)
-        models = []
-        for sec in res_secs:
-            models.append(scattering.ResonanceModel(
-                a_bk=sec.get_float("a_bk"),
-                delta_m=2 * math.pi * sec.get_float("delta_m_hz"),
-                omega0=2 * math.pi * (sec.get_float("omega0_hz") + dc_shift),
-                m=sec.get_int("m")))
-        spec = spectra.synthesize_spectrum(models, np.linspace(start, stop, n),
-                                           metadata=metadata, **common)
-    elif axis == spectra.AXIS_FIELD:
-        if widths_sec is None or not widths_sec.rows:
-            raise ConfigError("field scan needs a [widths] section with '<|m|> <width_hz>' rows",
-                              path)
+        start = scan_sec.get("start_hz", finite, REQUIRED)
+        stop = scan_sec.get("stop_hz", finite, REQUIRED)
+        models = [scattering.ResonanceModel(
+            a_bk=sec.get("a_bk", finite, REQUIRED),
+            delta_m=2 * math.pi * sec.get("delta_m_hz", finite, REQUIRED),
+            omega0=2 * math.pi * (sec.get("omega0_hz", finite, REQUIRED) + dc_shift),
+            m=sec.get("m", int, REQUIRED)) for sec in sections["resonance"]]
+        synthesize = functools.partial(spectra.synthesize_spectrum, models)
+    else:
+        widths_secs = sections["widths"]
+        if len(widths_secs) != 1 or not widths_secs[0].rows:
+            raise ConfigError("field scan needs one [widths] section with '<|m|> <width_hz>' rows",
+                              path, widths_secs[-1].line if widths_secs else None)
         widths = {}
-        for lineno, tokens in widths_sec.rows:
+        for lineno, tokens in widths_secs[0].take_rows():
             if len(tokens) != 2:
                 raise ConfigError("width row must be '<|m|> <width_hz>'", path, lineno)
             try:
@@ -254,24 +243,20 @@ def cmd_scan(args) -> int:
             except ValueError:
                 raise ConfigError(f"cannot parse width row {' '.join(tokens)!r}",
                                   path, lineno) from None
-        registry = _load_registry(scan_sec.values.get("registry", "builtin"))
-        label = scan_sec.values.get("state")
-        if label is None:
-            raise ConfigError("field scan needs 'state = <label>'", path, scan_sec.line)
+        registry = _load_registry(scan_sec.get("registry", str, "builtin"))
+        label = scan_sec.get("state", str, REQUIRED)
         state = next((s for s in registry if s.label == label), None)
         if state is None:
             raise ConfigError(f"state {label!r} not in registry", path, scan_sec.line)
-        start = scan_sec.get_float("start_G")
-        stop = scan_sec.get_float("stop_G")
-        n = _count(scan_sec.get_int("points"), "points", path, scan_sec.value_lines["points"])
-        spec = spectra.synthesize_field_scan(
-            state, registry, scan_sec.get_float("f_mod_hz"),
-            np.linspace(start, stop, n), widths,
-            a_bk=scan_sec.get_float("a_bk", 200.0),
-            dc_shift_hz=scan_sec.get_float("dc_shift_hz", 0.0),
-            metadata=metadata, **common)
-    else:
-        raise ConfigError(f"unknown axis {axis!r}", path, scan_sec.line)
+        start = scan_sec.get("start_G", finite, REQUIRED)
+        stop = scan_sec.get("stop_G", finite, REQUIRED)
+        synthesize = functools.partial(
+            spectra.synthesize_field_scan, state, registry,
+            scan_sec.get("f_mod_hz", finite, REQUIRED), widths_hz=widths,
+            a_bk=scan_sec.get("a_bk", finite, 200.0), dc_shift_hz=dc_shift)
+    for sec in (scan_sec, *sections["resonance"], *sections["widths"]):
+        sec.done()
+    spec = synthesize(np.linspace(start, stop, n), metadata=metadata, **common)
 
     base = Path(args.out)
     spectra.write_spectrum(spec, base)

@@ -10,9 +10,11 @@ Shared by the species/registry data files and the CLI configuration files::
     [transitions]
     D1 3 3 335.12056284 2.6980e-29 4.5612   <- bare rows become table rows
 
-Sections repeat; order is preserved.  Values are raw strings; callers parse
-them with Section.get_float / Section.get_int (or finite / int for row tokens),
-so every number in every file is finite and every integer exact.
+Sections repeat; order is preserved.  load_keyvalue refuses a section name
+the reader does not list; Section.get parses a raw value (finite or int for
+numbers, so every number is finite and every integer exact), and
+Section.done() refuses a key that no get read or a bare row that the reader
+did not take: each a ConfigError naming the file and line.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["Section", "parse_keyvalue", "load_keyvalue", "format_keyvalue",
+__all__ = ["Section", "REQUIRED", "load_keyvalue", "format_keyvalue",
            "read_text", "write_text"]
 
-_REQUIRED = object()
+REQUIRED = object()   # Section.get default of a key the section must hold
 
 
 def finite(text: str) -> float:
@@ -45,59 +47,43 @@ class Section:
     value_lines: dict = field(default_factory=dict)  # key -> line number
     rows: list = field(default_factory=list)         # list of (line, [tokens])
     path: object = None                              # file the section came from
+    label: str = ""                                  # '4g(4)' of [state 4g(4)]
+    read: set = field(default_factory=set, init=False)    # keys asked for by get
+    rows_taken: bool = field(default=False, init=False)
 
-    def get_float(self, key: str, default=_REQUIRED) -> float:
-        """The finite number under key; default when the key is absent."""
-        return self._get(key, default, finite)
+    @property
+    def header(self) -> str:
+        return f"[{self.name} {self.label}]" if self.label else f"[{self.name}]"
 
-    def get_int(self, key: str, default=_REQUIRED) -> int:
-        """The integer under key, written as one ('3', not '3.0'); default when
-        the key is absent."""
-        return self._get(key, default, int)
-
-    def _get(self, key, default, parse):
+    def get(self, key: str, parse, default):
+        """parse(value) of key, or default when the key is absent (REQUIRED:
+        a ConfigError).  A ValueError from parse, DomainError and ConfigError
+        included, is a ConfigError at the key's line."""
+        self.read.add(key)
         if key not in self.values:
-            if default is _REQUIRED:
-                raise ConfigError(f"missing key {key!r} in [{self.name}]", self.path, self.line)
+            if default is REQUIRED:
+                raise ConfigError(f"missing key {key!r} in {self.header}", self.path, self.line)
             return default
         try:
             return parse(self.values[key])
-        except ValueError:
-            raise ConfigError(f"cannot parse {key!r} = {self.values[key]!r}",
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse {key!r} = {self.values[key]!r}: {exc}",
                               self.path, self.value_lines[key]) from None
 
+    def take_rows(self) -> list:
+        """The bare rows, (line, tokens) each, taken by the reader."""
+        self.rows_taken = True
+        return self.rows
 
-def parse_keyvalue(text: str, path=None) -> list[Section]:
-    sections: list[Section] = []
-    current: Section | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError("unterminated section header", path, lineno)
-            name = line[1:-1].strip()
-            if not name:
-                raise ConfigError("empty section name", path, lineno)
-            current = Section(name=name, line=lineno, path=path)
-            sections.append(current)
-            continue
-        if current is None:
-            raise ConfigError("content before any [section] header", path, lineno)
-        if "=" in line:
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key:
-                raise ConfigError("missing key before '='", path, lineno)
-            if key in current.values:
-                raise ConfigError(f"duplicate key {key!r} in [{current.name}]", path, lineno)
-            current.values[key] = value
-            current.value_lines[key] = lineno
-        else:
-            current.rows.append((lineno, line.split()))
-    return sections
+    def done(self) -> None:
+        """ConfigError at the first key, in file order, that no get read, or
+        at the first bare row when the reader did not take the rows."""
+        for key, line in self.value_lines.items():
+            if key not in self.read:
+                raise ConfigError(f"unknown key {key!r} in {self.header}", self.path, line)
+        if self.rows and not self.rows_taken:
+            raise ConfigError(f"{self.header} takes 'key = value' lines, not bare rows",
+                              self.path, self.rows[0][0])
 
 
 def read_text(path) -> str:
@@ -124,8 +110,42 @@ def write_text(text: str, path=None) -> None:
         raise ConfigError(f"cannot write file: {exc}", path) from None
 
 
-def load_keyvalue(path) -> list[Section]:
-    return parse_keyvalue(read_text(path), path=path)
+def load_keyvalue(path, names) -> dict:
+    """{name: [Section, ...]} of the file at path for each of names, in file
+    order.  A name written 'state <label>' takes headers [state <label>] with a
+    label, the others headers without one; any other header is a ConfigError
+    at its line."""
+    groups = {name.split()[0]: [] for name in names}
+    current: Section | None = None
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ConfigError("unterminated section header", path, lineno)
+            name, _, label = line[1:-1].strip().partition(" ")
+            if (f"{name} <label>" if label else name) not in names:
+                raise ConfigError(f"unknown section {line}; this file takes "
+                                  + ", ".join(f"[{n}]" for n in names), path, lineno)
+            current = Section(name, lineno, path=path, label=label.strip())
+            groups[name].append(current)
+            continue
+        if current is None:
+            raise ConfigError("content before any [section] header", path, lineno)
+        if "=" in line:
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not key:
+                raise ConfigError("missing key before '='", path, lineno)
+            if key in current.values:
+                raise ConfigError(f"duplicate key {key!r} in {current.header}", path, lineno)
+            current.values[key] = value
+            current.value_lines[key] = lineno
+        else:
+            current.rows.append((lineno, line.split()))
+    return groups
 
 
 def format_keyvalue(sections, header_comment: str = "") -> str:
@@ -136,7 +156,7 @@ def format_keyvalue(sections, header_comment: str = "") -> str:
             out.append(f"# {line}" if line else "#")
         out.append("")
     for sec in sections:
-        out.append(f"[{sec.name}]")
+        out.append(sec.header)
         for key, value in sec.values.items():
             out.append(f"{key} = {value}")
         for _lineno, tokens in sec.rows:

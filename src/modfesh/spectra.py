@@ -32,7 +32,7 @@ __all__ = [
     "find_peaks", "fit_fano", "fit_linear_shift", "fit_landau_zener",
     "assemble_energy_map",
     "write_spectrum", "read_spectrum_csv", "read_csv_rows",
-    "spectrum_from_json", "render", "render_json",
+    "render", "render_json",
     "read_spectrum_json", "write_energy_map_csv",
 ]
 
@@ -672,7 +672,7 @@ def read_csv_rows(path) -> list:
             if line and line[0] != "#"]
 
 
-def read_spectrum_csv(path, metadata: dict | None = None) -> Spectrum:
+def read_spectrum_csv(path) -> Spectrum:
     rows = read_csv_rows(path)
     if not rows:
         raise ConfigError("missing header row", path)
@@ -695,35 +695,32 @@ def read_spectrum_csv(path, metadata: dict | None = None) -> Spectrum:
         except ValueError:
             raise ConfigError("cannot parse numeric fields", path, lineno) from None
     try:
-        return Spectrum(axis, np.array(xs), np.array(ys), np.array(ss),
-                        dict(metadata) if metadata else {})
+        return Spectrum(axis, np.array(xs), np.array(ys), np.array(ss))
     except DomainError as exc:
         raise ConfigError(str(exc), path) from None
-
-
-def spectrum_from_json(payload: dict) -> Spectrum:
-    try:
-        pts = payload["points"]
-        axis = payload["axis"]
-        metadata = dict(payload.get("metadata", {}))
-    except (KeyError, TypeError, ValueError):
-        raise ConfigError("JSON spectrum needs 'axis', 'points' and object 'metadata'") from None
-    try:
-        arr = np.asarray(pts, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError("'points' must hold numbers") from None
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]")
-    return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
 
 
 def read_spectrum_json(path) -> Spectrum:
     text = read_text(path)
     try:
-        return spectrum_from_json(json.loads(text))
+        payload = json.loads(text)
+        pts = payload["points"]
+        axis = payload["axis"]
+        metadata = dict(payload.get("metadata", {}))
     except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
         raise ConfigError(f"invalid JSON: {exc}", path) from None
-    except (ConfigError, DomainError) as exc:
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError("JSON spectrum needs 'axis', 'points' and object 'metadata'",
+                          path) from None
+    try:
+        arr = np.asarray(pts, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("'points' must hold numbers", path) from None
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]", path)
+    try:
+        return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
+    except DomainError as exc:
         raise ConfigError(str(exc), path) from None
 
 

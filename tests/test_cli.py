@@ -356,6 +356,17 @@ class TestScan:
         peaks = find_peaks(spec, 0.05, 0.05)
         assert len(peaks) >= 3    # first orders both sides + second orders
 
+    def test_readme_example(self, tmp_path, capsys):
+        """The README's scan configuration example runs, so a documented key
+        that no reader takes fails here."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Scan configuration"):]
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+        code, _, err = run_cli(capsys, "scan", "--config", str(cfg),
+                               "--out", str(tmp_path / "run1"))
+        assert code == 0, err
+
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scan]\nstart_hz = sixty\n")
@@ -627,6 +638,8 @@ delta_m_hz = 3e3
 omega0_hz = 228.7e3
 m = 1.7
 """
+FREQ_CONFIG = FREQ_SCAN_CONFIG.replace("m = 1.7", "m = 1")   # a valid frequency scan
+SCAN_FREQ = ("scan", "--config", "{tmp}/freq.cfg", "--out", "{tmp}/x")
 REGISTRY = """\
 [state 4g(4)]
 E0_Hz = -182e3
@@ -654,9 +667,9 @@ def _not_called(*args, **kwargs):
 
 
 class TestUsageErrorsExitTwo:
-    """Non-finite numbers, malformed scan-config values and counts over
-    MAX_COUNT exit 2 without a traceback; a config error names the file and
-    line."""
+    """Non-finite numbers, malformed scan-config values, counts over
+    MAX_COUNT and any key, section or bare row that no reader takes exit 2
+    without a traceback; a config error names the file and line."""
 
     @pytest.mark.parametrize("argv,edit,line", [
         (("fictitious-field", "--intensity", "0.87", "--detuning", "nan", "--pol",
@@ -682,6 +695,11 @@ class TestUsageErrorsExitTwo:
         (("resonances", "--omega-b-hz", "228.7e3", "--m-max", OVER_CAP), None, None),
         (None, ("points = 90", f"points = {OVER_CAP}"), 7),
         (None, ("points = 90", "points = -1"), 7),
+        (None, ("seed = 3", "seeed = 3"), 8),
+        (None, ("seed = 3", "seed 3"), 8),
+        (None, ("[widths]", "[width]"), 9),
+        (None, ("1 3e3", "1 3e3\nwidth = 3"), 11),
+        (None, ("[widths]", "[resonance]\na_bk = 200\n[widths]"), 9),
         (("scan", "--config", "c.cfg", "--out", "o5", "--output", "ignored.txt",
           "--format", "json", "--species", "nothere.species"), None, None),
         (("fit", "--model", "linear", "--input", "lin.csv", "--format", "csv"), None, None),
@@ -750,19 +768,40 @@ class TestUsageErrorsExitTwo:
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"scans/scan.json": "[" * 100_000 + "]" * 100_000},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"freq.cfg": FREQ_CONFIG.replace("points = 90", "points = 90\nnoise_sigm = 0.01")},
+         SCAN_FREQ, "freq.cfg: line 5"),
+        ({"freq.cfg": FREQ_CONFIG + FREQ_CONFIG[:FREQ_CONFIG.index("[resonance]")]},
+         SCAN_FREQ, "freq.cfg: line 10"),
+        ({"freq.cfg": FREQ_CONFIG + "[widths]\n1 3e3\n"}, SCAN_FREQ, "freq.cfg: line 10"),
+        ({"cs.species": "[species]\nmas_kg = 1e-25\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
+        ({"cs.species": "[transitions]\nline = D2\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9",
+          "states.cfg": REGISTRY.replace("window_G = a b", "windw_G = 19 20")},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 5"),
+        ({"states.cfg": 2 * REGISTRY.replace("a b", "19 21"),
+          "field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "registry = {tmp}/states.cfg")},
+         ("scan", "--config", "{tmp}/field.cfg", "--out", "{tmp}/x"), "states.cfg: line 6"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
             "registry-window_G-nan", "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
-            "json-deep-nesting"])
+            "json-deep-nesting", "scan-noise_sigm", "scan-second-scan", "freq-scan-widths",
+            "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_text(text.replace("{tmp}", str(tmp_path)))
+        before = sorted(tmp_path.rglob("*"))
         code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert code == 2
         assert out == "" and "Traceback" not in err
         assert f"{tmp_path}/{where}:" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestNonFiniteOutputExitsThree:
@@ -844,7 +883,7 @@ class TestFileBoundary:
                                            for k in kinds],
                              ids=lambda v: v)
     def test_exit_two(self, tmp_path, capsys, case, kind):
-        (tmp_path / "freq.cfg").write_text(FREQ_SCAN_CONFIG.replace("m = 1.7", "m = 1"))
+        (tmp_path / "freq.cfg").write_text(FREQ_CONFIG)
         (tmp_path / "lin.csv").write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n"
                                           "1.2,226.3e3\n")
         (tmp_path / "scans").mkdir()
