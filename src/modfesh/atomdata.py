@@ -265,18 +265,23 @@ _SPECIES_KEYS = (("name", "name", str), ("mass", "mass_kg", finite),
 def load_species(path) -> AtomSpecies:
     """Load a species file on top of the embedded cesium defaults.
 
-    [species] keys override scalar fields; [transitions] rows replace the
-    matching (line, F, F') entry or append a new one.  Row columns:
+    The one [species] section's keys override scalar fields; [transitions]
+    rows replace the matching (line, F, F') entry or append a new one, each
+    (line, F, F') once; a repeat of either is a ConfigError.  Row columns:
     line F F' frequency_Hz reduced_dipole_Cm decay_rad_s
     (raw SI values so that save/load round trips are bit-exact).
     """
     species = cesium()
     sections = load_keyvalue(path, ("species", "transitions"))
+    if len(sections["species"]) > 1:
+        raise ConfigError("a species file holds one [species] section", path,
+                          sections["species"][1].line)
     for sec in sections["species"]:
         species = replace(species, **{name: sec.get(key, parse, getattr(species, name))
                                       for name, key, parse in _SPECIES_KEYS})
         sec.done()
     transitions = {(t.line, t.F, t.F_prime): t for t in species.transitions}
+    in_file = set()
     for sec in sections["transitions"]:
         for lineno, tokens in sec.take_rows():
             if len(tokens) != 6:
@@ -291,9 +296,13 @@ def load_species(path) -> AtomSpecies:
             except ValueError:
                 raise ConfigError("cannot parse transition row numbers",
                                   path, lineno) from None
+            key = (line_name, f_lo, f_hi)
+            if key in in_file:
+                raise ConfigError(f"repeated transition {' '.join(tokens[:3])}", path, lineno)
+            in_file.add(key)
             j_prime = HalfInt(1) if line_name == "D1" else HalfInt(3)
             try:
-                transitions[(line_name, f_lo, f_hi)] = Transition(
+                transitions[key] = Transition(
                     line_name, f_lo, f_hi, freq, dip, HalfInt(1), j_prime, gam)
             except DomainError as exc:
                 raise ConfigError(str(exc), path, lineno) from None

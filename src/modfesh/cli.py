@@ -289,15 +289,25 @@ def _read_plain_csv(path, n_cols_min):
     return numeric
 
 
+def _report(fit, params: dict, **extra) -> dict:
+    """The report of a LeastSquaresFit whose params are in covariance order;
+    README "Command line" lists its keys."""
+    return {"params": params,
+            "stderr": {name: math.sqrt(v) if 0.0 <= v < math.inf else None
+                       for name, v in zip(params, np.diag(fit.covariance).tolist())},
+            "covariance": fit.covariance.tolist(),
+            "condition": fit.condition if math.isfinite(fit.condition) else None,
+            "residual_norm": fit.residual_norm, "dof": fit.dof, **extra}
+
+
 def _fit(args) -> dict:
     """The report of --model fitted to --input; ConvergenceError if it fails."""
     if args.model == "fano":
         spec = spectra.read_spectrum_csv(args.input)
         fit = spectra.fit_fano(spec, window=_parse_window(args.window) if args.window else None)
-        return {"params": {"center": fit.center, "width": fit.width, "q": fit.q,
-                           "amplitude": fit.amplitude, "offset": fit.offset},
-                "center_stderr": fit.center_stderr, "covariance": fit.covariance.tolist(),
-                "residual_norm": fit.residual_norm, "iterations": fit.iterations}
+        return _report(fit, {"center": fit.center, "width": fit.width, "q": fit.q,
+                             "amplitude": fit.amplitude, "offset": fit.offset},
+                       iterations=fit.iterations)
     if args.model == "lz":
         data = []
         for lineno, r in _read_plain_csv(args.input, 3):
@@ -305,19 +315,16 @@ def _fit(args) -> dict:
                 raise ConfigError(f"branch must be 1 or -1, got {r[2]!r}", args.input, lineno)
             data.append((r[0], r[1], int(r[2])))
         fit = spectra.fit_landau_zener(data)
-        return {"params": {"v_ij_hz": fit.v_ij, "e_i0_hz": fit.e_i0,
-                           "slope_i_hz_per_G": fit.slope_i, "e_j0_hz": fit.e_j0,
-                           "slope_j_hz_per_G": fit.slope_j, "b_center_G": fit.b_center},
-                "covariance": fit.covariance.tolist(), "residual_norm": fit.residual_norm,
-                "iterations": fit.iterations, "condition_warning": fit.condition_warning}
+        return _report(fit, {"e_i0_hz": fit.e_i0, "slope_i_hz_per_G": fit.slope_i,
+                             "e_j0_hz": fit.e_j0, "slope_j_hz_per_G": fit.slope_j,
+                             "v_ij_hz": fit.v_ij},
+                       iterations=fit.iterations, b_center_G=fit.b_center)
     # linear shift compensation
     rows = [r for _, r in _read_plain_csv(args.input, 2)]
     sigma = [r[2] for r in rows] if all(len(r) >= 3 for r in rows) else None
     fit = spectra.fit_linear_shift([(r[0], r[1]) for r in rows], sigma)
-    return {"params": {"zero_intensity_center_hz": fit.intercept,
-                       "slope_hz_per_intensity": fit.slope},
-            "stderr": {"intercept": fit.intercept_stderr, "slope": fit.slope_stderr},
-            "residual_norm": fit.residual_norm}
+    return _report(fit, {"zero_intensity_center_hz": fit.intercept,
+                         "slope_hz_per_intensity": fit.slope})
 
 
 def cmd_fit(args) -> int:
@@ -352,15 +359,15 @@ def cmd_energy_map(args) -> int:
     points = spectra.assemble_energy_map(
         scans, _load_registry(args.registry), min_depth=args.min_depth,
         min_separation_hz=args.min_separation_hz)
-    header = ["B_Gauss", "omega_res_Hz", "order_m", "state", "bound", "flagged", "sigma_Hz"]
-    columns = list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound),
-                          int(p.flagged), p.sigma) for p in points]))
+    header = ["B_Gauss", "omega_res_Hz", "order_m", "state", "bound", "sigma_Hz", "flagged",
+              "note"]
+    columns = list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound), p.sigma,
+                          int(p.flagged), p.note.replace(",", ";")) for p in points]))
     _check_finite(header, columns)
+    write_text(spectra.render("csv" if args.output else args.format, header, columns),
+               args.output)
     if args.output:
-        spectra.write_energy_map_csv(points, args.output)
         sys.stdout.write(f"wrote {args.output} ({len(points)} points)\n")
-    else:
-        write_text(spectra.render(args.format, header[:-1], columns[:-1]))   # no sigma_Hz
     n_flagged = sum(p.flagged for p in points)
     if n_flagged:
         sys.stderr.write(f"{n_flagged} ambiguous association(s) flagged\n")
@@ -463,10 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("energy-map", parents=[table],
-                       help="assemble the binding-energy map from processed scans",
-                       epilog="--output always writes the 8-column CSV (B_Gauss, omega_res_Hz, "
-                              "order_m, state, bound, sigma_Hz, flagged, note), whatever "
-                              "--format says; --format applies to stdout only")
+                       help="assemble the binding-energy map from processed scans")
     p.add_argument("--scan-dir", required=True,
                    help="directory of spectrum JSON files with field_G/intensity metadata")
     p.add_argument("--registry", default="builtin",

@@ -26,7 +26,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["LMResult", "levenberg_marquardt", "LinearFit", "weighted_linear_fit"]
+__all__ = ["LMResult", "levenberg_marquardt", "LeastSquaresFit", "LinearFit",
+           "weighted_linear_fit"]
 
 LM_MAX_ITER = 200  # iteration budget of every production fit
 
@@ -38,13 +39,20 @@ COST_RTOL = 1e-10
 
 
 @dataclass
-class LMResult:
+class LeastSquaresFit:
+    """What every fit reports besides its parameter values."""
+
+    covariance: np.ndarray    # in the order of the fitted parameters
+    residual_norm: float      # ||r|| at the solution, weighted when sigmas are given
+    dof: int                  # points - fitted parameters
+    condition: float          # cond(J^T J), or cond(X^T W X) of a linear fit
+
+
+@dataclass
+class LMResult(LeastSquaresFit):
     params: np.ndarray
-    covariance: np.ndarray
-    residual_norm: float      # ||r|| at the solution
     iterations: int
     gradient_norm: float      # scale-invariant gradient measure at exit
-    condition: float          # cond(J^T J) at the solution
 
 
 def _covariance(jtj, residual_norm, n_points, n_params):
@@ -106,7 +114,7 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
     def result(iteration):
         norm = math.sqrt(2.0 * cost)
         cov, cond = _covariance(jtj, norm, n_points, p.size)
-        return LMResult(p, cov, norm, iteration, grad_measure, cond)
+        return LMResult(cov, norm, n_points - p.size, cond, p, iteration, grad_measure)
 
     jac, jtj, grad, grad_measure = derivatives(p, r)
     secant = np.zeros((p.size, p.size))
@@ -153,31 +161,32 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
 
 
 @dataclass
-class LinearFit:
+class LinearFit(LeastSquaresFit):
     intercept: float
     slope: float
     intercept_stderr: float
     slope_stderr: float
-    covariance: np.ndarray
-    residual_norm: float
 
 
 def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
     """Closed-form (weighted) ordinary least squares y = intercept + slope x.
 
     Standard errors come from the residual variance: cov = (X^T W X)^-1 chi2_red.
-    With n == 2 points the fit is exact and the errors are zero.
+    With n == 2 points the fit is exact and the errors are zero.  A NaN or
+    infinite x, y or sigma is a DomainError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise DomainError("need at least two (x, y) points")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("x and y must be finite")
     if np.all(x == x[0]):
         raise DomainError("all abscissas equal: rank-deficient linear fit")
     if sigma is not None:
         sigma = np.asarray(sigma, dtype=float)
-        if np.any(sigma <= 0):
-            raise DomainError("sigmas must be positive")
+        if not np.all((sigma > 0) & np.isfinite(sigma)):
+            raise DomainError("sigmas must be positive and finite")
         w = 1.0 / sigma ** 2
     else:
         w = np.ones_like(x)
@@ -195,6 +204,8 @@ def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
     chi2_red = chi2 / dof if dof > 0 else 0.0
     cov = cov_unscaled * chi2_red
     err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    condition = float(np.linalg.cond(normal)) if np.isfinite(normal).all() else math.inf
     return LinearFit(intercept=float(beta[0]), slope=float(beta[1]),
                      intercept_stderr=float(err[0]), slope_stderr=float(err[1]),
-                     covariance=cov, residual_norm=math.sqrt(chi2))
+                     covariance=cov, residual_norm=math.sqrt(chi2), dof=dof,
+                     condition=condition)

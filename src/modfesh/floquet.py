@@ -75,8 +75,8 @@ def resonance_frequencies(omega_b: float, m_max: int) -> list:
     continuum states (omega_b < 0) at positive m; magnitudes are the
     fundamental |omega_b| and its integer subharmonics |omega_b|/|m|.
     """
-    if omega_b == 0:
-        raise DomainError("omega_b must be non-zero")
+    if omega_b == 0 or math.isnan(omega_b):
+        raise DomainError("omega_b must be non-zero and not NaN")
     if m_max < 1:
         raise DomainError("m_max must be at least 1")
     sign = -1 if omega_b > 0 else 1

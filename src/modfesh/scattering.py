@@ -58,6 +58,9 @@ class ResonanceModel:
             raise DomainError("drive order m must be non-zero")
         if self.a_bk == 0:
             raise DomainError("background scattering length must be non-zero")
+        if not (math.isfinite(self.a_bk) and math.isfinite(self.delta_m)
+                and np.isfinite(self.omega0).all()):
+            raise DomainError("a_bk, delta_m and omega0 must be finite")
 
 
 def scattering_length(model: ResonanceModel, omega):
@@ -248,8 +251,8 @@ def loss_rate_proxy(alpha, beta, density: float,
     1/cap_wavenumber (default on; pass None to disable).  Coefficients are
     model inputs; the defaults are cesium-scale magnitudes, not fitted values.
     """
-    if density <= 0:
-        raise DomainError("density must be positive")
+    if not 0.0 < density < math.inf:
+        raise DomainError("density must be positive and finite")
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):

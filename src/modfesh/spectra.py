@@ -20,7 +20,8 @@ import numpy as np
 
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fitting import LinearFit, _covariance, levenberg_marquardt, weighted_linear_fit
+from .fitting import (LeastSquaresFit, LinearFit, _covariance, levenberg_marquardt,
+                      weighted_linear_fit)
 from .keyvalue import read_text, write_text
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          equivalent_resonance_model, loss_rate_proxy)
@@ -33,7 +34,7 @@ __all__ = [
     "assemble_energy_map",
     "write_spectrum", "read_spectrum_csv", "read_csv_rows",
     "render", "render_json",
-    "read_spectrum_json", "write_energy_map_csv",
+    "read_spectrum_json",
 ]
 
 AXIS_FREQ = "modulation_freq_Hz"
@@ -193,11 +194,9 @@ def find_peaks(spec: Spectrum, min_depth: float, min_separation: float) -> list:
     if len(spec) == 0:
         raise DomainError("empty spectrum")
     x, y = spec.x, spec.y
-    candidates = []
-    for i in range(1, len(x) - 1):
-        if y[i] < y[i - 1] and y[i] <= y[i + 1] and y[i] <= 1.0 - min_depth:
-            candidates.append((float(y[i]), float(x[i])))
-    candidates.sort(key=lambda c: (c[0], c[1]))
+    inner = y[1:-1]
+    dip = np.flatnonzero((inner < y[:-2]) & (inner <= y[2:]) & (inner <= 1.0 - min_depth)) + 1
+    candidates = sorted(zip(y[dip].tolist(), x[dip].tolist()))
     kept = []
     for depth_y, xc in candidates:
         if all(abs(xc - xk) >= min_separation for xk in kept):
@@ -224,7 +223,7 @@ def fano_profile(x, center, width, q, amplitude, offset):
 
 
 @dataclass
-class FanoFit:
+class FanoFit(LeastSquaresFit):
     """Fano fit; covariance is 5 x 5 in (center, width, q, amplitude, offset)
     order.  A symmetric (Lorentzian) dip, q = +-inf, is reported with the
     finite q = Q_SYMMETRIC (~9.0e15), which gives the same curve to rounding."""
@@ -234,9 +233,7 @@ class FanoFit:
     q: float
     amplitude: float
     offset: float
-    covariance: np.ndarray
-    residual_norm: float = 0.0
-    iterations: int = 0
+    iterations: int
 
     @property
     def center_stderr(self) -> float:
@@ -323,9 +320,10 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     c, w = float(result.params[0]), abs(float(result.params[1]))
     a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
     jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
-    cov, _ = _covariance(jac.T @ jac, result.residual_norm, x.size, 5)
+    cov, cond = _covariance(jac.T @ jac, result.residual_norm, x.size, 5)
     return FanoFit(center=c, width=w, q=q, amplitude=a, offset=off, covariance=cov,
-                   residual_norm=result.residual_norm, iterations=result.iterations)
+                   residual_norm=result.residual_norm, iterations=result.iterations,
+                   dof=x.size - 5, condition=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +353,10 @@ def fit_linear_shift(points, sigma=None) -> LinearFit:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LandauZenerFit:
+class LandauZenerFit(LeastSquaresFit):
     """Avoided-crossing fit E+- = [Ei + Ej +- sqrt((Ei-Ej)^2 + V^2)]/2 with
-    Ei, Ej linear in B around b_center."""
+    Ei, Ej linear in B around b_center; covariance in (e_i0, slope_i, e_j0,
+    slope_j, V) order."""
 
     v_ij: float            # Hz, coupling (gap = v_ij at the crossing)
     e_i0: float            # Hz, line i at b_center
@@ -365,10 +364,7 @@ class LandauZenerFit:
     e_j0: float            # Hz, line j at b_center
     slope_j: float         # Hz/G
     b_center: float        # G
-    covariance: np.ndarray
-    residual_norm: float
     iterations: int
-    condition_warning: str | None = None
 
     def branch(self, B, sign: int):
         b = np.asarray(B, dtype=float) - self.b_center
@@ -424,7 +420,7 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
     upper and -1 for the lower branch.  Returns |V_ij| with the two bare lines
     (referenced to the mean field for conditioning).  Non-finite samples raise
     DomainError and non-convergence ConvergenceError; single-branch data that
-    does not span the crossing converges with an ill-conditioned warning."""
+    does not span the crossing converges with a condition above 1e10."""
     data = list(branch_data)
     if len(data) < 5:
         raise DomainError("need at least 5 samples to constrain 5 parameters")
@@ -453,16 +449,11 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
 
     result = levenberg_marquardt(residual, _lz_initial_guess(b, e), jacobian)
     e_i0, s_i, e_j0, s_j, v = result.params
-    warning = None
-    if result.condition > 1e10:
-        warning = ("ill-conditioned fit (condition number "
-                   f"{result.condition:.2e}); single-branch data may not span the crossing")
     return LandauZenerFit(v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
-                          covariance=result.covariance,
-                          residual_norm=result.residual_norm,
-                          iterations=result.iterations,
-                          condition_warning=warning)
+                          covariance=result.covariance, residual_norm=result.residual_norm,
+                          dof=result.dof, condition=result.condition,
+                          iterations=result.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +590,6 @@ def _associate_peak(b_field, f0, f0_err, registry, note) -> EnergyMapPoint:
 # ---------------------------------------------------------------------------
 
 _CSV_HEADER = "axis,value,relative_atoms,sigma"
-_MAP_HEADER = "B_Gauss,omega_res_Hz,order_m,state,bound,sigma_Hz,flagged,note"
 _ROWS = "\x00"   # stands for the row list in the JSON text until it is spliced in
 
 
@@ -722,9 +712,3 @@ def read_spectrum_json(path) -> Spectrum:
         return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
     except DomainError as exc:
         raise ConfigError(str(exc), path) from None
-
-
-def write_energy_map_csv(points, path) -> None:
-    rows = [(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound), p.sigma,
-             int(p.flagged), p.note.replace(",", ";")) for p in points]
-    write_text(render("csv", _MAP_HEADER.split(","), list(zip(*rows))), path)

@@ -786,12 +786,20 @@ class TestUsageErrorsExitTwo:
         ({"states.cfg": 2 * REGISTRY.replace("a b", "19 21"),
           "field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "registry = {tmp}/states.cfg")},
          ("scan", "--config", "{tmp}/field.cfg", "--out", "{tmp}/x"), "states.cfg: line 6"),
+        ({"cs.species": "[species]\nground_gF = 1\n[species]\nground_gF = 2\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 3"),
+        ({"cs.species": "[transitions]\nD2 3 4 351.7e12 2.0e-29 3.3e7\n"
+                        "D2 3 4 351.8e12 2.0e-29 3.3e7\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 3"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
             "registry-window_G-nan", "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
             "json-deep-nesting", "scan-noise_sigm", "scan-second-scan", "freq-scan-widths",
-            "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label"])
+            "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label",
+            "species-second-section", "transitions-repeated-row"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

@@ -12,16 +12,19 @@ Regenerate after a deliberate output change (and say so in CHANGES.md):
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_species, \
     save_state_registry
 from modfesh.cli import run
+from modfesh.spectra import read_csv_rows, read_spectrum_csv
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
@@ -275,6 +278,78 @@ def test_every_verb_has_a_golden():
     verbs = build_parser()._subparsers._group_actions[0].choices
     assert {v for v in verbs if not any(c.startswith(v + "-") or c == v for c in CASES)} \
         == set()
+
+
+def test_energy_map_stdout_is_the_map_file(tmp_path, capsys):
+    """One column list: `energy-map --format csv` prints what `--output` writes."""
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    printed = run_case("energy-map-csv", tmp_path / "a", capsys)["energy-map-csv.stdout"]
+    run_case("energy-map-csv", tmp_path / "b", capsys, ("--output", "{tmp}/map.csv"))
+    assert printed == (tmp_path / "b" / "map.csv").read_text(encoding="utf-8")
+
+
+# the keys of every fit report, and those one model adds
+REPORT_KEYS = {"model", "converged", "schema_version", "params", "stderr", "covariance",
+               "condition", "residual_norm", "dof"}
+MODEL_KEYS = {"fano": {"iterations"}, "lz": {"iterations", "b_center_G"}, "linear": set()}
+# each model's parameters in covariance order
+PARAMS = {"fano": ["center", "width", "q", "amplitude", "offset"],
+          "lz": ["e_i0_hz", "slope_i_hz_per_G", "e_j0_hz", "slope_j_hz_per_G", "v_ij_hz"],
+          "linear": ["zero_intensity_center_hz", "slope_hz_per_intensity"]}
+
+
+def _fit_report(model: str, tmp: Path, capsys):
+    """The report of the fit-<model> case and the number of points it fitted."""
+    name = f"fit-{model}"
+    report = json.loads(run_case(name, tmp, capsys)[f"{name}.stdout"])
+    argv = [a.replace("{tmp}", str(tmp)) for a in CASES[name][0]]
+    path = argv[argv.index("--input") + 1]
+    if model == "fano":
+        lo, hi = map(float, argv[argv.index("--window") + 1].split(":"))
+        x = read_spectrum_csv(path).x
+        return report, int(np.count_nonzero((x >= lo) & (x <= hi)))
+    return report, len(read_csv_rows(path)) - 1     # less the header row
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_KEYS))
+def test_one_fit_report(model, tmp_path, capsys):
+    """Every model writes the same keys (b_center_G and the LM iteration
+    count apart), dof = points - fitted parameters, and a stderr that is null
+    exactly where its variance is negative or not finite."""
+    report, n = _fit_report(model, tmp_path, capsys)
+    assert set(report) == REPORT_KEYS | MODEL_KEYS[model]
+    assert set(report["params"]) == set(report["stderr"]) == set(PARAMS[model])
+    assert report["dof"] == n - len(PARAMS[model])
+    for i, name in enumerate(PARAMS[model]):
+        variance = report["covariance"][i][i]
+        if 0.0 <= variance < math.inf:
+            assert report["stderr"][name] == math.sqrt(variance)
+        else:
+            assert report["stderr"][name] is None
+
+
+def test_readme_lists_the_outputs(tmp_path, capsys):
+    """README's "Command line" lists the energy-map columns and, per model,
+    the fit-report keys and covariance order that the code writes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    columns = re.search(r"Every `energy-map` output has the same 8 columns: `([^`]+)`",
+                        readme).group(1)
+    printed = run_case("energy-map-csv", tmp_path, capsys)["energy-map-csv.stdout"]
+    assert " ".join(columns.split()).split(", ") == printed.splitlines()[1].split(",")
+
+    keys = readme.split("Every model of `fit` writes one report shape.", 1)[1]
+    items = keys.split("\n\n", 2)[1].split("\n- ")
+    for model in MODEL_KEYS:
+        listed = set()
+        for item in items:
+            head = item.split(":", 1)[0]
+            only = re.search(r"\(([a-z, ]+)\)", head)
+            if only is None or model in only.group(1).split(", "):
+                listed.update(re.findall(r"`(\w+)`", head))
+        assert listed == REPORT_KEYS | MODEL_KEYS[model], model
+        order = re.search(rf"\n  - {model}: `([^`]+)`", readme).group(1)
+        assert order.split(", ") == PARAMS[model], model
 
 
 def _regenerate():
