@@ -307,7 +307,7 @@ def _fit(args) -> dict:
         fit = spectra.fit_fano(spec, window=_parse_window(args.window) if args.window else None)
         return _report(fit, {"center": fit.center, "width": fit.width, "q": fit.q,
                              "amplitude": fit.amplitude, "offset": fit.offset},
-                       iterations=fit.iterations)
+                       iterations=fit.iterations, stop=fit.stop)
     if args.model == "lz":
         data = []
         for lineno, r in _read_plain_csv(args.input, 3):
@@ -318,7 +318,7 @@ def _fit(args) -> dict:
         return _report(fit, {"e_i0_hz": fit.e_i0, "slope_i_hz_per_G": fit.slope_i,
                              "e_j0_hz": fit.e_j0, "slope_j_hz_per_G": fit.slope_j,
                              "v_ij_hz": fit.v_ij},
-                       iterations=fit.iterations, b_center_G=fit.b_center)
+                       iterations=fit.iterations, stop=fit.stop, b_center_G=fit.b_center)
     # linear shift compensation
     rows = [r for _, r in _read_plain_csv(args.input, 2)]
     sigma = [r[2] for r in rows] if all(len(r) >= 3 for r in rows) else None

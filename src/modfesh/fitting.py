@@ -10,11 +10,14 @@ problem of a variable-projection fit (Golub & Pereyra 2003, Inverse Problems
 19, R1).  S starts at zero, so a zero-residual problem is plain LM; where the
 residual is large, Gauss-Newton alone converges only linearly.
 
-Convergence is declared on a scale-invariant gradient test,
-max_i |g_i| max(|p_i|, 1) <= GRAD_TOL * max(1, cost), on a machine-precision
-step stall or on a step lowering the cost by at most COST_RTOL of it;
-running out of iterations, or a Jacobian (or J^T J) with a NaN or inf
-entry, raises ConvergenceError carrying the last iterate.
+A fit converges on one of two tests, which the result names as its stop.
+"decrease": the undamped Gauss-Newton step predicts a cost drop of at most
+COST_RTOL of the cost, 0.5 g^T (J^T J)^-1 g <= COST_RTOL cost with g = J^T r,
+tested before each step (MINUIT's EDM, James & Roos 1975; MINPACK's ftol).
+"precision": no damped step above working precision, max_i |s_i| / max(|p_i|, 1)
+>= 1e-14, lowers the cost; tested on every trial step.  Running out of
+iterations, a non-finite Jacobian (or J^T J) or an overflowing damping raises
+ConvergenceError carrying the last iterate.
 """
 
 from __future__ import annotations
@@ -29,13 +32,9 @@ from .errors import ConvergenceError, DomainError
 __all__ = ["LMResult", "levenberg_marquardt", "LeastSquaresFit", "LinearFit",
            "weighted_linear_fit"]
 
-LM_MAX_ITER = 200  # iteration budget of every production fit
-
-GRAD_TOL = 1e-10   # scale-invariant gradient test, see the module docstring
+LM_MAX_ITER = 200  # accepted-step budget of every production fit
 LAMBDA0 = 1e-3     # initial damping
-# MINPACK's ftol (More 1978): ends the large-residual fits whose J^T J overstates
-# the curvature, which otherwise crawl linearly along a valley to max_iter
-COST_RTOL = 1e-10
+COST_RTOL = 1e-10  # the decrease test, see the module docstring
 
 
 @dataclass
@@ -51,8 +50,8 @@ class LeastSquaresFit:
 @dataclass
 class LMResult(LeastSquaresFit):
     params: np.ndarray
-    iterations: int
-    gradient_norm: float      # scale-invariant gradient measure at exit
+    iterations: int           # accepted steps
+    stop: str                 # "decrease" or "precision", see the module docstring
 
 
 def _covariance(jtj, residual_norm, n_points, n_params):
@@ -86,10 +85,9 @@ def _secant_update(secant, step, y, y_sharp):
 
 
 def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) -> LMResult:
-    """Minimize 0.5 ||r(p)||^2 from x0; returns parameters and covariance.
-
-    The steps carry the secant term S of the module docstring.  The covariance
-    is s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is meaningful both
+    """Minimize 0.5 ||r(p)||^2 from x0 by the steps of the module docstring,
+    until its decrease or precision test ends the fit.  The covariance is
+    s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is meaningful both
     for whitened residuals (s ~ 1) and raw ones.
     """
     p = np.asarray(x0, dtype=float).copy()
@@ -99,7 +97,7 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
     n_points = r.size
 
     def derivatives(p, r):
-        """J, J^T J, gradient and gradient measure at p; ConvergenceError unless finite."""
+        """J, J^T J and the gradient at p; ConvergenceError unless finite."""
         jac = np.asarray(jacobian(p), dtype=float)
         jtj = jac.T @ jac
         # the diagonal of J^T J holds the squared column norms of J, so J^T J
@@ -108,56 +106,53 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
             raise ConvergenceError(
                 f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
                 last=p.copy(), diagnostics={"cost": cost})
-        grad = jac.T @ r
-        return jac, jtj, grad, float(np.max(np.abs(grad) * np.maximum(np.abs(p), 1.0)))
+        return jac, jtj, jac.T @ r
 
-    def result(iteration):
+    def result(steps, stop):
         norm = math.sqrt(2.0 * cost)
         cov, cond = _covariance(jtj, norm, n_points, p.size)
-        return LMResult(cov, norm, n_points - p.size, cond, p, iteration, grad_measure)
+        return LMResult(cov, norm, n_points - p.size, cond, p, steps, stop)
 
-    jac, jtj, grad, grad_measure = derivatives(p, r)
+    jac, jtj, grad = derivatives(p, r)
     secant = np.zeros((p.size, p.size))
-    for iteration in range(1, max_iter + 1):
-        if grad_measure <= GRAD_TOL * max(1.0, cost):
-            return result(iteration)
-
+    for steps in range(max_iter):
+        try:
+            if 0.5 * float(grad @ np.linalg.solve(jtj, grad)) <= COST_RTOL * cost:
+                return result(steps, "decrease")
+        except np.linalg.LinAlgError:  # singular J^T J: no Gauss-Newton step to test
+            pass
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = max(diag.max(), 1e-30)
         scale = np.maximum(np.abs(p), 1.0)
         hessian = jtj + secant
-        while lam < 1e14:
+        while lam < math.inf:
             try:
                 step = np.linalg.solve(hessian + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            negligible = float(np.max(np.abs(step) / scale)) < 1e-14
             p_new = p + step
             r_new = np.asarray(residual(p_new), dtype=float)
             cost_new = 0.5 * float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new < cost:
-                stalled = (float(np.max(np.abs(step) / scale)) < 1e-14
-                           or cost - cost_new <= COST_RTOL * cost)
-                p, r, cost = p_new, r_new, cost_new
-                lam = max(lam / 3.0, 1e-12)
-                # the new point's derivatives serve the stall exit, the secant
-                # update and the next iteration alike
-                jac_new, jtj, grad_new, grad_measure = derivatives(p, r)
-                if stalled:
-                    return result(iteration)
-                secant = _secant_update(secant, step, grad_new - grad, (jac_new - jac).T @ r)
-                jac, grad = jac_new, grad_new
+            if cost_new < cost:
                 break
+            if negligible:
+                return result(steps, "precision")
             lam *= 10.0
         else:
-            # damping maxed out with no acceptable step: the iterate is
-            # stationary to working precision, return it (MINPACK-style)
-            return result(iteration)
+            raise ConvergenceError(f"damping overflowed at cost {cost:.6e}",
+                                   last=p, diagnostics={"cost": cost})
+        p, r, cost = p_new, r_new, cost_new
+        lam = max(lam / 3.0, 1e-12)
+        jac_new, jtj, grad_new = derivatives(p, r)
+        if negligible:
+            return result(steps + 1, "precision")
+        secant = _secant_update(secant, step, grad_new - grad, (jac_new - jac).T @ r)
+        jac, grad = jac_new, grad_new
 
-    raise ConvergenceError(
-        f"no convergence within {max_iter} iterations "
-        f"(gradient measure {grad_measure:.3e}, cost {cost:.6e})",
-        last=p, diagnostics={"cost": cost, "gradient": grad_measure})
+    raise ConvergenceError(f"no convergence within {max_iter} iterations (cost {cost:.6e})",
+                           last=p, diagnostics={"cost": cost})
 
 
 @dataclass

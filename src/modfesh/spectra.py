@@ -234,6 +234,7 @@ class FanoFit(LeastSquaresFit):
     amplitude: float
     offset: float
     iterations: int
+    stop: str
 
     @property
     def center_stderr(self) -> float:
@@ -323,7 +324,7 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     cov, cond = _covariance(jac.T @ jac, result.residual_norm, x.size, 5)
     return FanoFit(center=c, width=w, q=q, amplitude=a, offset=off, covariance=cov,
                    residual_norm=result.residual_norm, iterations=result.iterations,
-                   dof=x.size - 5, condition=cond)
+                   stop=result.stop, dof=x.size - 5, condition=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +366,7 @@ class LandauZenerFit(LeastSquaresFit):
     slope_j: float         # Hz/G
     b_center: float        # G
     iterations: int
+    stop: str
 
     def branch(self, B, sign: int):
         b = np.asarray(B, dtype=float) - self.b_center
@@ -453,7 +455,7 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
                           covariance=result.covariance, residual_norm=result.residual_norm,
                           dof=result.dof, condition=result.condition,
-                          iterations=result.iterations)
+                          iterations=result.iterations, stop=result.stop)
 
 
 # ---------------------------------------------------------------------------

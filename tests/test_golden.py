@@ -292,7 +292,8 @@ def test_energy_map_stdout_is_the_map_file(tmp_path, capsys):
 # the keys of every fit report, and those one model adds
 REPORT_KEYS = {"model", "converged", "schema_version", "params", "stderr", "covariance",
                "condition", "residual_norm", "dof"}
-MODEL_KEYS = {"fano": {"iterations"}, "lz": {"iterations", "b_center_G"}, "linear": set()}
+MODEL_KEYS = {"fano": {"iterations", "stop"}, "lz": {"iterations", "stop", "b_center_G"},
+              "linear": set()}
 # each model's parameters in covariance order
 PARAMS = {"fano": ["center", "width", "q", "amplitude", "offset"],
           "lz": ["e_i0_hz", "slope_i_hz_per_G", "e_j0_hz", "slope_j_hz_per_G", "v_ij_hz"],
