@@ -291,11 +291,12 @@ def _read_plain_csv(path, n_cols_min):
 
 def _report(fit, params: dict, **extra) -> dict:
     """The report of a LeastSquaresFit whose params are in covariance order;
-    README "Command line" lists its keys."""
+    README "Command line" lists its keys and when they are null."""
+    singular = fit.condition >= 1.0 / np.finfo(float).eps   # the covariance is round-off
     return {"params": params,
-            "stderr": {name: math.sqrt(v) if 0.0 <= v < math.inf else None
+            "stderr": {name: None if singular or not 0.0 <= v < math.inf else math.sqrt(v)
                        for name, v in zip(params, np.diag(fit.covariance).tolist())},
-            "covariance": fit.covariance.tolist(),
+            "covariance": None if singular else fit.covariance.tolist(),
             "condition": fit.condition if math.isfinite(fit.condition) else None,
             "residual_norm": fit.residual_norm, "dof": fit.dof, **extra}
 

@@ -1,7 +1,8 @@
 """Damped least-squares (Levenberg-Marquardt) engine and closed-form linear fits.
 
-The LM driver works on a residual vector r(p) (already whitened by the caller
-when measurement sigmas are known) and its analytic Jacobian.  Each step
+The LM driver calls model(p) -> (r, J), a residual vector (whitened by the
+caller when measurement sigmas are known) and its analytic Jacobian, once per
+trial point; the J of a rejected trial is dropped unread.  Each step
 solves (J^T J + S + lambda diag(J^T J)) s = -J^T r, where S is a secant
 estimate of the large-residual term sum_i r_i hess(r_i) of the Hessian that
 Gauss-Newton leaves out: the structured Dennis-Gay-Welsch update of NL2SOL
@@ -84,21 +85,21 @@ def _secant_update(secant, step, y, y_sharp):
     return secant + u_yt + u_yt.T
 
 
-def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) -> LMResult:
+def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
     """Minimize 0.5 ||r(p)||^2 from x0 by the steps of the module docstring,
-    until its decrease or precision test ends the fit.  The covariance is
+    until its decrease or precision test ends the fit; model(p) returns the
+    float arrays (r, J) and is called once per trial point.  The covariance is
     s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is meaningful both
     for whitened residuals (s ~ 1) and raw ones.
     """
     p = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residual(p), dtype=float)
+    r, jac = model(p)
     cost = 0.5 * float(r @ r)
     lam = LAMBDA0
     n_points = r.size
 
-    def derivatives(p, r):
-        """J, J^T J and the gradient at p; ConvergenceError unless finite."""
-        jac = np.asarray(jacobian(p), dtype=float)
+    def derivatives(p, r, jac):
+        """J^T J and the gradient at p; ConvergenceError unless finite."""
         jtj = jac.T @ jac
         # the diagonal of J^T J holds the squared column norms of J, so J^T J
         # is finite only if J is
@@ -106,14 +107,14 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
             raise ConvergenceError(
                 f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
                 last=p.copy(), diagnostics={"cost": cost})
-        return jac, jtj, jac.T @ r
+        return jtj, jac.T @ r
 
     def result(steps, stop):
         norm = math.sqrt(2.0 * cost)
         cov, cond = _covariance(jtj, norm, n_points, p.size)
         return LMResult(cov, norm, n_points - p.size, cond, p, steps, stop)
 
-    jac, jtj, grad = derivatives(p, r)
+    jtj, grad = derivatives(p, r, jac)
     secant = np.zeros((p.size, p.size))
     for steps in range(max_iter):
         try:
@@ -133,7 +134,7 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
                 continue
             negligible = float(np.max(np.abs(step) / scale)) < 1e-14
             p_new = p + step
-            r_new = np.asarray(residual(p_new), dtype=float)
+            r_new, jac_new = model(p_new)
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
                 break
@@ -145,7 +146,7 @@ def levenberg_marquardt(residual, x0, jacobian, *, max_iter: int = LM_MAX_ITER) 
                                    last=p, diagnostics={"cost": cost})
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-12)
-        jac_new, jtj, grad_new = derivatives(p, r)
+        jtj, grad_new = derivatives(p, r, jac_new)
         if negligible:
             return result(steps + 1, "precision")
         secant = _secant_update(secant, step, grad_new - grad, (jac_new - jac).T @ r)

@@ -11,7 +11,6 @@ cross-run reproducibility; identical seeds give bit-identical spectra).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -295,7 +294,6 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
         raise DomainError(f"only {x.size} points in the fit window (need >= 8)")
     weights = 1.0 / sig if np.all(sig > 0) else np.ones_like(x)
 
-    @functools.lru_cache(maxsize=1)
     def project(c, w):
         h, dx = w / 2.0, x - c
         d = h ** 2 + dx ** 2
@@ -307,17 +305,19 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
             beta = np.full(3, np.inf)
         return h, dx, d, q_mat, beta, basis @ beta - weights * y
 
-    def jacobian(p):
+    def model(p):
+        h, dx, d, q_mat, beta, r = project(*p)
+        if not np.isfinite(beta).all():   # failed projection: no J from an infinite beta
+            return r, np.full((x.size, 2), np.nan)
         # Kaufman: P_perp (d basis / d(c, w)) beta
-        h, dx, d, q_mat, (_, b1, b2), _ = project(*p)
+        _, b1, b2 = beta
         t = dx ** 2 - h ** 2
         dphi = np.column_stack([2.0 * b1 * h ** 2 * dx + b2 * h * t,
                                 b1 * h * dx ** 2 + 0.5 * b2 * dx * t])
         dphi *= (weights / d ** 2)[:, None]
-        return dphi - q_mat @ (q_mat.T @ dphi)
+        return r, dphi - q_mat @ (q_mat.T @ dphi)
 
-    result = levenberg_marquardt(lambda p: project(*p)[5], _fano_initial_guess(x, y),
-                                 jacobian)
+    result = levenberg_marquardt(model, _fano_initial_guess(x, y))
     c, w = float(result.params[0]), abs(float(result.params[1]))
     a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
     jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
@@ -441,15 +441,11 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
     if not np.isfinite(b).all():
         raise DomainError("the fields span more than the float range")
 
-    def residual(p):
-        model, _ = _lz_model_and_jacobian(p, b, sgn)
-        return model - e
+    def model(p):
+        fitted, jac = _lz_model_and_jacobian(p, b, sgn)
+        return fitted - e, jac
 
-    def jacobian(p):
-        _, jac = _lz_model_and_jacobian(p, b, sgn)
-        return jac
-
-    result = levenberg_marquardt(residual, _lz_initial_guess(b, e), jacobian)
+    result = levenberg_marquardt(model, _lz_initial_guess(b, e))
     e_i0, s_i, e_j0, s_j, v = result.params
     return LandauZenerFit(v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,

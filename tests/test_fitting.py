@@ -6,62 +6,54 @@ from modfesh.fitting import levenberg_marquardt, weighted_linear_fit
 
 
 def exponential_problem(noise=0.0, seed=0):
+    """model(p) -> (residual, Jacobian) of y = a exp(-k x) + c, and the true p."""
     x = np.linspace(0, 4, 40)
     true = np.array([2.3, 0.7, 0.4])
-
-    def model(p):
-        return p[0] * np.exp(-p[1] * x) + p[2]
-
-    y = model(true)
+    y = true[0] * np.exp(-true[1] * x) + true[2]
     if noise:
         y = y + np.random.default_rng(seed).normal(0, noise, y.size)
 
-    def residual(p):
-        return model(p) - y
-
-    def jacobian(p):
-        jac = np.empty((x.size, 3))
+    def model(p):
         e = np.exp(-p[1] * x)
+        jac = np.empty((x.size, 3))
         jac[:, 0] = e
         jac[:, 1] = -p[0] * x * e
         jac[:, 2] = 1.0
-        return jac
+        return p[0] * e + p[2] - y, jac
 
-    return residual, jacobian, true
+    return model, true
 
 
 class TestLevenbergMarquardt:
     def test_noiseless_recovery_analytic_jacobian(self):
-        residual, jacobian, true = exponential_problem()
-        res = levenberg_marquardt(residual, [1.0, 1.0, 0.0], jacobian)
+        model, true = exponential_problem()
+        res = levenberg_marquardt(model, [1.0, 1.0, 0.0])
         assert res.params == pytest.approx(true, rel=1e-9)
         assert res.residual_norm < 1e-10
 
     def test_noisy_covariance_scale(self):
-        residual, jacobian, true = exponential_problem(noise=0.01, seed=5)
-        res = levenberg_marquardt(residual, true * 1.3, jacobian)
+        model, true = exponential_problem(noise=0.01, seed=5)
+        res = levenberg_marquardt(model, true * 1.3)
         err = np.sqrt(np.diag(res.covariance))
         # recovered within a few standard errors, errors of sane magnitude
         assert np.all(np.abs(res.params - true) < 5 * err)
         assert np.all(err < 0.1)
 
     def test_iteration_budget_error_carries_last(self):
-        residual, jacobian, _ = exponential_problem()
+        model, _ = exponential_problem()
         with pytest.raises(ConvergenceError) as err:
-            levenberg_marquardt(residual, [50.0, 20.0, -30.0], jacobian, max_iter=2)
+            levenberg_marquardt(model, [50.0, 20.0, -30.0], max_iter=2)
         assert err.value.last is not None
         assert len(err.value.last) == 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian_raises(self, bad):
-        def residual(p):
-            return np.array([p[0] - 1.0, p[1] - 2.0, p[0] * p[1]])
-
-        def jacobian(p):
-            return np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]])
+        def model(p):
+            return (np.array([p[0] - 1.0, p[1] - 2.0, p[0] * p[1]]),
+                    np.array([[1.0, 0.0], [0.0, 1.0], [bad, 1.0]]))
 
         with pytest.raises(ConvergenceError) as err:
-            levenberg_marquardt(residual, [0.5, 0.5], jacobian)
+            levenberg_marquardt(model, [0.5, 0.5])
         assert err.value.last == pytest.approx([0.5, 0.5])
 
     def test_linear_problem_one_step(self):
@@ -69,11 +61,28 @@ class TestLevenbergMarquardt:
         y = 3 * x + 1
         ones = np.ones_like(x)
 
-        def residual(p):
-            return p[0] * x + p[1] - y
+        def model(p):
+            return p[0] * x + p[1] - y, np.column_stack([x, ones])
 
-        res = levenberg_marquardt(residual, [0.0, 0.0], lambda p: np.column_stack([x, ones]))
+        res = levenberg_marquardt(model, [0.0, 0.0])
         assert res.params == pytest.approx([3.0, 1.0], rel=1e-10)
+
+    @pytest.mark.parametrize("noise,start", [(0.0, [1.0, 1.0, 0.0]), (0.01, [1.0, 1.0, 0.0]),
+                                             (0.0, [50.0, 20.0, -30.0])],
+                             ids=["noiseless", "noisy", "far-start"])
+    def test_one_model_call_per_point(self, noise, start):
+        """The engine evaluates the model once per trial point: the start, then
+        one call per damped step tried, accepted or not."""
+        model, _ = exponential_problem(noise=noise, seed=5)
+        points = []
+
+        def counted(p):
+            points.append(tuple(p))
+            return model(p)
+
+        res = levenberg_marquardt(counted, start)
+        assert len(points) == len(set(points))
+        assert len(points) > res.iterations
 
 
 class TestWeightedLinearFit:

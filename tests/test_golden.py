@@ -24,7 +24,9 @@ import pytest
 from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_species, \
     save_state_registry
 from modfesh.cli import run
-from modfesh.spectra import read_csv_rows, read_spectrum_csv
+from modfesh.scattering import ResonanceModel
+from modfesh.spectra import read_csv_rows, read_spectrum_csv, synthesize_spectrum, \
+    write_spectrum
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
@@ -119,6 +121,11 @@ def _fit_inputs(tmp: Path):
     (tmp / "lz.csv").write_text(_lz_rows())
     (tmp / "lin.csv").write_text(
         "intensity,center,sigma\n0.4,227.9e3,50\n0.8,227.15e3,40\n1.2,226.3e3,60\n")
+    # README's m = -1 line on a 56 Hz grid: a resolved dip, unlike spec.csv's
+    line = ResonanceModel(a_bk=200.0, delta_m=2 * np.pi * 3e3, omega0=2 * np.pi * 228.7e3,
+                          m=-1)
+    write_spectrum(synthesize_spectrum([line], np.linspace(200e3, 256e3, 1001),
+                                       noise_sigma=0.01, seed=42), tmp / "resolved")
 
 
 def _species(tmp: Path):
@@ -300,34 +307,47 @@ PARAMS = {"fano": ["center", "width", "q", "amplitude", "offset"],
           "linear": ["zero_intensity_center_hz", "slope_hz_per_intensity"]}
 
 
-def _fit_report(model: str, tmp: Path, capsys):
-    """The report of the fit-<model> case and the number of points it fitted."""
-    name = f"fit-{model}"
-    report = json.loads(run_case(name, tmp, capsys)[f"{name}.stdout"])
-    argv = [a.replace("{tmp}", str(tmp)) for a in CASES[name][0]]
-    path = argv[argv.index("--input") + 1]
-    if model == "fano":
+def _fit_report(case: str, tmp: Path, capsys):
+    """The report of the fit-<model> case, on the resolved dip for
+    fano-resolved, and the number of points it fitted."""
+    name = f"fit-{case.split('-')[0]}"
+    extra = ("--input", "{tmp}/resolved.csv") if case == "fano-resolved" else ()
+    report = json.loads(run_case(name, tmp, capsys, extra)[f"{name}.stdout"])
+    argv = [a.replace("{tmp}", str(tmp)) for a in (*CASES[name][0], *extra)]
+    path = [argv[i + 1] for i, a in enumerate(argv) if a == "--input"][-1]   # last one wins
+    if report["model"] == "fano":
         lo, hi = map(float, argv[argv.index("--window") + 1].split(":"))
         x = read_spectrum_csv(path).x
         return report, int(np.count_nonzero((x >= lo) & (x <= hi)))
     return report, len(read_csv_rows(path)) - 1     # less the header row
 
 
-@pytest.mark.parametrize("model", sorted(MODEL_KEYS))
-def test_one_fit_report(model, tmp_path, capsys):
+@pytest.mark.parametrize("case", ["fano", "fano-resolved", "lz", "linear"])
+def test_one_fit_report(case, tmp_path, capsys):
     """Every model writes the same keys (b_center_G and the LM iteration
-    count apart), dof = points - fitted parameters, and a stderr that is null
-    exactly where its variance is negative or not finite."""
-    report, n = _fit_report(model, tmp_path, capsys)
+    count apart) and dof = points - fitted parameters.  At a condition of
+    1/eps or more (only the fano golden's one-sample spike) covariance and
+    every stderr are null; below it a stderr is null exactly where its
+    variance is negative or not finite."""
+    report, n = _fit_report(case, tmp_path, capsys)
+    model = report["model"]
     assert set(report) == REPORT_KEYS | MODEL_KEYS[model]
     assert set(report["params"]) == set(report["stderr"]) == set(PARAMS[model])
     assert report["dof"] == n - len(PARAMS[model])
+    singular = report["condition"] >= 1.0 / np.finfo(float).eps
+    assert singular == (case == "fano")
+    assert (report["covariance"] is None) == singular
+    if singular:
+        assert set(report["stderr"].values()) == {None}
+        return
     for i, name in enumerate(PARAMS[model]):
         variance = report["covariance"][i][i]
         if 0.0 <= variance < math.inf:
             assert report["stderr"][name] == math.sqrt(variance)
         else:
             assert report["stderr"][name] is None
+    if case == "fano-resolved":
+        assert None not in report["stderr"].values()
 
 
 def test_readme_lists_the_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -312,14 +313,33 @@ class TestFanoFit:
         """The iteration count of every LM run that spectra starts from now on."""
         iterations = []
 
-        def counted(*args, **kwargs):
-            result = lm(*args, **kwargs)
+        def counted(model, x0, **kwargs):
+            result = lm(model, x0, **kwargs)
             iterations.append(result.iterations)
             return result
 
         lm = spectra.levenberg_marquardt
         monkeypatch.setattr(spectra, "levenberg_marquardt", counted)
         return iterations
+
+    def test_zero_width_trial_builds_no_jacobian(self, monkeypatch):
+        """At zero width the projection fails and the cost is not finite, so
+        LM rejects the trial; the model then builds no Jacobian from the
+        infinite coefficients, and its one RuntimeWarning is the projection's."""
+        lm, trials = spectra.levenberg_marquardt, []
+
+        def probed(model, x0, **kwargs):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                r, _ = model(np.array([x0[0] + 0.5, 0.0]))   # off the grid: no 0/0
+            trials.append((0.5 * float(r @ r), len(caught)))
+            return lm(model, x0, **kwargs)
+
+        monkeypatch.setattr(spectra, "levenberg_marquardt", probed)
+        fit_fano(self.spectrum())
+        cost, n_warnings = trials[0]
+        assert not cost < math.inf
+        assert n_warnings == 1
 
     def test_work_count(self, monkeypatch):
         """One LM start per fit, and few iterations on the Monte-Carlo set."""
@@ -568,6 +588,35 @@ class TestLandauZener:
         assert len(iterations) == 100
         assert np.mean(iterations) <= 3.5
 
+    def test_one_model_evaluation_per_trial_point(self, monkeypatch):
+        """On criterion 08's 100 seeds, with and without noise, each fit
+        evaluates _lz_model_and_jacobian exactly as often as LM calls its
+        model: about three times a fit (separate residual and Jacobian
+        callbacks took 5.52)."""
+        lz, lm = spectra._lz_model_and_jacobian, spectra.levenberg_marquardt
+        calls = {"lz": 0, "model": 0}
+
+        def counted_lz(*args):
+            calls["lz"] += 1
+            return lz(*args)
+
+        def counted_lm(model, x0, **kwargs):
+            def counted_model(p):
+                calls["model"] += 1
+                return model(p)
+            return lm(counted_model, x0, **kwargs)
+
+        monkeypatch.setattr(spectra, "_lz_model_and_jacobian", counted_lz)
+        monkeypatch.setattr(spectra, "levenberg_marquardt", counted_lm)
+        per_fit = []
+        for noise in (0.5e3, 0.0):
+            for seed in range(100):
+                calls.update(lz=0, model=0)
+                fit_landau_zener(_lz_synthetic(seed, noise=noise))
+                assert calls["lz"] == calls["model"] > 0
+                per_fit.append(calls["lz"])
+        assert np.mean(per_fit) < 3.5
+
 
 def _predicted_decrease(jac, r):
     """0.5 g^T (J^T J)^-1 g with g = J^T r, the cost drop the undamped
@@ -632,14 +681,12 @@ class TestStopReason:
         b, e, sgn = (np.array(column, dtype=float) for column in zip(*data))
         b -= b.mean()
 
-        def residual(p):
-            return spectra._lz_model_and_jacobian(p, b, sgn)[0] - e
-
-        def jacobian(p):
-            return spectra._lz_model_and_jacobian(p, b, sgn)[1]
+        def model(p):
+            fitted, jac = spectra._lz_model_and_jacobian(p, b, sgn)
+            return fitted - e, jac
 
         try:
-            result = levenberg_marquardt(residual, _uncentered_conic_start(b, e), jacobian)
+            result = levenberg_marquardt(model, _uncentered_conic_start(b, e))
         except ConvergenceError:
             return
         assert result.residual_norm < 1e-6
