@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .specfun import bessel_j
 
 __all__ = [
@@ -186,65 +186,12 @@ class GapResult(NamedTuple):
     center: float    # rad/s, modulation frequency of minimum splitting
 
 
-# Relative x-tolerance of the gap search.  Near the minimum gap^2 is flat and
-# its rounding noise lets Brent's parabolic steps wander once the bracket is
-# much narrower than this; a few 1e-9 is the finest position gap^2 resolves.
+# Relative x-tolerance of the gap search: it stops once two successive parabola
+# vertices agree to GAP_XTOL_REL.  gap^2 is flat near its minimum, and its rounding
+# noise moves a vertex by ~1e-9 relative; a few 1e-9 is the finest position it resolves.
 GAP_XTOL_REL = 3e-9
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _brent_minimize(f, a: float, b: float, x: float):
-    """Minimize f on [a, b] from the start point x (Forsythe-Malcolm-Moler fmin).
-
-    Parabolic interpolation through the three best points, safeguarded by
-    golden-section steps (Brent 1973, ch. 5).  Stops once every point of the
-    bracket lies within 2 GAP_XTOL_REL |x| of x; returns (x, f(x)).
-    """
-    v = w = x
-    fv = fw = fx = f(x)
-    d = e = 0.0    # the last step and the one before it
-    while True:
-        xm = 0.5 * (a + b)
-        tol1 = GAP_XTOL_REL * abs(x)
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            return x, fx
-        parabolic = False
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                parabolic = True
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, xm - x)
-        if not parabolic:
-            e = (a - x) if x >= xm else (b - x)
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+GAP_STEP_REL = 1e-4      # the starting points w_expect +- GAP_STEP_REL w_expect
+GAP_MAX_BUILDS = 64      # propagator builds before a gap search gives up
 
 
 def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResult:
@@ -252,16 +199,22 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
 
     scan_window = (w_lo, w_hi) in rad/s must bracket the expected resonance
     w_expect = -omega_b / m.  Near an isolated avoided crossing the two-level
-    form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so a Brent
-    minimization of gap^2 started at w_expect lands on the center w_c in a
-    handful of propagator builds.  The step count is fixed once, at the window's
-    low edge where the phase turns fastest, so gap^2(w) is smooth and every build
-    reads one drive-phase table and pads its step product with identity steps.
-    The center is located to a relative tolerance of GAP_XTOL_REL.
+    form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so successive
+    parabolic interpolation of gap^2 lands on the center w_c in about four
+    propagator builds: three at w_expect and w_expect +- GAP_STEP_REL w_expect
+    (moved into the window), then one at each vertex, keeping the three points
+    nearest it.  Where the parabola is not convex or its vertex leaves the window,
+    the next point lies halfway from the lower end point to the window edge past
+    it.  Two successive vertices that agree to GAP_XTOL_REL end the search, which
+    reports the last one and the parabola's value there.  The step count is fixed
+    once, at the window's low edge where the phase turns fastest, so gap^2(w) is
+    smooth and every build reads one drive-phase table and pads its step product
+    with identity steps.
 
     Raises DomainError for an invalid window or m = 0, for a window that does
-    not bracket w_expect, and when the minimizer ends within its tolerance of
-    a window edge (no interior minimum in the window).
+    not bracket w_expect, and when the minimum lies within 2 GAP_XTOL_REL of a
+    window edge (no interior minimum in the window); ConvergenceError when
+    GAP_MAX_BUILDS builds do not settle the vertex.
     """
     w_lo, w_hi = scan_window
     if not (w_lo > 0 and w_hi > w_lo):
@@ -278,8 +231,34 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
     def gap_squared(w: float) -> float:
         return _spectrum(replace(model, omega_mod=w), steps).gap ** 2
 
-    w_min, gap2 = _brent_minimize(gap_squared, w_lo, w_hi, w_expect)
-    edge_tol = 2.0 * GAP_XTOL_REL * w_min
-    if w_min - w_lo <= edge_tol or w_hi - w_min <= edge_tol:
-        raise DomainError("no interior minimum bracketed by the scan window")
-    return GapResult(gap=math.sqrt(gap2), center=w_min)
+    def at_edge(w: float, edge: float) -> bool:
+        return abs(w - edge) <= 2.0 * GAP_XTOL_REL * w
+
+    h = min(GAP_STEP_REL * w_expect, 0.5 * (w_hi - w_lo))
+    mid = min(max(w_expect, w_lo + h), w_hi - h)
+    seen = {w: gap_squared(w) for w in (mid - h, mid, mid + h)}
+    vertex, u = math.nan, mid
+    for _ in range(GAP_MAX_BUILDS - len(seen)):   # at most one build a pass
+        x0, x1, x2 = sorted(sorted(seen, key=lambda w: abs(w - u))[:3])
+        f0, f1, f2 = seen[x0], seen[x1], seen[x2]
+        s01, s12 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1)
+        curv = (s12 - s01) / (x2 - x0)
+        u = 0.5 * (x0 + x1 - s01 / curv) if curv > 0 else math.nan
+        if w_lo < u < w_hi:
+            if abs(u - vertex) <= GAP_XTOL_REL * u:
+                if at_edge(u, w_lo) or at_edge(u, w_hi):
+                    break
+                gap2 = f0 + s01 * (u - x0) + curv * (u - x0) * (u - x1)
+                return GapResult(gap=math.sqrt(max(gap2, 0.0)), center=u)
+            vertex = u
+        else:
+            best, edge = (x0, w_lo) if f0 < f2 else (x2, w_hi)
+            if at_edge(best, edge):
+                break
+            u, vertex = 0.5 * (best + edge), math.nan
+        if u not in seen:
+            seen[u] = gap_squared(u)
+    else:
+        raise ConvergenceError(
+            f"gap search did not converge in {GAP_MAX_BUILDS} propagator builds")
+    raise DomainError("no interior minimum bracketed by the scan window")

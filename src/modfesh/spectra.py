@@ -278,8 +278,9 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     """Fano fit over an axis window (the whole spectrum when None) by variable
     projection (Golub & Pereyra 1973): LM over (center, width) from one start,
     solving for the linear (b0, b1, b2) of _fano_from_linear by weighted QR, with
-    Kaufman's (1975) Jacobian.  Needs >= 8 points; weighted by per-point sigma
-    when all are positive.  Non-convergence raises ConvergenceError."""
+    Kaufman's (1975) Jacobian.  Needs >= 8 points, not all at one x; weighted
+    by per-point sigma when all are positive.  Non-convergence raises
+    ConvergenceError."""
     if window is not None:
         lo, hi = window
         if not lo < hi:
@@ -292,6 +293,8 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     sig = spec.sigma[mask]
     if x.size < 8:
         raise DomainError(f"only {x.size} points in the fit window (need >= 8)")
+    if x.min() == x.max():
+        raise DomainError(f"all {x.size} points in the fit window sit at x = {x[0]}: no spread")
     weights = 1.0 / sig if np.all(sig > 0) else np.ones_like(x)
 
     def project(c, w):
@@ -302,7 +305,7 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
         try:
             beta = np.linalg.solve(r_mat, q_mat.T @ (weights * y))
         except np.linalg.LinAlgError:   # zero width: an infinite cost rejects the step
-            beta = np.full(3, np.inf)
+            return h, dx, d, q_mat, np.full(3, np.inf), np.full(x.size, np.inf)
         return h, dx, d, q_mat, beta, basis @ beta - weights * y
 
     def model(p):

@@ -466,6 +466,14 @@ class TestFit:
         code, _, _ = run_cli(capsys, "fit", "--model", "fano", "--input", str(path))
         assert code == 2
 
+    def test_fano_window_without_spread_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        path.write_text("axis,value,relative_atoms,sigma\n" + "".join(
+            f"modulation_freq_Hz,1000.0,{0.9 + 0.01 * (i % 3)},0.01\n" for i in range(10)))
+        code, out, err = run_cli(capsys, "fit", "--model", "fano", "--input", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+
     def test_nonconvergent_fit_exits_four_with_report(self, tmp_path, capsys):
         # an unresolved two-point spike starves the 5-parameter fit
         model = ResonanceModel(200.0, 2 * math.pi * 2e3, 2 * math.pi * 114.35e3, -2)
