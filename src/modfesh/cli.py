@@ -35,9 +35,9 @@ _POLARIZATIONS = {
 }
 
 
-def _count(n: int, what: str, path=None, line=None) -> int:
+def _count(n: int, what: str) -> int:
     if not 1 <= n <= MAX_COUNT:
-        raise ConfigError(f"{what} must be between 1 and {MAX_COUNT}, got {n}", path, line)
+        raise ConfigError(f"{what} must be between 1 and {MAX_COUNT}, got {n}")
     return n
 
 

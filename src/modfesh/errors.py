@@ -17,7 +17,8 @@ class PoleError(DomainError):
 
 
 class ConfigError(ValueError):
-    """Malformed configuration or data file."""
+    """Malformed configuration or data file; the message starts with the path
+    and line number when they are given."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -26,18 +27,15 @@ class ConfigError(ValueError):
         if line is not None:
             loc += f"line {line}: "
         super().__init__(loc + message)
-        self.path = path
-        self.line = line
 
 
 class ConvergenceError(RuntimeError):
     """Iterative solver failed to converge.
 
     ``last`` holds the last iterate (a fit's parameter vector) so callers can
-    report partial results; ``diagnostics`` is a free-form dict.
+    report partial results.
     """
 
-    def __init__(self, message, last=None, diagnostics=None):
+    def __init__(self, message, last=None):
         super().__init__(message)
         self.last = last
-        self.diagnostics = diagnostics if diagnostics is not None else {}

@@ -47,6 +47,11 @@ class LeastSquaresFit:
     dof: int                  # points - fitted parameters
     condition: float          # cond(J^T J), or cond(X^T W X) of a linear fit
 
+    @property
+    def stderr(self) -> np.ndarray:
+        """sqrt of the covariance diagonal, a negative variance read as 0."""
+        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+
 
 @dataclass
 class LMResult(LeastSquaresFit):
@@ -85,7 +90,7 @@ def _secant_update(secant, step, y, y_sharp):
     return secant + u_yt + u_yt.T
 
 
-def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
+def levenberg_marquardt(model, x0) -> LMResult:
     """Minimize 0.5 ||r(p)||^2 from x0 by the steps of the module docstring,
     until its decrease or precision test ends the fit; model(p) returns the
     float arrays (r, J) and is called once per trial point.  The covariance is
@@ -104,9 +109,8 @@ def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
         # the diagonal of J^T J holds the squared column norms of J, so J^T J
         # is finite only if J is
         if not np.isfinite(jtj).all():
-            raise ConvergenceError(
-                f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
-                last=p.copy(), diagnostics={"cost": cost})
+            raise ConvergenceError(f"non-finite Jacobian or J^T J at iterate {p.tolist()}",
+                                   last=p.copy())
         return jtj, jac.T @ r
 
     def result(steps, stop):
@@ -116,7 +120,7 @@ def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
 
     jtj, grad = derivatives(p, r, jac)
     secant = np.zeros((p.size, p.size))
-    for steps in range(max_iter):
+    for steps in range(LM_MAX_ITER):
         try:
             if 0.5 * float(grad @ np.linalg.solve(jtj, grad)) <= COST_RTOL * cost:
                 return result(steps, "decrease")
@@ -142,8 +146,7 @@ def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
                 return result(steps, "precision")
             lam *= 10.0
         else:
-            raise ConvergenceError(f"damping overflowed at cost {cost:.6e}",
-                                   last=p, diagnostics={"cost": cost})
+            raise ConvergenceError(f"damping overflowed at cost {cost:.6e}", last=p)
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-12)
         jtj, grad_new = derivatives(p, r, jac_new)
@@ -152,16 +155,14 @@ def levenberg_marquardt(model, x0, *, max_iter: int = LM_MAX_ITER) -> LMResult:
         secant = _secant_update(secant, step, grad_new - grad, (jac_new - jac).T @ r)
         jac, grad = jac_new, grad_new
 
-    raise ConvergenceError(f"no convergence within {max_iter} iterations (cost {cost:.6e})",
-                           last=p, diagnostics={"cost": cost})
+    raise ConvergenceError(f"no convergence within {LM_MAX_ITER} iterations (cost {cost:.6e})",
+                           last=p)
 
 
 @dataclass
 class LinearFit(LeastSquaresFit):
     intercept: float
     slope: float
-    intercept_stderr: float
-    slope_stderr: float
 
 
 def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
@@ -199,9 +200,6 @@ def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
     dof = x.size - 2
     chi2_red = chi2 / dof if dof > 0 else 0.0
     cov = cov_unscaled * chi2_red
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
     condition = float(np.linalg.cond(normal)) if np.isfinite(normal).all() else math.inf
-    return LinearFit(intercept=float(beta[0]), slope=float(beta[1]),
-                     intercept_stderr=float(err[0]), slope_stderr=float(err[1]),
-                     covariance=cov, residual_norm=math.sqrt(chi2), dof=dof,
-                     condition=condition)
+    return LinearFit(intercept=float(beta[0]), slope=float(beta[1]), covariance=cov,
+                     residual_norm=math.sqrt(chi2), dof=dof, condition=condition)

@@ -90,7 +90,6 @@ class FloquetSolution:
     distance around the zone (the avoided-crossing splitting)."""
 
     quasi_energies: np.ndarray
-    omega_mod: float
     gap: float
 
 
@@ -171,7 +170,7 @@ def _spectrum(model: DrivenTwoLevel, steps: int) -> FloquetSolution:
     s = 0.5 * (model.omega_alpha + model.omega_beta)
     phi = math.atan2(sin_phi, p.real) / period
     e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
-    return FloquetSolution(quasi_energies=np.array(e), omega_mod=w,
+    return FloquetSolution(quasi_energies=np.array(e),
                            gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
 
 
@@ -204,12 +203,12 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
     propagator builds: three at w_expect and w_expect +- GAP_STEP_REL w_expect
     (moved into the window), then one at each vertex, keeping the three points
     nearest it.  Where the parabola is not convex or its vertex leaves the window,
-    the next point lies halfway from the lower end point to the window edge past
-    it.  Two successive vertices that agree to GAP_XTOL_REL end the search, which
-    reports the last one and the parabola's value there.  The step count is fixed
-    once, at the window's low edge where the phase turns fastest, so gap^2(w) is
-    smooth and every build reads one drive-phase table and pads its step product
-    with identity steps.
+    the next point is the window edge past the lower end point.  Two successive
+    vertices that agree to GAP_XTOL_REL end the search, which reports the last
+    one and the parabola's value there.  The step count is fixed once, at the
+    window's low edge where the phase turns fastest, so gap^2(w) is smooth and
+    every build reads one drive-phase table and pads its step product with
+    identity steps.
 
     Raises DomainError for an invalid window or m = 0, for a window that does
     not bracket w_expect, and when the minimum lies within 2 GAP_XTOL_REL of a
@@ -255,7 +254,7 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
             best, edge = (x0, w_lo) if f0 < f2 else (x2, w_hi)
             if at_edge(best, edge):
                 break
-            u, vertex = 0.5 * (best + edge), math.nan
+            u, vertex = edge, math.nan
         if u not in seen:
             seen[u] = gap_squared(u)
     else:

@@ -44,10 +44,10 @@ class Section:
     name: str
     line: int
     values: dict = field(default_factory=dict)       # key -> str
-    value_lines: dict = field(default_factory=dict)  # key -> line number
-    rows: list = field(default_factory=list)         # list of (line, [tokens])
     path: object = None                              # file the section came from
     label: str = ""                                  # '4g(4)' of [state 4g(4)]
+    value_lines: dict = field(default_factory=dict, init=False)  # key -> line number
+    rows: list = field(default_factory=list, init=False)         # list of (line, [tokens])
     read: set = field(default_factory=set, init=False)    # keys asked for by get
     rows_taken: bool = field(default=False, init=False)
 
@@ -148,13 +148,11 @@ def load_keyvalue(path, names) -> dict:
     return groups
 
 
-def format_keyvalue(sections, header_comment: str = "") -> str:
-    """Serialize sections back to text (values/rows must already be strings)."""
-    out = []
-    if header_comment:
-        for line in header_comment.splitlines():
-            out.append(f"# {line}" if line else "#")
-        out.append("")
+def format_keyvalue(sections, header_comment: str) -> str:
+    """Serialize sections back to text under a '#' comment (values/rows must
+    already be strings)."""
+    out = [f"# {line}" if line else "#" for line in header_comment.splitlines()]
+    out.append("")
     for sec in sections:
         out.append(sec.header)
         for key, value in sec.values.items():

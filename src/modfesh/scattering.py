@@ -26,16 +26,16 @@ __all__ = [
     "scattering_length", "pole_frequency", "zero_crossing_frequency",
     "width_from_coupling", "dressed_alpha_beta", "equivalent_resonance_model",
     "inelastic_channel_scaling", "loss_rate_proxy",
-    "K2_COEFF_DEFAULT", "K3_COEFF_DEFAULT", "DEFAULT_UNITARITY_WAVENUMBER",
+    "K2_COEFF", "K3_COEFF", "UNITARITY_WAVENUMBER",
 ]
 
 # two-body loss per Bohr radius of beta: 8 pi hbar a0 / mu for cesium pairs
-K2_COEFF_DEFAULT = 8.0 * math.pi * HBAR * A_BOHR / (CS_MASS / 2.0) * 1e6   # cm^3/s per a0
+K2_COEFF = 8.0 * math.pi * HBAR * A_BOHR / (CS_MASS / 2.0) * 1e6   # cm^3/s per a0
 # three-body loss per a0^4, magnitude typical of cesium condensates
 # (~30% loss in 5 ms at 1e13 cm^-3 for a ~ 1000 a0)
-K3_COEFF_DEFAULT = 8.4e-37                                                 # cm^6/s per a0^4
+K3_COEFF = 8.4e-37                                                         # cm^6/s per a0^4
 # thermal-deBroglie-scale collisional wavenumber of a ~100 nK cesium cloud
-DEFAULT_UNITARITY_WAVENUMBER = 7.0e6                                       # 1/m
+UNITARITY_WAVENUMBER = 7.0e6                                               # 1/m
 
 
 @dataclass(frozen=True)
@@ -240,16 +240,12 @@ def inelastic_channel_scaling(a_grid, m: int, omega_mod: float) -> ScalingResult
     return ScalingResult(exponent=float(slope), bessel_order=n_low)
 
 
-def loss_rate_proxy(alpha, beta, density: float,
-                    k3_coeff: float = K3_COEFF_DEFAULT,
-                    k2_coeff: float = K2_COEFF_DEFAULT,
-                    cap_wavenumber: float | None = DEFAULT_UNITARITY_WAVENUMBER):
+def loss_rate_proxy(alpha, beta, density: float):
     """Per-atom loss rate (1/s) from a two-body and a three-body channel.
 
-    rate = k2_coeff * beta * n + k3_coeff * alpha^4 * n^2, with alpha, beta in
-    Bohr radii and n in cm^-3.  The unitarity cap clips |alpha| at
-    1/cap_wavenumber (default on; pass None to disable).  Coefficients are
-    model inputs; the defaults are cesium-scale magnitudes, not fitted values.
+    rate = K2_COEFF * beta * n + K3_COEFF * alpha^4 * n^2, with alpha, beta in
+    Bohr radii and n in cm^-3, and |alpha| capped at 1/UNITARITY_WAVENUMBER
+    (unitarity).  The coefficients are cesium-scale magnitudes, not fitted values.
     """
     if not 0.0 < density < math.inf:
         raise DomainError("density must be positive and finite")
@@ -257,10 +253,7 @@ def loss_rate_proxy(alpha, beta, density: float,
     beta = np.asarray(beta, dtype=float)
     if np.any(beta < 0):
         raise DomainError("beta must be non-negative (inelastic rate positivity)")
-    if cap_wavenumber is not None:
-        if cap_wavenumber <= 0:
-            raise DomainError("cap wavenumber must be positive")
-        a_max = 1.0 / (cap_wavenumber * A_BOHR)   # Bohr radii
-        alpha = np.clip(alpha, -a_max, a_max)
-    rate = k2_coeff * beta * density + k3_coeff * alpha ** 4 * density ** 2
+    a_max = 1.0 / (UNITARITY_WAVENUMBER * A_BOHR)   # Bohr radii
+    alpha = np.clip(alpha, -a_max, a_max)
+    rate = K2_COEFF * beta * density + K3_COEFF * alpha ** 4 * density ** 2
     return float(rate) if rate.ndim == 0 else rate

@@ -235,10 +235,6 @@ class FanoFit(LeastSquaresFit):
     iterations: int
     stop: str
 
-    @property
-    def center_stderr(self) -> float:
-        return float(math.sqrt(max(self.covariance[0, 0], 0.0)))
-
 
 def _fano_jacobian(x, p):
     """d fano_profile / d(center, width, q, amplitude, offset), n x 5."""
@@ -371,13 +367,6 @@ class LandauZenerFit(LeastSquaresFit):
     iterations: int
     stop: str
 
-    def branch(self, B, sign: int):
-        b = np.asarray(B, dtype=float) - self.b_center
-        e_i = self.e_i0 + self.slope_i * b
-        e_j = self.e_j0 + self.slope_j * b
-        root = np.sqrt((e_i - e_j) ** 2 + self.v_ij ** 2)
-        return 0.5 * (e_i + e_j + sign * root)
-
 
 def _lz_model_and_jacobian(params, b, branch_sign):
     e_i0, s_i, e_j0, s_j, v = params
@@ -469,8 +458,8 @@ class EnergyMapPoint:
     state_label: str
     bound: bool
     sigma: float           # Hz, 1-sigma uncertainty of the compensated center
-    flagged: bool = False
-    note: str = ""
+    flagged: bool
+    note: str
 
 
 def _cluster_centers(fits, window):
@@ -524,7 +513,7 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
                 if (abs(fit.center - xc) > min_separation_hz / 2
                         or fit.amplitude < min_depth):
                     continue
-                peak_fits.append((intensity, fit.center, fit.center_stderr))
+                peak_fits.append((intensity, fit.center, float(fit.stderr[0])))
         if not peak_fits:
             continue
         intensities_present = sorted({pf[0] for pf in peak_fits})
@@ -538,7 +527,7 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
                 sig = errs if all(e > 0 for e in errs) else None
                 lin = weighted_linear_fit(xs, ys, sig)
                 f0 = lin.intercept
-                f0_err = lin.intercept_stderr
+                f0_err = float(lin.stderr[0])
                 if n_int == 2:
                     note = "shift compensation from only two intensities"
             else:
@@ -572,18 +561,13 @@ def _associate_peak(b_field, f0, f0_err, registry, note) -> EnergyMapPoint:
                               bound=False, sigma=f0_err, flagged=True,
                               note=(note + "; " if note else "") + "no registry state within tolerance")
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    rel, label, k, bound = candidates[0]
-    flagged = False
+    _, label, k, bound = candidates[0]
     rivals = {c[1] for c in candidates[1:] if c[1] != label}
     if rivals:
-        flagged = True
         note = (note + "; " if note else "") + f"ambiguous with {sorted(rivals)}"
-    near_tie = len(candidates) > 1 and candidates[1][0] - rel < 1e-12 and candidates[1][1] != label
-    if near_tie:
-        flagged = True
     return EnergyMapPoint(B=b_field, omega_res=-f0 if bound else f0,
                           order_m=-k if bound else k, state_label=label,
-                          bound=bound, sigma=f0_err, flagged=flagged, note=note)
+                          bound=bound, sigma=f0_err, flagged=bool(rivals), note=note)
 
 
 # ---------------------------------------------------------------------------

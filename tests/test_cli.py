@@ -1,11 +1,14 @@
 import argparse
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ import pytest
 
 import modfesh
 from modfesh import floquet
-from modfesh.atomdata import cesium, cesium_states, molecular_energy, save_state_registry
+from modfesh.atomdata import (MolecularState, cesium, cesium_states, molecular_energy,
+                              save_state_registry)
 from modfesh.cli import MAX_COUNT, build_parser, run
 from modfesh.lightshift import LightField, Polarization, fictitious_field, scattering_rate
 from modfesh.scattering import ResonanceModel
@@ -120,6 +124,70 @@ def test_no_unused_imports():
     assert unused == []
 
 
+# Defaulted parameters that no src call passes, each kept for a reader outside src.
+_SYNTHESIS_INPUT = ("a physical input of the scan config; cmd_scan passes it through "
+                    "**common to a functools.partial of the synthesizer")
+UNCALLED_DEFAULTS = {
+    ("cli", "run", "argv"): "the entry point: tests and perfbench pass argv",
+    ("lightshift", "LightField", "modulation_depth"): "a physical input stated in README",
+    ("lightshift", "linear", "angle"): "a physical input: --pol linear is angle 0",
+    ("spectra", "render", "payload"): "tests read render as write_spectrum's reference bytes",
+    ("spectra", "render", "key"): "tests read render as write_spectrum's reference bytes",
+    **{("spectra", synth, name): _SYNTHESIS_INPUT
+       for synth in ("synthesize_spectrum", "synthesize_field_scan")
+       for name in ("hold_time", "density", "noise_sigma", "seed", "metadata")},
+}
+
+
+def test_library_defaults_have_callers():
+    """Every defaulted parameter of a src function, method or constructor is
+    passed at some src call of that name (by keyword, by position, or through
+    *args/**kwargs or functools.partial), or is in UNCALLED_DEFAULTS; a value
+    no caller sets is a constant.  A listed entry that gains a caller fails too."""
+    package = Path(modfesh.__file__).parent
+    defaults = {}   # (module, callable, parameter) -> argument position, None if keyword-only
+
+    def collect(module, name, obj, shift=0):
+        try:
+            params = list(inspect.signature(obj).parameters.values())
+        except ValueError:   # a builtin constructor, e.g. an exception's
+            return
+        for i, p in enumerate(params):
+            if p.default is not p.empty:
+                defaults[(module, name, p.name)] = (
+                    i - shift if p.kind is p.POSITIONAL_OR_KEYWORD else None)
+
+    calls = {}      # callee name -> [(positional args, keywords)]
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"modfesh.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__ or not callable(obj):
+                continue
+            collect(path.stem, name, obj)
+            for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+                if not attr.startswith("__") and isinstance(
+                        member, (types.FunctionType, staticmethod, classmethod)):
+                    collect(path.stem, attr, getattr(obj, attr),
+                            shift=isinstance(member, types.FunctionType))   # self
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if getattr(func, "attr", None) == "partial" and args:
+                    func, args = args[0], args[1:]
+                name = getattr(func, "attr", getattr(func, "id", None))
+                calls.setdefault(name, []).append((args, node.keywords))
+
+    def passed(name, param, position):
+        return any(any(isinstance(a, ast.Starred) for a in args)
+                   or (position is not None and position < len(args))
+                   or any(k.arg in (None, param) for k in keywords)
+                   for args, keywords in calls.get(name, ()))
+
+    uncalled = {key for key, position in defaults.items() if not passed(*key[1:], position)}
+    assert uncalled - UNCALLED_DEFAULTS.keys() == set()   # no src caller sets these
+    assert UNCALLED_DEFAULTS.keys() - uncalled == set()   # listed, yet a src call passes them
+
+
 class TestFictitiousField:
     def test_benchmark_row(self, capsys):
         code, out, _ = run_cli(capsys, "fictitious-field", "--intensity", "0.87",
@@ -214,6 +282,15 @@ class TestResonancesAndGap:
         assert lines[1] == "m,gap_Hz,center_Hz,rwa_gap_Hz"
         for field in lines[2].split(","):
             float(field)
+
+    def test_floquet_gap_build_cap_exits_four(self, capsys, monkeypatch):
+        # this strong-coupling search settles on the vertex of its 10th build,
+        # one pass more than a cap of 10 allows
+        monkeypatch.setattr(floquet, "GAP_MAX_BUILDS", 10)
+        code, out, err = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-1000",
+                                 "--rabi-hz", "400", "--amplitude-hz", "2000", "--m", "1")
+        assert code == 4
+        assert out == "" and err.startswith("convergence error: ") and err.count("\n") == 1
 
     def test_floquet_gap_window_error_in_hz(self, capsys):
         """A --window that misses the resonance is reported in the Hz it was
@@ -600,20 +677,40 @@ class TestEnergyMap:
                                     427942748)
         assert rows == [("6g(6)", -2), ("6g(6)", -1)]
 
-    def test_ambiguous_rows_exit_three(self, tmp_path, capsys):
+    def one_line_map(self, tmp_path, capsys, f_hz, *registry_args):
+        """energy-map of one scan at 19.41 G with a bound line at f_hz:
+        (exit code, stderr, the note of each flagged row)."""
         scan_dir = tmp_path / "scans"
         scan_dir.mkdir()
-        model = ResonanceModel(200.0, 2 * math.pi * 3e3, 2 * math.pi * 150e3, -1)
-        spec = synthesize_spectrum([model], np.linspace(100e3, 200e3, 600),
+        model = ResonanceModel(200.0, 2 * math.pi * 3e3, 2 * math.pi * f_hz, -1)
+        spec = synthesize_spectrum([model], np.linspace(f_hz - 50e3, f_hz + 50e3, 600),
                                    density=3e12,
                                    metadata={"field_G": 19.41, "intensity_W_cm2": 0.8})
         write_spectrum(spec, scan_dir / "scan")
         out_csv = tmp_path / "map.csv"
         code, _, err = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir),
-                               "--output", str(out_csv))
-        assert code == 3
-        assert "flagged" in err
-        assert out_csv.exists()   # flagged rows are still emitted
+                               *registry_args, "--output", str(out_csv))
+        rows = [l.split(",") for l in out_csv.read_text().splitlines()
+                if l and not l.startswith("#")][1:]
+        return code, err, [r[7] for r in rows if r[6] == "1"]
+
+    def test_unmatched_peak_row_exits_three(self, tmp_path, capsys):
+        """A 150 kHz line that no builtin state explains: the row is kept,
+        flagged, and the map exits 3."""
+        code, err, notes = self.one_line_map(tmp_path, capsys, 150e3)
+        assert code == 3 and err == "1 ambiguous association(s) flagged\n"
+        assert notes == ["single intensity; uncompensated center; "
+                         "no registry state within tolerance"]
+
+    def test_two_state_ambiguity_exits_three(self, tmp_path, capsys):
+        """A 200 kHz line that states a (-200 kHz) and b (-204 kHz) both explain."""
+        reg_path = tmp_path / "states.cfg"
+        save_state_registry([MolecularState("a", -200e3, 0.0, 19.41),
+                             MolecularState("b", -204e3, 0.0, 19.41)], reg_path)
+        code, err, notes = self.one_line_map(tmp_path, capsys, 200e3,
+                                             "--registry", str(reg_path))
+        assert code == 3 and err == "1 ambiguous association(s) flagged\n"
+        assert notes == ["single intensity; uncompensated center; ambiguous with ['b']"]
 
 
 FIELD_SCAN_CONFIG = """\

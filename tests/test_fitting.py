@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from modfesh import fitting
 from modfesh.errors import ConvergenceError, DomainError
-from modfesh.fitting import levenberg_marquardt, weighted_linear_fit
+from modfesh.fitting import LeastSquaresFit, levenberg_marquardt, weighted_linear_fit
 
 
 def exponential_problem(noise=0.0, seed=0):
@@ -39,10 +40,11 @@ class TestLevenbergMarquardt:
         assert np.all(np.abs(res.params - true) < 5 * err)
         assert np.all(err < 0.1)
 
-    def test_iteration_budget_error_carries_last(self):
+    def test_iteration_budget_error_carries_last(self, monkeypatch):
         model, _ = exponential_problem()
+        monkeypatch.setattr(fitting, "LM_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            levenberg_marquardt(model, [50.0, 20.0, -30.0], max_iter=2)
+            levenberg_marquardt(model, [50.0, 20.0, -30.0])
         assert err.value.last is not None
         assert len(err.value.last) == 3
 
@@ -91,7 +93,7 @@ class TestWeightedLinearFit:
         fit = weighted_linear_fit(x, 5.0 - 2.0 * x)
         assert fit.intercept == pytest.approx(5.0, rel=1e-12)
         assert fit.slope == pytest.approx(-2.0, rel=1e-12)
-        assert fit.intercept_stderr == pytest.approx(0.0, abs=1e-9)
+        assert fit.stderr[0] == pytest.approx(0.0, abs=1e-9)
         assert fit.residual_norm == pytest.approx(0.0, abs=1e-9)
 
     def test_weights_downweight_outlier(self):
@@ -111,4 +113,8 @@ class TestWeightedLinearFit:
         fit = weighted_linear_fit([0.0, 1.0], [4.0, 6.0])
         assert fit.intercept == pytest.approx(4.0)
         assert fit.slope == pytest.approx(2.0)
-        assert fit.intercept_stderr == 0.0
+        assert fit.stderr[0] == 0.0
+
+    def test_stderr_reads_a_negative_variance_as_zero(self):
+        fit = LeastSquaresFit(np.array([[4.0, 0.5], [0.5, -1e-30]]), 0.0, 0, 1.0)
+        assert fit.stderr.tolist() == [2.0, 0.0]

@@ -309,8 +309,16 @@ class TestGapWorkCount:
         assert calls[0] > 1
         assert info.misses == 1 and info.hits == calls[0] - 1
 
+    def test_minimum_outside_window_raises_within_five_builds(self, calls):
+        # at Omega/w = 0.4 and A/w = 0.5 the crossing lies past the window's
+        # edge: one build at that edge confirms it, where halving toward it took 24
+        m, window = rwa_setting(1, 0.5, rabi=0.4)
+        with pytest.raises(DomainError, match="no interior minimum"):
+            avoided_crossing_gap(m, 1, window)
+        assert calls[0] <= 5
+
     def test_build_cap_raises(self, calls, monkeypatch):
-        # the strong-coupling search below settles in 18 builds
+        # the strong-coupling search below settles in 14 builds
         monkeypatch.setattr(floquet, "GAP_MAX_BUILDS", 10)
         m, window = rwa_setting(1, 2.0, rabi=0.4)
         with pytest.raises(ConvergenceError, match="10 propagator builds"):

@@ -5,7 +5,7 @@ import pytest
 
 from modfesh.atomdata import A_BOHR, CS_MASS
 from modfesh.errors import DomainError, PoleError
-from modfesh.scattering import (DressedChannelModel, ResonanceModel,
+from modfesh.scattering import (K3_COEFF, DressedChannelModel, ResonanceModel,
                                 dressed_alpha_beta, equivalent_resonance_model,
                                 inelastic_channel_scaling, loss_rate_proxy,
                                 pole_frequency, scattering_length,
@@ -224,11 +224,9 @@ class TestLossRateProxy:
     def test_unitarity_cap(self):
         huge = 1e9                      # far beyond 1/k in Bohr radii
         capped = loss_rate_proxy(huge, 0.0, 1e13)
-        uncapped = loss_rate_proxy(huge, 0.0, 1e13, cap_wavenumber=None)
-        assert capped < uncapped
+        assert capped < K3_COEFF * huge ** 4 * 1e26
         a_max = 1.0 / (7.0e6 * A_BOHR)
-        assert capped == pytest.approx(loss_rate_proxy(a_max, 0.0, 1e13,
-                                                       cap_wavenumber=None), rel=1e-12)
+        assert capped == pytest.approx(K3_COEFF * a_max ** 4 * 1e26, rel=1e-12)
 
     def test_cap_symmetric_in_sign(self):
         assert loss_rate_proxy(-1e9, 0.0, 1e13) == loss_rate_proxy(1e9, 0.0, 1e13)

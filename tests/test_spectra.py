@@ -395,7 +395,7 @@ class TestFanoFit:
                                 [fit.center, fit.width, fit.q, fit.amplitude, fit.offset],
                                 jac=lambda p: spectra._fano_jacobian(x, p) * w[:, None],
                                 method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            assert abs(ref.x[0] - fit.center) < 0.01 * fit.center_stderr
+            assert abs(ref.x[0] - fit.center) < 0.01 * fit.stderr[0]
 
     @pytest.mark.parametrize("q", [0.5, 2.0, -3.0, spectra.Q_SYMMETRIC])
     @pytest.mark.parametrize("width", [300.0, 1500.0, 4000.0])
@@ -474,7 +474,7 @@ class TestFanoFit:
         s2 = (r @ r) / (x.size - 5)
         cov = s2 * np.linalg.inv(jac.T @ jac)
         assert fit.covariance.shape == (5, 5)
-        assert fit.center_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
+        assert fit.stderr[0] == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-9)
         assert np.allclose(fit.covariance, cov, rtol=1e-7, atol=0)
 
 
@@ -855,6 +855,49 @@ class TestEnergyMapAssembly:
         assert len(points) == 1
         assert points[0].flagged
         assert points[0].state_label == ""
+
+    def test_two_states_within_tolerance_flagged(self):
+        # a 200 kHz line is a's fundamental and 2 % from b's: both explain it
+        registry = (MolecularState("a", -200e3, 0.0, 19.41),
+                    MolecularState("b", -204e3, 0.0, 19.41))
+        spec = synthesize_spectrum([bound_resonance(200e3, 3e3)],
+                                   np.linspace(150e3, 250e3, 600), density=3e12)
+        [point] = assemble_energy_map([(19.41, spec, 0.8)], registry)
+        assert (point.state_label, point.order_m, point.flagged) == ("a", -1, True)
+        assert point.note == "single intensity; uncompensated center; ambiguous with ['b']"
+
+    def test_fit_that_raises_is_dropped(self):
+        # a 6 kHz grid leaves 7 samples in the +-20 kHz fit window of a deep dip
+        spec = synthesize_spectrum([bound_resonance(200e3, 20e3)],
+                                   np.arange(150e3, 250.1e3, 6e3), density=3e12)
+        assert find_peaks(spec, 0.05, 8e3) == [198e3]
+        with pytest.raises(DomainError, match="only 7 points"):
+            fit_fano(spec, window=(178e3, 218e3))
+        assert assemble_energy_map([(19.41, spec, 0.8)], cesium_states()) == []
+
+    def test_fit_off_its_dip_is_dropped(self):
+        # the deepest sample of a q = 1 Fano dip lies w/(2q) = 1.5 kHz from its
+        # center: within min_separation_hz/2 at 8 kHz, beyond it at 2 kHz
+        x = np.arange(190e3, 210e3, 50.0)
+        spec = Spectrum(AXIS_FREQ, x, fano_profile(x, 200e3, 3e3, 1.0, 0.4, 1.0),
+                        np.zeros_like(x))
+        registry = (MolecularState("c", -200e3, 0.0, 19.41),)
+        [point] = assemble_energy_map([(19.41, spec, 0.8)], registry)
+        assert point.omega_res == pytest.approx(-200e3, rel=1e-9)
+        assert assemble_energy_map([(19.41, spec, 0.8)], registry, min_separation_hz=2e3) == []
+
+    def test_two_intensity_notes(self):
+        # both intensities see the m = -1 line, only 0.4 W/cm^2 the m = -2 line
+        registry = cesium_states()
+        state = next(s for s in registry if s.label == "4g(4)")
+        scans = (self.synth_scans(state, registry, intensities=(0.4,))
+                 + self.synth_scans(state, registry, intensities=(0.8,), orders=(1,),
+                                    widths=(3e3,), seed0=101))
+        points = assemble_energy_map(scans, registry)
+        assert [(p.order_m, p.note) for p in points] == [
+            (-2, "peak seen at a single intensity; left uncompensated"),
+            (-1, "shift compensation from only two intensities")]
+        assert all(p.state_label == "4g(4)" and not p.flagged for p in points)
 
     def test_deterministic(self):
         registry = cesium_states()
