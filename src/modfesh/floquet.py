@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 STEP_BLOCK = 32                  # Magnus steps per turn of the coupling phase
-MAX_PROPAGATOR_STEPS = 1 << 16   # keeps each step array below ~1 MB
+MAX_PROPAGATOR_STEPS = 1 << 16   # keeps a frequency's step arrays below ~1 MB
 _GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
 
 
@@ -115,69 +115,78 @@ def _step_count(model: DrivenTwoLevel) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _drive_phase(steps: int):
-    """Read-only (tau, sin tau), (steps, 2) each: the drive phase tau = w t at step
-    k's Gauss nodes, 2 pi (k + node)/steps, so a gap search tabulates it once."""
-    tau = (2.0 * math.pi / steps) * (np.arange(steps)[:, None] + _GAUSS_NODES)
+    """Read-only (tau, sin tau), (steps/2, 2) each: the drive phase tau = w t at the
+    Gauss nodes of the first half period's steps k, 2 pi (k + node)/steps, so a gap
+    search tabulates it once."""
+    tau = (2.0 * math.pi / steps) * (np.arange(steps // 2)[:, None] + _GAUSS_NODES)
     sin_tau = np.sin(tau)
     tau.flags.writeable = sin_tau.flags.writeable = False
     return tau, sin_tau
 
 
-def _interaction_propagator(model: DrivenTwoLevel, steps: int):
-    """U_I(T) = [[a, b], [-b*, a*]] in the interaction picture of the diagonal,
-    where H_I = (Omega/2)(cos theta sx - sin theta sy), theta = omega_b t - (A/w) sin wt.
+def _interaction_propagators(model: DrivenTwoLevel, steps: int, ws):
+    """Yield (a, b) for each modulation frequency w in ws: U_I(T) = [[a, b], [-b*, a*]]
+    in the interaction picture of the diagonal, where H_I = (Omega/2)(cos theta sx -
+    sin theta sy), theta = omega_b t - (A/w) sin wt.
 
     Each step is one two-point Gauss-Legendre Magnus-4 exponential exp(-i v.sigma) in
     closed form (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), from theta =
     (omega_b/w) tau - (A/w) sin tau at its nodes (phase table _drive_phase(steps)) and
     z = exp(i theta): vx - i vy = (hg/2)(z0 + z1), sin(theta0 - theta1) = Im z0 z1*.
-    Steps are multiplied pairwise, later on the left, over arrays padded with identity
-    steps to a power of two (exact: an odd last step waits a round as unpadded), and
-    the last 16 in order as Python complex numbers: there numpy's call cost dominates.
+    The first half period's steps/2 steps, for every w at once, are multiplied pairwise
+    along the step axis, later on the left, over rows padded with identity steps to a
+    power of two (exact: an odd last step waits a round as unpadded), and each row's
+    last 16 in order as Python complex numbers: there numpy's call cost dominates.
+    theta(T - t) = omega_b T - theta(t), and the Gauss nodes are symmetric, so for even
+    steps U_I(T) = R U_I(T/2)^T R† U_I(T/2) with R = exp(i omega_b T sz/2).
     """
-    w = model.omega_mod
+    w = np.asarray(ws, float)[:, None, None]
     tau, sin_tau = _drive_phase(steps)
-    z0, z1 = np.exp(1j * ((model.omega_b / w) * tau - (model.A / w) * sin_tau)).T
-    hg = math.pi / w / steps * model.Omega            # h Omega / 2, h = T / steps
+    z0, z1 = np.exp(1j * ((model.omega_b / w) * tau - (model.A / w) * sin_tau)).transpose(2, 0, 1)
+    hg = math.pi / w[..., 0] / steps * model.Omega    # h Omega / 2, h = T / steps
     ib = (-0.5j * hg) * (z0 + z1)                                   # -i (vx - i vy)
     minus_vz = (math.sqrt(3.0) / 6.0 * hg * hg) * (z0 * z1.conj()).imag
     norm = np.sqrt(ib.real ** 2 + ib.imag ** 2 + minus_vz ** 2)
     sinc = np.divide(np.sin(norm), norm, out=np.ones_like(norm), where=norm > 0)
-    size = 1 << (steps - 1).bit_length()
-    a, b = np.ones(size, complex), np.zeros(size, complex)
-    np.cos(norm, out=a.real[:steps])                # a = cos|v| - i vz sinc|v|
-    np.multiply(minus_vz, sinc, out=a.imag[:steps])
-    np.multiply(ib, sinc, out=b[:steps])            # b = -i (vx - i vy) sinc|v|
-    while a.size > 16:
-        a0, b0, a1, b1 = a[0::2], b[0::2], a[1::2], b[1::2]
+    half = steps // 2
+    size = 1 << (half - 1).bit_length()
+    a, b = np.ones((len(ws), size), complex), np.zeros((len(ws), size), complex)
+    np.cos(norm, out=a.real[:, :half])              # a = cos|v| - i vz sinc|v|
+    np.multiply(minus_vz, sinc, out=a.imag[:, :half])
+    np.multiply(ib, sinc, out=b[:, :half])          # b = -i (vx - i vy) sinc|v|
+    while a.shape[1] > 16:
+        a0, b0, a1, b1 = a[:, 0::2], b[:, 0::2], a[:, 1::2], b[:, 1::2]
         a, b = a1 * a0 - b1 * b0.conj(), a1 * b0 + b1 * a0.conj()
-    u_a, u_b = 1.0, 0.0
-    for a1, b1 in zip(a.tolist(), b.tolist()):
-        u_a, u_b = a1 * u_a - b1 * u_b.conjugate(), a1 * u_b + b1 * u_a.conjugate()
-    return u_a, u_b
+    for w, row_a, row_b in zip(ws, a.tolist(), b.tolist()):
+        u_a, u_b = 1.0, 0.0
+        for a1, b1 in zip(row_a, row_b):
+            u_a, u_b = a1 * u_a - b1 * u_b.conjugate(), a1 * u_b + b1 * u_a.conjugate()
+        phase = cmath.exp(2j * math.pi * model.omega_b / w)          # exp(i omega_b T)
+        yield u_a * u_a + phase * u_b.conjugate() ** 2, u_a * u_b - phase * (u_b * u_a).conjugate()
 
 
-def _spectrum(model: DrivenTwoLevel, steps: int) -> FloquetSolution:
-    """U(T) = diag(exp(-i omega_alpha T), exp(-i omega_beta T)) U_I(T) has the
+def _spectra(model: DrivenTwoLevel, steps: int, ws):
+    """Yield the FloquetSolution at each modulation frequency w in ws.
+
+    U(T) = diag(exp(-i omega_alpha T), exp(-i omega_beta T)) U_I(T) has the
     eigenvalues lambda = exp(-i s T -+ i phi), s the mean level, so the
     quasi-energies -arg(lambda)/T are s +- phi/T.  atan2 keeps phi and the gap
     precise when the gap is small."""
-    w = model.omega_mod
-    period = 2.0 * math.pi / w
-    a, b = _interaction_propagator(model, steps)
-    p = cmath.exp(-0.5j * model.omega_b * period) * a
-    sin_phi = math.hypot(p.imag, abs(b))
     s = 0.5 * (model.omega_alpha + model.omega_beta)
-    phi = math.atan2(sin_phi, p.real) / period
-    e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
-    return FloquetSolution(quasi_energies=np.array(e),
-                           gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
+    for w, (a, b) in zip(ws, _interaction_propagators(model, steps, ws)):
+        period = 2.0 * math.pi / w
+        p = cmath.exp(-0.5j * model.omega_b * period) * a
+        sin_phi = math.hypot(p.imag, abs(b))
+        phi = math.atan2(sin_phi, p.real) / period
+        e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
+        yield FloquetSolution(quasi_energies=np.array(e),
+                              gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
 
 
 def floquet_spectrum(model: DrivenTwoLevel) -> FloquetSolution:
     """Quasi-energies of the driven two-level system: the eigenphases of its
     one-period propagator (Shirley, Phys. Rev. 138, B979 (1965))."""
-    return _spectrum(model, _step_count(model))
+    return next(_spectra(model, _step_count(model), [model.omega_mod]))
 
 
 class GapResult(NamedTuple):
@@ -186,8 +195,9 @@ class GapResult(NamedTuple):
 
 
 # Relative x-tolerance of the gap search: it stops once two successive parabola
-# vertices agree to GAP_XTOL_REL.  gap^2 is flat near its minimum, and its rounding
-# noise moves a vertex by ~1e-9 relative; a few 1e-9 is the finest position it resolves.
+# vertices agree to GAP_XTOL_REL, or to 4 sqrt(eps gap^2/curv) if wider.  gap^2 is flat
+# near its minimum: its rounding noise, ~eps gap^2, moves the vertex of a parabola of
+# curvature curv by ~sqrt(eps gap^2/curv), a few 1e-9 relative or more.
 GAP_XTOL_REL = 3e-9
 GAP_STEP_REL = 1e-4      # the starting points w_expect +- GAP_STEP_REL w_expect
 GAP_MAX_BUILDS = 64      # propagator builds before a gap search gives up
@@ -201,19 +211,19 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
     form gives gap^2 ~ g^2 + m^2 (w - w_c)^2, a parabola in w, so successive
     parabolic interpolation of gap^2 lands on the center w_c in about four
     propagator builds: three at w_expect and w_expect +- GAP_STEP_REL w_expect
-    (moved into the window), then one at each vertex, keeping the three points
-    nearest it.  Where the parabola is not convex or its vertex leaves the window,
-    the next point is the window edge past the lower end point.  Two successive
-    vertices that agree to GAP_XTOL_REL end the search, which reports the last
-    one and the parabola's value there.  The step count is fixed once, at the
-    window's low edge where the phase turns fastest, so gap^2(w) is smooth and
-    every build reads one drive-phase table and pads its step product with
-    identity steps.
+    (moved into the window), made in one builder call, then one at each vertex,
+    keeping the three points nearest it.  Where the parabola is not convex or its
+    vertex leaves the window, the next point is the window edge past the lower end
+    point.  The vertex is checked after every build: two successive vertices that
+    agree to max(GAP_XTOL_REL w, 4 sqrt(eps gap^2/curv)) end the search, which
+    reports the last one and the parabola's value there.  The step count is fixed
+    once, at the window's low edge where the phase turns fastest, so gap^2(w) is
+    smooth and every build reads one half-period drive-phase table.
 
     Raises DomainError for an invalid window or m = 0, for a window that does
     not bracket w_expect, and when the minimum lies within 2 GAP_XTOL_REL of a
-    window edge (no interior minimum in the window); ConvergenceError when
-    GAP_MAX_BUILDS builds do not settle the vertex.
+    window edge (no interior minimum in the window); ConvergenceError when the
+    vertex has not settled after GAP_MAX_BUILDS builds.
     """
     w_lo, w_hi = scan_window
     if not (w_lo > 0 and w_hi > w_lo):
@@ -227,37 +237,38 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
 
     steps = _step_count(replace(model, omega_mod=w_lo))
 
-    def gap_squared(w: float) -> float:
-        return _spectrum(replace(model, omega_mod=w), steps).gap ** 2
+    def gap_squared(ws) -> dict:
+        return {w: sol.gap ** 2 for w, sol in zip(ws, _spectra(model, steps, ws))}
 
     def at_edge(w: float, edge: float) -> bool:
         return abs(w - edge) <= 2.0 * GAP_XTOL_REL * w
 
     h = min(GAP_STEP_REL * w_expect, 0.5 * (w_hi - w_lo))
     mid = min(max(w_expect, w_lo + h), w_hi - h)
-    seen = {w: gap_squared(w) for w in (mid - h, mid, mid + h)}
+    seen = gap_squared([mid - h, mid, mid + h])
     vertex, u = math.nan, mid
-    for _ in range(GAP_MAX_BUILDS - len(seen)):   # at most one build a pass
+    for _ in range(GAP_MAX_BUILDS - len(seen) + 1):   # at most one build a pass
+        if u not in seen:
+            seen.update(gap_squared([u]))
         x0, x1, x2 = sorted(sorted(seen, key=lambda w: abs(w - u))[:3])
         f0, f1, f2 = seen[x0], seen[x1], seen[x2]
         s01, s12 = (f1 - f0) / (x1 - x0), (f2 - f1) / (x2 - x1)
         curv = (s12 - s01) / (x2 - x0)
         u = 0.5 * (x0 + x1 - s01 / curv) if curv > 0 else math.nan
         if w_lo < u < w_hi:
-            if abs(u - vertex) <= GAP_XTOL_REL * u:
+            gap2 = max(f0 + s01 * (u - x0) + curv * (u - x0) * (u - x1), 0.0)
+            if abs(u - vertex) <= max(GAP_XTOL_REL * u,
+                                      4.0 * math.sqrt(math.ulp(1.0) * gap2 / curv)):
                 if at_edge(u, w_lo) or at_edge(u, w_hi):
                     break
-                gap2 = f0 + s01 * (u - x0) + curv * (u - x0) * (u - x1)
-                return GapResult(gap=math.sqrt(max(gap2, 0.0)), center=u)
+                return GapResult(gap=math.sqrt(gap2), center=u)
             vertex = u
         else:
             best, edge = (x0, w_lo) if f0 < f2 else (x2, w_hi)
             if at_edge(best, edge):
                 break
             u, vertex = edge, math.nan
-        if u not in seen:
-            seen[u] = gap_squared(u)
     else:
         raise ConvergenceError(
-            f"gap search did not converge in {GAP_MAX_BUILDS} propagator builds")
+            f"gap search did not converge in {len(seen)} propagator builds")
     raise DomainError("no interior minimum bracketed by the scan window")

@@ -283,14 +283,23 @@ class TestResonancesAndGap:
         for field in lines[2].split(","):
             float(field)
 
+    STRONG_GAP = ("floquet-gap", "--omega-b-hz", "-1000", "--rabi-hz", "400",
+                  "--amplitude-hz", "2000", "--m", "1")
+
     def test_floquet_gap_build_cap_exits_four(self, capsys, monkeypatch):
-        # this strong-coupling search settles on the vertex of its 10th build,
-        # one pass more than a cap of 10 allows
-        monkeypatch.setattr(floquet, "GAP_MAX_BUILDS", 10)
-        code, out, err = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-1000",
-                                 "--rabi-hz", "400", "--amplitude-hz", "2000", "--m", "1")
+        # this strong-coupling search settles on the vertex of its 7th build
+        monkeypatch.setattr(floquet, "GAP_MAX_BUILDS", 6)
+        code, out, err = run_cli(capsys, *self.STRONG_GAP)
         assert code == 4
         assert out == "" and err.startswith("convergence error: ") and err.count("\n") == 1
+        assert "6 propagator builds" in err
+
+    def test_floquet_gap_reads_its_last_build(self, capsys, monkeypatch):
+        """The search above succeeds at a cap of 7: the vertex of the last
+        build a cap allows is read."""
+        monkeypatch.setattr(floquet, "GAP_MAX_BUILDS", 7)
+        code, out, err = run_cli(capsys, *self.STRONG_GAP)
+        assert code == 0 and err == "" and out
 
     def test_floquet_gap_window_error_in_hz(self, capsys):
         """A --window that misses the resonance is reported in the Hz it was
