@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,15 +93,15 @@ class FloquetSolution:
     gap: float
 
 
-def _step_count(model: DrivenTwoLevel) -> int:
+def _step_count(model: DrivenTwoLevel, w: float) -> int:
     """STEP_BLOCK ceil(max(2, r) sqrt(max(1, Omega/(0.02 w))) max(1, Omega/w)^(1/4))
-    Magnus steps per period; r = (|omega_b| + |A|)/w counts the phase's turns.
+    Magnus steps per period of the modulation frequency w; r = (|omega_b| + |A|)/w
+    counts the phase's turns.
 
     The Magnus-4 error grows as Omega^2 h^4, and as Omega^3 h^4 once Omega > w;
     the two Omega factors hold it near 1e-10 w.  Raises DomainError above
     MAX_PROPAGATOR_STEPS, before any array is built.
     """
-    w = model.omega_mod
     if w <= 0:
         raise DomainError("omega_mod must be positive")
     rate = (abs(model.omega_b) + abs(model.A)) / w
@@ -165,28 +165,29 @@ def _interaction_propagators(model: DrivenTwoLevel, steps: int, ws):
         yield u_a * u_a + phase * u_b.conjugate() ** 2, u_a * u_b - phase * (u_b * u_a).conjugate()
 
 
-def _spectra(model: DrivenTwoLevel, steps: int, ws):
-    """Yield the FloquetSolution at each modulation frequency w in ws.
+def _phases(model: DrivenTwoLevel, steps: int, ws):
+    """Yield (phi, gap) at each modulation frequency w in ws.
 
     U(T) = diag(exp(-i omega_alpha T), exp(-i omega_beta T)) U_I(T) has the
-    eigenvalues lambda = exp(-i s T -+ i phi), s the mean level, so the
-    quasi-energies -arg(lambda)/T are s +- phi/T.  atan2 keeps phi and the gap
-    precise when the gap is small."""
-    s = 0.5 * (model.omega_alpha + model.omega_beta)
+    eigenvalues lambda = exp(-i s T -+ i phi T), s the mean level, so the
+    quasi-energies -arg(lambda)/T are s +- phi; gap is their shorter distance
+    around the zone.  atan2 keeps phi and the gap precise when the gap is small."""
     for w, (a, b) in zip(ws, _interaction_propagators(model, steps, ws)):
         period = 2.0 * math.pi / w
         p = cmath.exp(-0.5j * model.omega_b * period) * a
         sin_phi = math.hypot(p.imag, abs(b))
-        phi = math.atan2(sin_phi, p.real) / period
-        e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
-        yield FloquetSolution(quasi_energies=np.array(e),
-                              gap=2.0 * math.atan2(sin_phi, abs(p.real)) / period)
+        yield (math.atan2(sin_phi, p.real) / period,
+               2.0 * math.atan2(sin_phi, abs(p.real)) / period)
 
 
 def floquet_spectrum(model: DrivenTwoLevel) -> FloquetSolution:
     """Quasi-energies of the driven two-level system: the eigenphases of its
     one-period propagator (Shirley, Phys. Rev. 138, B979 (1965))."""
-    return next(_spectra(model, _step_count(model), [model.omega_mod]))
+    w = model.omega_mod
+    (phi, gap), = _phases(model, _step_count(model, w), [w])
+    s = 0.5 * (model.omega_alpha + model.omega_beta)
+    e = sorted(x - w * np.ceil(x / w - 0.5) for x in (s - phi, s + phi))
+    return FloquetSolution(quasi_energies=np.array(e), gap=gap)
 
 
 class GapResult(NamedTuple):
@@ -235,10 +236,10 @@ def avoided_crossing_gap(model: DrivenTwoLevel, m: int, scan_window) -> GapResul
         raise DomainError(
             f"window [{w_lo}, {w_hi}] does not bracket the expected resonance {w_expect}")
 
-    steps = _step_count(replace(model, omega_mod=w_lo))
+    steps = _step_count(model, w_lo)
 
     def gap_squared(ws) -> dict:
-        return {w: sol.gap ** 2 for w, sol in zip(ws, _spectra(model, steps, ws))}
+        return {w: gap ** 2 for w, (_, gap) in zip(ws, _phases(model, steps, ws))}
 
     def at_edge(w: float, edge: float) -> bool:
         return abs(w - edge) <= 2.0 * GAP_XTOL_REL * w

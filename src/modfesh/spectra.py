@@ -462,16 +462,43 @@ class EnergyMapPoint:
     note: str
 
 
-def _cluster_centers(fits, window):
-    """Group (intensity, center, stderr) triples into clusters by center."""
-    fits = sorted(fits, key=lambda f: (f[1], f[0]))
-    clusters = []
-    for item in fits:
-        if clusters and abs(item[1] - clusters[-1][-1][1]) <= window:
-            clusters[-1].append(item)
-        else:
-            clusters.append([item])
-    return clusters
+def _line_fits(spec, min_depth, min_separation_hz):
+    """Yield the FanoFit of each find_peaks dip of one scan, fitted over
+    +-2.5 min_separation_hz, unless one of four decisions drops the dip: both
+    neighbouring samples are shallower than min_depth (one noisy sample, not a
+    line: it is not fitted), or the fit raises DomainError or ConvergenceError,
+    ends more than min_separation_hz/2 from its dip or is shallower than
+    min_depth (it measures noise rather than a line)."""
+    for xc in find_peaks(spec, min_depth, min_separation_hz):
+        i = int(np.searchsorted(spec.x, xc))
+        if min(spec.y[i - 1], spec.y[i + 1]) > 1.0 - min_depth:
+            continue
+        window = (xc - 2.5 * min_separation_hz, xc + 2.5 * min_separation_hz)
+        try:
+            fit = fit_fano(spec, window=window)
+        except (DomainError, ConvergenceError):
+            continue
+        if abs(fit.center - xc) > min_separation_hz / 2 or fit.amplitude < min_depth:
+            continue
+        yield fit
+
+
+def _compensated(line, n_present):
+    """(center, sigma, note) of a line given as (intensity, FanoFit) pairs in
+    center order, at a field where n_present intensities kept a fit.  At two or
+    more intensities: the zero-intensity intercept of a line through the
+    centers, weighted by their stderr if all are positive, and its stderr.  At
+    one: the first fit's center and stderr, uncompensated."""
+    xs = [intensity for intensity, _ in line]
+    ys = [fit.center for _, fit in line]
+    errs = [float(fit.stderr[0]) for _, fit in line]
+    n_int = len(set(xs))
+    if n_int < 2:
+        return ys[0], errs[0], ("peak seen at a single intensity; left uncompensated"
+                                if n_present > 1 else "single intensity; uncompensated center")
+    lin = weighted_linear_fit(xs, ys, errs if all(e > 0 for e in errs) else None)
+    return (lin.intercept, float(lin.stderr[0]),
+            "shift compensation from only two intensities" if n_int == 2 else "")
 
 
 def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
@@ -480,15 +507,12 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
 
     scans: iterable of (B_gauss, Spectrum, intensity_W_cm2) with frequency-axis
     spectra; several intensities per field enable the DC-shift compensation.
-    Peaks are associated with the registry state and drive order whose
-    predicted |E(B)|/|m|, |m| <= M_ORDER_MAX, lies within M_ORDER_RATIO_TOLERANCE;
-    two states within tolerance flag the point instead of guessing.  Each dip
-    is fitted over +-2.5 min_separation_hz, and centers within
-    0.6 min_separation_hz of each other are one line seen at several
-    intensities.  A dip whose two neighbouring samples are both shallower
-    than min_depth is one noisy sample, not a line, and is skipped.  A Fano
-    fit that fails, ends more than min_separation_hz/2 from its dip or is
-    shallower than min_depth measures noise rather than a line and is dropped.
+    A field's _line_fits, in center order, split into lines (one resonance
+    seen at several intensities, compensated by _compensated) wherever
+    neighbouring centers lie more than 0.6 min_separation_hz apart.  A line is
+    associated with the registry state and drive order whose predicted
+    |E(B)|/|m|, |m| <= M_ORDER_MAX, lies within M_ORDER_RATIO_TOLERANCE; two
+    states within tolerance flag the point instead of guessing.
     """
     by_field = {}
     for b_field, spec, intensity in scans:
@@ -498,50 +522,22 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
 
     points = []
     for b_field in sorted(by_field):
-        group = by_field[b_field]
-        peak_fits = []
-        for intensity, spec in sorted(group, key=lambda g: g[0]):
-            for xc in find_peaks(spec, min_depth, min_separation_hz):
-                i = int(np.searchsorted(spec.x, xc))
-                if min(spec.y[i - 1], spec.y[i + 1]) > 1.0 - min_depth:
-                    continue
-                window = (xc - 2.5 * min_separation_hz, xc + 2.5 * min_separation_hz)
-                try:
-                    fit = fit_fano(spec, window=window)
-                except (DomainError, ConvergenceError):
-                    continue
-                if (abs(fit.center - xc) > min_separation_hz / 2
-                        or fit.amplitude < min_depth):
-                    continue
-                peak_fits.append((intensity, fit.center, float(fit.stderr[0])))
-        if not peak_fits:
-            continue
-        intensities_present = sorted({pf[0] for pf in peak_fits})
-        for cluster in _cluster_centers(peak_fits, 0.6 * min_separation_hz):
-            note = ""
-            n_int = len({c[0] for c in cluster})
-            if n_int >= 2:
-                xs = [c[0] for c in cluster]
-                ys = [c[1] for c in cluster]
-                errs = [c[2] for c in cluster]
-                sig = errs if all(e > 0 for e in errs) else None
-                lin = weighted_linear_fit(xs, ys, sig)
-                f0 = lin.intercept
-                f0_err = float(lin.stderr[0])
-                if n_int == 2:
-                    note = "shift compensation from only two intensities"
-            else:
-                f0 = cluster[0][1]
-                f0_err = cluster[0][2]
-                if len(intensities_present) > 1:
-                    note = "peak seen at a single intensity; left uncompensated"
-                else:
-                    note = "single intensity; uncompensated center"
-            points.append(_associate_peak(b_field, f0, f0_err, registry, note))
+        fits = sorted(((intensity, fit)
+                       for intensity, spec in sorted(by_field[b_field], key=lambda g: g[0])
+                       for fit in _line_fits(spec, min_depth, min_separation_hz)),
+                      key=lambda f: (f[1].center, f[0]))
+        lines = []
+        for item in fits:
+            if not lines or item[1].center - lines[-1][-1][1].center > 0.6 * min_separation_hz:
+                lines.append([])
+            lines[-1].append(item)
+        n_present = len({intensity for intensity, _ in fits})
+        points += [_associate_peak(b_field, registry, *_compensated(line, n_present))
+                   for line in lines]
     return points
 
 
-def _associate_peak(b_field, f0, f0_err, registry, note) -> EnergyMapPoint:
+def _associate_peak(b_field, registry, f0, f0_err, note) -> EnergyMapPoint:
     candidates = []
     for state in registry:
         try:

@@ -686,6 +686,16 @@ class TestEnergyMap:
                                     427942748)
         assert rows == [("6g(6)", -2), ("6g(6)", -1)]
 
+    def test_field_axis_scan_exits_three(self, tmp_path, capsys):
+        """A field-axis spectrum among the scans is a domain error, not a traceback."""
+        scan_dir = tmp_path / "scans"
+        scan_dir.mkdir()
+        (scan_dir / "scan.json").write_text(
+            (SPECTRUM_JSON % "0.9").replace("modulation_freq_Hz", "field_Gauss"))
+        code, out, err = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir))
+        assert (code, out) == (3, "")
+        assert err == "domain error: energy-map scans must be frequency-axis spectra\n"
+
     def one_line_map(self, tmp_path, capsys, f_hz, *registry_args):
         """energy-map of one scan at 19.41 G with a bound line at f_hz:
         (exit code, stderr, the note of each flagged row)."""
@@ -817,6 +827,17 @@ class TestUsageErrorsExitTwo:
         (("scan", "--config", "c.cfg", "--out", "o5", "--output", "ignored.txt",
           "--format", "json", "--species", "nothere.species"), None, None),
         (("fit", "--model", "linear", "--input", "lin.csv", "--format", "csv"), None, None),
+        (SL + ("--grid", "1e5:2e5"), None, None),
+        (GAP + ("--m", "1", "--window", "1e5:2e5:3"), None, None),
+        (GAP + ("--m", "1", "--window", "lo:hi"), None, None),
+        (None, ("axis = field_Gauss", "axis = field"), 1),
+        (None, ("1 3e3", ""), 9),
+        (None, ("1 3e3", "1 3e3 5"), 10),
+        (None, ("state = 4g(4)", "state = 9z(9)"), 1),
+        (None, ("[widths]", "[widths"), 9),
+        (None, ("[scan]", "points = 90\n[scan]"), 1),
+        (None, ("seed = 3", "= 3"), 8),
+        (None, ("seed = 3", "seed = 3\nseed = 4"), 9),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # an over-cap count must be refused before it sizes an allocation
@@ -907,13 +928,33 @@ class TestUsageErrorsExitTwo:
                         "D2 3 4 351.8e12 2.0e-29 3.3e7\n"},
          ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
          "cs.species: line 3"),
+        ({"freq.cfg": FREQ_CONFIG[:FREQ_CONFIG.index("[resonance]")]}, SCAN_FREQ, "freq.cfg"),
+        ({"lin.csv": "intensity,center\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv"),
+        ({"lin.csv": "0.4\n0.8\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv: line 1"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace('"field_G": 19.41, ', "")},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"spec.csv": "# schema_version=1\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv"),
+        ({"spec.csv": "axis,value,relative_atoms,sigma\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv"),
+        ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,0.9\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 2"),
+        ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,0.9,0.01\n"
+                      "field_Gauss,1.1e5,0.9,0.01\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 3"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace(", 0.01]", "]")},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
             "registry-window_G-nan", "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
             "json-deep-nesting", "scan-noise_sigm", "scan-second-scan", "freq-scan-widths",
             "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label",
-            "species-second-section", "transitions-repeated-row"])
+            "species-second-section", "transitions-repeated-row", "freq-scan-no-resonance",
+            "linear-csv-header-only", "linear-csv-one-column", "json-no-field_G", "csv-empty",
+            "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

@@ -105,7 +105,7 @@ class TestFloquetSpectrum:
             raise AssertionError("propagator built")
 
         monkeypatch.setattr(floquet, "_interaction_propagators", refuse)
-        assert floquet._step_count(model(A=2047.0)) == floquet.MAX_PROPAGATOR_STEPS
+        assert floquet._step_count(model(A=2047.0), 1.0) == floquet.MAX_PROPAGATOR_STEPS
         with pytest.raises(DomainError):
             floquet_spectrum(model(A=2047.5))
         with pytest.raises(DomainError):
@@ -133,9 +133,9 @@ class TestFloquetSpectrum:
         sectors): the step count's Omega factors keep the gap within 1e-9 w of
         the same propagator at 4x the steps."""
         m = model(omega_b=1.0, Omega=rabi, A=1.0, omega_mod=0.99)
-        steps = floquet._step_count(m)
-        gap, gap_4x = (next(floquet._spectra(m, k, [m.omega_mod])).gap
-                       for k in (steps, 4 * steps))
+        steps = floquet._step_count(m, m.omega_mod)
+        (_, gap), (_, gap_4x) = (next(floquet._phases(m, k, [m.omega_mod]))
+                                 for k in (steps, 4 * steps))
         assert abs(gap - gap_4x) <= 1e-9 * m.omega_mod
 
     def test_non_finite_model_refused(self):
@@ -276,7 +276,7 @@ class TestPaddedProduct:
             m = DrivenTwoLevel(0.0, float(m_order), rng.uniform(0.001, 0.4),
                                rng.uniform(0.1, 9.0), 1.0)
             ws = list(1.0 + rng.uniform(-0.02, 0.02, int(rng.integers(2, 5))) / m_order)
-            steps = floquet._step_count(replace(m, omega_mod=min(ws)))
+            steps = floquet._step_count(m, min(ws))
             assert list(floquet._interaction_propagators(m, steps, ws)) == [
                 next(floquet._interaction_propagators(m, steps, [w])) for w in ws]
 
@@ -346,7 +346,7 @@ class TestGapWorkCount:
 
         monkeypatch.setattr(np, "cos", counting_cos)
         m, window = rwa_setting(3, 8.7)
-        assert floquet._step_count(replace(m, omega_mod=window[0])) == 384
+        assert floquet._step_count(m, window[0]) == 384
         avoided_crossing_gap(m, 3, window)
         assert calls == [3, 1] and formed == [3 * 192, 192]
 
@@ -378,10 +378,11 @@ class TestIndependentMinimizer:
     @staticmethod
     def scipy_minimum(m, window):
         minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
-        steps = floquet._step_count(replace(m, omega_mod=window[0]))
+        steps = floquet._step_count(m, window[0])
 
         def gap_squared(w):
-            return next(floquet._spectra(m, steps, [w])).gap ** 2
+            _, gap = next(floquet._phases(m, steps, [w]))
+            return gap ** 2
 
         ref = minimize_scalar(gap_squared, bounds=window, method="bounded",
                               options={"xatol": 1e-12})

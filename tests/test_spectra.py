@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from modfesh.atomdata import MolecularState, cesium_states, molecular_energy
-from modfesh.errors import ConfigError, ConvergenceError, DomainError
+from modfesh.errors import ConfigError, ConvergenceError, DomainError, PoleError
 from modfesh.fitting import COST_RTOL, levenberg_marquardt
 from modfesh import spectra
-from modfesh.scattering import DressedChannelModel, ResonanceModel, loss_rate_proxy
+from modfesh.scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
+                                equivalent_resonance_model, loss_rate_proxy)
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              fit_linear_shift, read_spectrum_csv, read_spectrum_json,
@@ -86,6 +87,19 @@ class TestSynthesize:
         spec = synthesize_spectrum([m], np.linspace(150e3, 250e3, 301))
         assert np.all(np.isfinite(spec.y))
         assert spec.y.min() < 0.99
+
+    def test_lossless_dressed_model_is_its_resonance_model(self):
+        """gamma_in = 0 with a grid point exactly on the bare pole: the dressed
+        formula would raise PoleError there, so the synthesis uses the
+        equivalent two-channel model, whose pole the unitarity cap clips."""
+        m = DressedChannelModel(a_bk=200.0, delta_m=TWO_PI * 3e3, gamma_in=0.0,
+                                omega_b=TWO_PI * 200e3, delta_shift=0.0, m=1)
+        grid = np.array([150e3, 200e3, 250e3])
+        with pytest.raises(PoleError):
+            dressed_alpha_beta(m, TWO_PI * grid)
+        spec = synthesize_spectrum([m], grid)
+        ref = synthesize_spectrum([equivalent_resonance_model(m)], grid)
+        assert spec.y.tobytes() == ref.y.tobytes() and spec.y[1] < 0.9
 
     def test_field_scan_dips(self):
         # fixed drive frequency, sweep B through the threshold crossing:
@@ -867,13 +881,54 @@ class TestEnergyMapAssembly:
         assert point.note == "single intensity; uncompensated center; ambiguous with ['b']"
 
     def test_fit_that_raises_is_dropped(self):
-        # a 6 kHz grid leaves 7 samples in the +-20 kHz fit window of a deep dip
-        spec = synthesize_spectrum([bound_resonance(200e3, 20e3)],
+        # a 6 kHz grid leaves 7 samples in the +-20 kHz fit window of a deep
+        # dip, and the 40 kHz line makes both neighbours of its deepest sample
+        # deep enough to be fitted
+        spec = synthesize_spectrum([bound_resonance(200e3, 40e3)],
                                    np.arange(150e3, 250.1e3, 6e3), density=3e12)
         assert find_peaks(spec, 0.05, 8e3) == [198e3]
+        assert max(spec.y[7], spec.y[9]) < 0.95
         with pytest.raises(DomainError, match="only 7 points"):
             fit_fano(spec, window=(178e3, 218e3))
         assert assemble_energy_map([(19.41, spec, 0.8)], cesium_states()) == []
+
+    def test_one_sample_dip_is_not_fitted(self, monkeypatch):
+        # the 20 kHz line's deepest sample stands alone: both neighbours lie
+        # within min_depth of the baseline
+        spec = synthesize_spectrum([bound_resonance(200e3, 20e3)],
+                                   np.arange(150e3, 250.1e3, 6e3), density=3e12)
+        assert find_peaks(spec, 0.05, 8e3) == [198e3]
+        assert min(spec.y[7], spec.y[9]) > 0.95
+
+        def not_fitted(*args, **kwargs):
+            raise AssertionError("a one-sample dip was fitted")
+
+        monkeypatch.setattr(spectra, "fit_fano", not_fitted)
+        assert assemble_energy_map([(19.41, spec, 0.8)], cesium_states()) == []
+
+    def test_fit_that_does_not_converge_is_dropped(self, monkeypatch):
+        x = np.arange(190e3, 210e3, 50.0)
+        spec = Spectrum(AXIS_FREQ, x, fano_profile(x, 200e3, 3e3, 1.0, 0.4, 1.0),
+                        np.zeros_like(x))
+        registry = (MolecularState("c", -200e3, 0.0, 19.41),)
+        assert len(assemble_energy_map([(19.41, spec, 0.8)], registry)) == 1
+
+        def no_convergence(*args, **kwargs):
+            raise ConvergenceError("did not converge")
+
+        monkeypatch.setattr(spectra, "fit_fano", no_convergence)
+        assert assemble_energy_map([(19.41, spec, 0.8)], registry) == []
+
+    def test_state_at_threshold_is_skipped(self):
+        # state t has E = 0 at its B_ref: it predicts no line, and the
+        # association must not divide by its zero energy
+        registry = (MolecularState("t", 0.0, 1.35e6, 19.41),
+                    MolecularState("a", -200e3, 0.0, 19.41))
+        assert molecular_energy(registry[0], 19.41, registry) == 0.0
+        spec = synthesize_spectrum([bound_resonance(200e3, 3e3)],
+                                   np.linspace(150e3, 250e3, 600), density=3e12)
+        [point] = assemble_energy_map([(19.41, spec, 0.8)], registry)
+        assert (point.state_label, point.order_m, point.flagged) == ("a", -1, False)
 
     def test_fit_off_its_dip_is_dropped(self):
         # the deepest sample of a q = 1 Fano dip lies w/(2q) = 1.5 kHz from its
