@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .keyvalue import REQUIRED, Section, finite, format_keyvalue, load_keyvalue, write_text
+from .keyvalue import (REQUIRED, Section, finite, format_keyvalue, load_keyvalue, parse_fields,
+                       write_text)
 from .specfun import HalfInt
 
 __all__ = [
@@ -283,22 +284,12 @@ def load_species(path) -> AtomSpecies:
     transitions = {(t.line, t.F, t.F_prime): t for t in species.transitions}
     in_file = set()
     for sec in sections["transitions"]:
-        for lineno, tokens in sec.take_rows():
-            if len(tokens) != 6:
-                raise ConfigError(
-                    "transition row needs 6 columns: line F F' freq_Hz dipole_Cm decay_rad_s",
-                    path, lineno)
-            line_name = tokens[0]
-            try:
-                f_lo = int(tokens[1])
-                f_hi = int(tokens[2])
-                freq, dip, gam = map(finite, tokens[3:])
-            except ValueError:
-                raise ConfigError("cannot parse transition row numbers",
-                                  path, lineno) from None
+        rows = sec.take_rows((str, int, int, finite, finite, finite),
+                             "transition row (line F F' freq_Hz dipole_Cm decay_rad_s)")
+        for lineno, (line_name, f_lo, f_hi, freq, dip, gam) in rows:
             key = (line_name, f_lo, f_hi)
             if key in in_file:
-                raise ConfigError(f"repeated transition {' '.join(tokens[:3])}", path, lineno)
+                raise ConfigError(f"repeated transition {line_name} {f_lo} {f_hi}", path, lineno)
             in_file.add(key)
             j_prime = HalfInt(1) if line_name == "D1" else HalfInt(3)
             try:
@@ -330,12 +321,6 @@ def save_species(species: AtomSpecies, path) -> None:
         "transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s")), path)
 
 
-def _window(text: str) -> tuple:
-    """'19 21' -> (19.0, 21.0); anything but two finite numbers is a ValueError."""
-    low, high = map(finite, text.split())
-    return low, high
-
-
 def load_state_registry(path) -> tuple:
     """Registry file: one [state <label>] section per molecular state."""
     states = []
@@ -345,7 +330,8 @@ def load_state_registry(path) -> tuple:
         e0 = sec.get("E0_Hz", finite, REQUIRED)
         mu = sec.get("mu_rel_Hz_per_G", finite, REQUIRED)
         b_ref = sec.get("B_ref_G", finite, REQUIRED)
-        window = sec.get("window_G", _window, DEFAULT_FIELD_WINDOW_G)
+        window = sec.get("window_G", lambda text: parse_fields(
+            text.split(), (finite, finite), "window (<low> <high>)"), DEFAULT_FIELD_WINDOW_G)
         partner = sec.get("crossing_partner", str, None)
         if partner is not None:
             partner = (partner, sec.get("V_ij_Hz", finite, REQUIRED))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import atomdata, floquet, lightshift, scattering, spectra
 from .errors import ConfigError, ConvergenceError, DomainError
-from .keyvalue import REQUIRED, finite, load_keyvalue, write_text
+from .keyvalue import REQUIRED, finite, load_keyvalue, parse_fields, write_text
 
 SPECIES_ENV_VAR = "MODFESH_SPECIES"
 # cap on every count read from outside (grid and scan points, --m-max), checked
@@ -43,29 +43,11 @@ def _count(n: int, what: str) -> int:
 
 def _parse_grid(text: str):
     """'0.87' -> [0.87]; '0.2:1.7:16' -> 16 points from 0.2 to 1.7."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid spec {text!r} must be start:stop:points")
-        try:
-            start, stop, n = finite(parts[0]), finite(parts[1]), int(parts[2])
-        except ValueError:
-            raise ConfigError(f"cannot parse grid spec {text!r}") from None
-        return np.linspace(start, stop, _count(n, f"points of grid {text!r}"))
-    try:
-        return np.array([finite(text)])
-    except ValueError:
-        raise ConfigError(f"cannot parse number {text!r}") from None
-
-
-def _parse_window(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ConfigError(f"window {text!r} must be lo:hi")
-    try:
-        return finite(parts[0]), finite(parts[1])
-    except ValueError:
-        raise ConfigError(f"cannot parse window {text!r}") from None
+    if ":" not in text:
+        return np.array(parse_fields((text,), (finite,), "number"))
+    start, stop, n = parse_fields(text.split(":"), (finite, finite, int),
+                                  f"grid spec {text!r} (start:stop:points)")
+    return np.linspace(start, stop, _count(n, f"points of grid {text!r}"))
 
 
 def _load_species(args) -> atomdata.AtomSpecies:
@@ -80,17 +62,8 @@ def _load_registry(spec: str) -> list:
     return atomdata.cesium_states() if spec == "builtin" else atomdata.load_state_registry(spec)
 
 
-def _check_finite(header, columns):
-    """DomainError if a float column (one sequence per header name) is not all finite."""
-    for name, column in zip(header, columns):
-        values = np.asarray(column)
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            raise DomainError(f"{name} is not finite for these inputs")
-
-
 def _emit(args, header, columns):
-    """Write the columns per --format and --output if _check_finite passes."""
-    _check_finite(header, columns)
+    """Write the columns per --format and --output."""
     write_text(spectra.render(args.format, header, columns), args.output)
 
 
@@ -146,7 +119,8 @@ def cmd_floquet_gap(args) -> int:
                                    omega_mod=2.0 * math.pi * abs(args.omega_b_hz / args.m))
     w_expect = -omega_b / args.m
     if args.window:
-        lo, hi = _parse_window(args.window)
+        lo, hi = parse_fields(args.window.split(":"), (finite, finite),
+                              f"window {args.window!r} (lo:hi)")
         f_expect = -args.omega_b_hz / args.m
         if not lo <= f_expect <= hi:        # checked here so the message is in Hz
             raise DomainError(f"window [{lo}, {hi}] Hz does not bracket the expected "
@@ -234,15 +208,8 @@ def cmd_scan(args) -> int:
         if len(widths_secs) != 1 or not widths_secs[0].rows:
             raise ConfigError("field scan needs one [widths] section with '<|m|> <width_hz>' rows",
                               path, widths_secs[-1].line if widths_secs else None)
-        widths = {}
-        for lineno, tokens in widths_secs[0].take_rows():
-            if len(tokens) != 2:
-                raise ConfigError("width row must be '<|m|> <width_hz>'", path, lineno)
-            try:
-                widths[int(tokens[0])] = finite(tokens[1])
-            except ValueError:
-                raise ConfigError(f"cannot parse width row {' '.join(tokens)!r}",
-                                  path, lineno) from None
+        rows = widths_secs[0].take_rows((int, finite), "width row (<|m|> <width_hz>)")
+        widths = dict(row for _, row in rows)
         registry = _load_registry(scan_sec.get("registry", str, "builtin"))
         label = scan_sec.get("state", str, REQUIRED)
         state = next((s for s in registry if s.label == label), None)
@@ -267,9 +234,11 @@ def cmd_scan(args) -> int:
 
 # -- fit ---------------------------------------------------------------------
 
-def _read_plain_csv(path, n_cols_min):
-    """(line number, numeric row) pairs; only the first non-comment line may
-    be a header, one whose first field is not a number."""
+def _read_plain_csv(path, what, *shapes):
+    """The rows through parse_fields, all with one shape (a tuple of parsers):
+    the first shape no shorter than the first row, else the last.  Only the
+    first non-comment line may be a header, one whose first field is not a
+    number."""
     rows = spectra.read_csv_rows(path)
     if rows:
         try:
@@ -278,15 +247,16 @@ def _read_plain_csv(path, n_cols_min):
             del rows[0]   # header row
     if not rows:
         raise ConfigError("no data rows", path)
-    numeric = []
-    for lineno, fields in rows:
-        try:
-            numeric.append((lineno, [finite(f) for f in fields]))
-        except ValueError:
-            raise ConfigError("cannot parse numeric row", path, lineno) from None
-        if len(fields) < n_cols_min:
-            raise ConfigError(f"need at least {n_cols_min} columns", path, lineno)
-    return numeric
+    parsers = next((p for p in shapes if len(p) >= len(rows[0][1])), shapes[-1])
+    return [parse_fields(fields, parsers, what, path, lineno) for lineno, fields in rows]
+
+
+def _branch(text: str) -> int:
+    """An lz row's branch: 1 or -1."""
+    value = finite(text)
+    if value not in (1.0, -1.0):
+        raise ValueError(f"branch must be 1 or -1, got {value!r}")
+    return int(value)
 
 
 def _report(fit, params: dict, **extra) -> dict:
@@ -305,25 +275,24 @@ def _fit(args) -> dict:
     """The report of --model fitted to --input; ConvergenceError if it fails."""
     if args.model == "fano":
         spec = spectra.read_spectrum_csv(args.input)
-        fit = spectra.fit_fano(spec, window=_parse_window(args.window) if args.window else None)
+        window = parse_fields(args.window.split(":"), (finite, finite),
+                              f"window {args.window!r} (lo:hi)") if args.window else None
+        fit = spectra.fit_fano(spec, window=window)
         return _report(fit, {"center": fit.center, "width": fit.width, "q": fit.q,
                              "amplitude": fit.amplitude, "offset": fit.offset},
                        iterations=fit.iterations, stop=fit.stop)
     if args.model == "lz":
-        data = []
-        for lineno, r in _read_plain_csv(args.input, 3):
-            if r[2] not in (1.0, -1.0):
-                raise ConfigError(f"branch must be 1 or -1, got {r[2]!r}", args.input, lineno)
-            data.append((r[0], r[1], int(r[2])))
-        fit = spectra.fit_landau_zener(data)
+        fit = spectra.fit_landau_zener(_read_plain_csv(args.input, "lz row (B_Gauss,E_Hz,branch)",
+                                                       (finite, finite, _branch)))
         return _report(fit, {"e_i0_hz": fit.e_i0, "slope_i_hz_per_G": fit.slope_i,
                              "e_j0_hz": fit.e_j0, "slope_j_hz_per_G": fit.slope_j,
                              "v_ij_hz": fit.v_ij},
                        iterations=fit.iterations, stop=fit.stop, b_center_G=fit.b_center)
     # linear shift compensation
-    rows = [r for _, r in _read_plain_csv(args.input, 2)]
-    sigma = [r[2] for r in rows] if all(len(r) >= 3 for r in rows) else None
-    fit = spectra.fit_linear_shift([(r[0], r[1]) for r in rows], sigma)
+    rows = _read_plain_csv(args.input, "linear row (intensity,center[,sigma])",
+                           (finite, finite), (finite, finite, finite))
+    sigma = [r[2] for r in rows] if len(rows[0]) == 3 else None
+    fit = spectra.fit_linear_shift([r[:2] for r in rows], sigma)
     return _report(fit, {"zero_intensity_center_hz": fit.intercept,
                          "slope_hz_per_intensity": fit.slope})
 
@@ -349,13 +318,11 @@ def cmd_energy_map(args) -> int:
     for path in files:
         spec = spectra.read_spectrum_json(path)
         try:
-            b_field = finite(spec.metadata["field_G"])
-            intensity = finite(spec.metadata["intensity_W_cm2"])
+            b_field, intensity = parse_fields(
+                [spec.metadata[key] for key in ("field_G", "intensity_W_cm2")], (finite, finite),
+                "spectrum metadata field_G, intensity_W_cm2", path)
         except KeyError as exc:
             raise ConfigError(f"spectrum metadata lacks {exc}", path) from None
-        except (TypeError, ValueError):
-            raise ConfigError("spectrum metadata field_G and intensity_W_cm2 must be finite "
-                              "numbers", path) from None
         scans.append((b_field, spec, intensity))
     points = spectra.assemble_energy_map(
         scans, _load_registry(args.registry), min_depth=args.min_depth,
@@ -364,7 +331,6 @@ def cmd_energy_map(args) -> int:
               "note"]
     columns = list(zip(*[(p.B, p.omega_res, p.order_m, p.state_label, int(p.bound), p.sigma,
                           int(p.flagged), p.note.replace(",", ";")) for p in points]))
-    _check_finite(header, columns)
     write_text(spectra.render("csv" if args.output else args.format, header, columns),
                args.output)
     if args.output:
@@ -493,7 +459,7 @@ def main(argv=None) -> int:
 def run(argv=None) -> int:
     """Entry point with the exit-code contract applied."""
     try:
-        with np.errstate(all="ignore"):   # no numpy warnings on stderr; _emit refuses inf/nan
+        with np.errstate(all="ignore"):   # no numpy warnings on stderr; render refuses inf/nan
             return main(argv)
     except SystemExit as exc:   # argparse: 0 for --help, 2 for usage errors
         code = exc.code

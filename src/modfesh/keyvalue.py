@@ -11,10 +11,12 @@ Shared by the species/registry data files and the CLI configuration files::
     D1 3 3 335.12056284 2.6980e-29 4.5612   <- bare rows become table rows
 
 Sections repeat; order is preserved.  load_keyvalue refuses a section name
-the reader does not list; Section.get parses a raw value (finite or int for
-numbers, so every number is finite and every integer exact), and
-Section.done() refuses a key that no get read or a bare row that the reader
-did not take: each a ConfigError naming the file and line.
+the reader does not list; Section.get parses a raw value and Section.take_rows
+the bare rows (finite or int for numbers, so every number is finite and every
+integer exact), and Section.done() refuses a key that no get read or a bare
+row that the reader did not take: each a ConfigError naming the file and line.
+parse_fields is the one check of a text row's field count and numbers, here
+and in the CSV readers and the CLI's grid and window specs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 __all__ = ["Section", "REQUIRED", "load_keyvalue", "format_keyvalue",
-           "read_text", "write_text"]
+           "parse_fields", "read_text", "write_text"]
 
 REQUIRED = object()   # Section.get default of a key the section must hold
 
@@ -37,6 +39,18 @@ def finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")
     return value
+
+
+def parse_fields(fields, parsers, what: str, path=None, line=None) -> tuple:
+    """Each field through its parser, exactly one field per parser.  A wrong
+    field count, or a ValueError or TypeError from a parser, is a ConfigError
+    naming what, the file and the line."""
+    if len(fields) != len(parsers):
+        raise ConfigError(f"{what} takes {len(parsers)} columns, got {len(fields)}", path, line)
+    try:
+        return tuple(parse(text) for parse, text in zip(parsers, fields))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {what}: {exc}", path, line) from None
 
 
 @dataclass
@@ -57,23 +71,22 @@ class Section:
 
     def get(self, key: str, parse, default):
         """parse(value) of key, or default when the key is absent (REQUIRED:
-        a ConfigError).  A ValueError from parse, DomainError and ConfigError
-        included, is a ConfigError at the key's line."""
+        a ConfigError).  A ValueError (DomainError and ConfigError included)
+        or TypeError from parse is a ConfigError at the key's line."""
         self.read.add(key)
         if key not in self.values:
             if default is REQUIRED:
                 raise ConfigError(f"missing key {key!r} in {self.header}", self.path, self.line)
             return default
-        try:
-            return parse(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse {key!r} = {self.values[key]!r}: {exc}",
-                              self.path, self.value_lines[key]) from None
+        return parse_fields((self.values[key],), (parse,), f"{key!r} = {self.values[key]!r}",
+                            self.path, self.value_lines[key])[0]
 
-    def take_rows(self) -> list:
-        """The bare rows, (line, tokens) each, taken by the reader."""
+    def take_rows(self, parsers, what: str) -> list:
+        """The bare rows, taken by the reader: (line, values) each, the row's
+        tokens through parse_fields."""
         self.rows_taken = True
-        return self.rows
+        return [(line, parse_fields(tokens, parsers, what, self.path, line))
+                for line, tokens in self.rows]
 
     def done(self) -> None:
         """ConfigError at the first key, in file order, that no get read, or

@@ -21,7 +21,7 @@ from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fitting import (LeastSquaresFit, LinearFit, _covariance, levenberg_marquardt,
                       weighted_linear_fit)
-from .keyvalue import read_text, write_text
+from .keyvalue import finite, parse_fields, read_text, write_text
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          equivalent_resonance_model, loss_rate_proxy)
 
@@ -343,8 +343,6 @@ def fit_linear_shift(points, sigma=None) -> LinearFit:
         raise DomainError("need at least 3 (intensity, center) points")
     intensity = np.array([p[0] for p in pts], dtype=float)
     center = np.array([p[1] for p in pts], dtype=float)
-    if np.unique(intensity).size < 2:
-        raise DomainError("all intensities equal: shift slope is undetermined")
     return weighted_linear_fit(intensity, center, sigma)
 
 
@@ -577,12 +575,10 @@ _ROWS = "\x00"   # stands for the row list in the JSON text until it is spliced 
 def _cells(column, fmt):
     """Cell strings of one column, lazily.  In csv and table a float is repr
     or .9g and anything else str; in json every value is as json.dumps
-    writes it.  A finite float array is formatted whole."""
+    writes it.  An array is formatted whole."""
     number = "{:.9g}".format if fmt == "table" else repr
     if isinstance(column, np.ndarray):
-        column = column.tolist()
-        if fmt != "json" or all(map(math.isfinite, column)):
-            return map(number, column)
+        return map(number, column.tolist())
     if fmt == "json":
         return map(json.dumps, column)
     return (number(float(v)) if isinstance(v, float) else str(v) for v in column)
@@ -601,7 +597,12 @@ def render_json(payload: dict) -> str:
 def render(fmt: str, header, columns, payload=None, key: str = "rows") -> str:
     """Text of a table given as one sequence per header name, in fmt 'csv'
     (schema line, header, cells), 'table' (aligned) or 'json' (payload,
-    default {"columns": header}, plus the rows under key)."""
+    default {"columns": header}, plus the rows under key); DomainError if a
+    float column holds a NaN or an infinity."""
+    for name, column in zip(header, columns):
+        values = np.asarray(column)
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise DomainError(f"{name} is not finite for these inputs")
     return _layout(fmt, header, [_cells(c, fmt) for c in columns], payload, key)
 
 
@@ -653,20 +654,15 @@ def read_spectrum_csv(path) -> Spectrum:
     if len(rows) == 1:
         raise ConfigError("no data rows", path)
     axis = rows[1][1][0]
-    xs, ys, ss = [], [], []
+    points = []
     for lineno, fields in rows[1:]:
-        if len(fields) != 4:
-            raise ConfigError(f"expected 4 fields, got {len(fields)}", path, lineno)
-        if fields[0] != axis:
+        row_axis, *point = parse_fields(fields, (str, finite, finite, finite),
+                                        f"spectrum row ({_CSV_HEADER})", path, lineno)
+        if row_axis != axis:
             raise ConfigError("inconsistent axis column", path, lineno)
-        try:
-            xs.append(float(fields[1]))
-            ys.append(float(fields[2]))
-            ss.append(float(fields[3]))
-        except ValueError:
-            raise ConfigError("cannot parse numeric fields", path, lineno) from None
+        points.append(point)
     try:
-        return Spectrum(axis, np.array(xs), np.array(ys), np.array(ss))
+        return Spectrum(axis, *np.array(points).T)
     except DomainError as exc:
         raise ConfigError(str(exc), path) from None
 

@@ -838,6 +838,8 @@ class TestUsageErrorsExitTwo:
         (None, ("[scan]", "points = 90\n[scan]"), 1),
         (None, ("seed = 3", "= 3"), 8),
         (None, ("seed = 3", "seed = 3\nseed = 4"), 9),
+        (SL + ("--grid", "1:2:3:4"), None, None),
+        (GAP + ("--m", "1", "--window", "1e5"), None, None),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # an over-cap count must be refused before it sizes an allocation
@@ -862,7 +864,7 @@ class TestUsageErrorsExitTwo:
 
     @pytest.mark.parametrize("files,argv,where", [
         ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,nan,0.01\n"},
-         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv"),
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 2"),
         ({"scans/scan.json": SPECTRUM_JSON % "Infinity"},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"scans/scan.json": SPECTRUM_JSON % '"bogus"'},
@@ -946,6 +948,21 @@ class TestUsageErrorsExitTwo:
          ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 3"),
         ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace(", 0.01]", "]")},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"lin.csv": "intensity,center,sigma\n0.4,227.9e3,50\n0.8,227.1e3\n1.2,226.3e3,50\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv: line 3"),
+        ({"lin.csv": "0.4,227.9e3,50,1\n0.8,227.1e3,50,1\n1.2,226.3e3,50,1\n"},
+         ("fit", "--model", "linear", "--input", "{tmp}/lin.csv"), "lin.csv: line 1"),
+        ({"lz.csv": "B_Gauss,E_Hz,branch,sigma\n18.6,-1.8e5,1,50\n18.7,-1.9e5,-1,50\n"},
+         ("fit", "--model", "lz", "--input", "{tmp}/lz.csv"), "lz.csv: line 2"),
+        ({"cs.species": "[transitions]\nD2 3 4 351.7e12 2.0e-29\n"},
+         ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT,
+         "cs.species: line 2"),
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9",
+          "states.cfg": REGISTRY.replace("a b", "15 20 25")},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 5"),
+        ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,0.9,0.01,7\n"},
+         ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 2"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -954,7 +971,9 @@ class TestUsageErrorsExitTwo:
             "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label",
             "species-second-section", "transitions-repeated-row", "freq-scan-no-resonance",
             "linear-csv-header-only", "linear-csv-one-column", "json-no-field_G", "csv-empty",
-            "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2"])
+            "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2",
+            "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
+            "transitions-five-columns", "registry-window_G-three", "csv-five-fields"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

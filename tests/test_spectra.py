@@ -742,8 +742,8 @@ class TestSpectrumIO:
         assert loaded.metadata == spec.metadata
 
     @pytest.mark.parametrize("columns", [
-        (np.array([1.5, -np.inf, np.nan]), [1, -2, 3], ["a", "b,c", 'q"'],
-         [np.float64(0.1), 2.5e-300, float("inf")]),
+        (np.array([1.5, -0.0, 5e-324]), [1, -2, 3], ["a", "b,c", 'q"'],
+         [np.float64(0.1), 2.5e-300, 1.7976931348623157e308]),
         (np.array([60000.0, 1e22]), np.array([0.9, 1.0]), [0, 1], ["4g(4)", ""]),
         ([], [], [], []),
     ])
@@ -763,6 +763,17 @@ class TestSpectrumIO:
                                    for v in row))
         assert spectra.render("csv", header, columns) == "\n".join(csv) + "\n"
         assert spectra.render("table", header, columns) == "\n".join(table) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("columns,name", [
+        ((np.array([1.5, -np.inf, np.nan]), [1, -2, 3]), "x"),
+        ((np.array([1.5, 2.5]), [np.float64(0.1), float("inf")]), "y"),
+    ])
+    def test_render_refuses_non_finite(self, fmt, columns, name):
+        """A float column, array or list, with a NaN or an infinity is refused
+        in every format, naming the column."""
+        with pytest.raises(DomainError, match=f"^{name} is not finite for these inputs$"):
+            spectra.render(fmt, ["x", "y"], columns)
 
     def test_write_spectrum_formats_each_column_once(self, tmp_path, monkeypatch):
         """One write_spectrum formats x, y and sigma once for both files, and
