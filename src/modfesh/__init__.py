@@ -17,7 +17,6 @@ from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta
                          width_from_coupling)
 from .specfun import HalfInt, bessel_j, wigner_3j, wigner_6j
 from .spectra import (FanoFit, Spectrum, assemble_energy_map, fano_profile, find_peaks,
-                      fit_fano, fit_landau_zener, fit_linear_shift, synthesize_field_scan,
-                      synthesize_spectrum)
+                      fit_fano, fit_landau_zener, synthesize_field_scan, synthesize_spectrum)
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import atomdata, floquet, lightshift, scattering, spectra
 from .errors import ConfigError, ConvergenceError, DomainError
+from .fitting import weighted_linear_fit
 from .keyvalue import REQUIRED, finite, load_keyvalue, parse_fields, write_text
 
 SPECIES_ENV_VAR = "MODFESH_SPECIES"
@@ -39,6 +40,15 @@ def _count(n: int, what: str) -> int:
     if not 1 <= n <= MAX_COUNT:
         raise ConfigError(f"{what} must be between 1 and {MAX_COUNT}, got {n}")
     return n
+
+
+def seed(text: str) -> int:
+    """A random seed: a non-negative integer (argparse reports a bad one as an
+    "invalid seed value", after this function's name)."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"a seed must be non-negative, got {value}")
+    return value
 
 
 def _parse_grid(text: str):
@@ -180,12 +190,12 @@ def cmd_scan(args) -> int:
     if sections[refused]:
         raise ConfigError(f"a {axis} scan takes no [{refused}] section", path,
                           sections[refused][0].line)
-    seed = scan_sec.get("seed", int, None)
+    config_seed = scan_sec.get("seed", seed, None)
     common = dict(
         hold_time=scan_sec.get("hold_time_ms", finite, 5.0) * 1e-3,
         density=scan_sec.get("density_cm3", finite, 1e13),
         noise_sigma=scan_sec.get("noise_sigma", finite, 0.0),
-        seed=seed if args.seed is None else args.seed,
+        seed=config_seed if args.seed is None else args.seed,
     )
     metadata = {key: scan_sec.get(key, finite, None) for key in ("field_G", "intensity_W_cm2")}
     metadata = {key: value for key, value in metadata.items() if value is not None}
@@ -291,8 +301,9 @@ def _fit(args) -> dict:
     # linear shift compensation
     rows = _read_plain_csv(args.input, "linear row (intensity,center[,sigma])",
                            (finite, finite), (finite, finite, finite))
-    sigma = [r[2] for r in rows] if len(rows[0]) == 3 else None
-    fit = spectra.fit_linear_shift([r[:2] for r in rows], sigma)
+    if len(rows) < 3:
+        raise DomainError("need at least 3 (intensity, center) points")
+    fit = weighted_linear_fit(*zip(*rows))
     return _report(fit, {"zero_intensity_center_hz": fit.intercept,
                          "slope_hz_per_intensity": fit.slope})
 
@@ -426,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="synthesize a loss spectrum from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output base path (.csv and .json)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=seed, default=None, help="override the config seed")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("fit", parents=[output],
@@ -469,6 +480,9 @@ def run(argv=None) -> int:
         return 2
     except DomainError as exc:
         sys.stderr.write(f"domain error: {exc}\n")
+        return 3
+    except OverflowError:   # Python-float ** and math functions raise where numpy gives inf
+        sys.stderr.write("domain error: a number overflows double precision for these inputs\n")
         return 3
     except ConvergenceError as exc:
         sys.stderr.write(f"convergence error: {exc}\n")

@@ -54,13 +54,17 @@ class LeastSquaresFit:
 
 
 @dataclass
-class LMResult(LeastSquaresFit):
+class LMResult:
     params: np.ndarray
+    residual_norm: float      # ||r|| at params
+    jtj: np.ndarray           # J^T J at params
     iterations: int           # accepted steps
     stop: str                 # "decrease" or "precision", see the module docstring
 
 
 def _covariance(jtj, residual_norm, n_points, n_params):
+    """(covariance, condition) of a fit: s^2 (J^T J)^-1 with s^2 the reduced
+    chi-square, meaningful both for whitened residuals (s ~ 1) and raw ones."""
     dof = max(n_points - n_params, 1)
     s2 = residual_norm ** 2 / dof
     try:
@@ -93,15 +97,12 @@ def _secant_update(secant, step, y, y_sharp):
 def levenberg_marquardt(model, x0) -> LMResult:
     """Minimize 0.5 ||r(p)||^2 from x0 by the steps of the module docstring,
     until its decrease or precision test ends the fit; model(p) returns the
-    float arrays (r, J) and is called once per trial point.  The covariance is
-    s^2 (J^T J)^-1 with s^2 the reduced chi-square, so it is meaningful both
-    for whitened residuals (s ~ 1) and raw ones.
+    float arrays (r, J) and is called once per trial point.
     """
     p = np.asarray(x0, dtype=float).copy()
     r, jac = model(p)
     cost = 0.5 * float(r @ r)
     lam = LAMBDA0
-    n_points = r.size
 
     def derivatives(p, r, jac):
         """J^T J and the gradient at p; ConvergenceError unless finite."""
@@ -114,9 +115,7 @@ def levenberg_marquardt(model, x0) -> LMResult:
         return jtj, jac.T @ r
 
     def result(steps, stop):
-        norm = math.sqrt(2.0 * cost)
-        cov, cond = _covariance(jtj, norm, n_points, p.size)
-        return LMResult(cov, norm, n_points - p.size, cond, p, steps, stop)
+        return LMResult(p, math.sqrt(2.0 * cost), jtj, steps, stop)
 
     jtj, grad = derivatives(p, r, jac)
     secant = np.zeros((p.size, p.size))

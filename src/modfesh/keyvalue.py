@@ -34,7 +34,10 @@ REQUIRED = object()   # Section.get default of a key the section must hold
 
 
 def finite(text: str) -> float:
-    """float(text) that rejects nan and inf; also the argparse number type."""
+    """float(text) that rejects nan, inf and a bool (a JSON true is not 1.0);
+    also the argparse number type."""
+    if isinstance(text, bool):
+        raise TypeError(f"a bool is not a number: {text!r}")
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite number {text!r}")

@@ -19,8 +19,7 @@ import numpy as np
 
 from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
-from .fitting import (LeastSquaresFit, LinearFit, _covariance, levenberg_marquardt,
-                      weighted_linear_fit)
+from .fitting import LeastSquaresFit, _covariance, levenberg_marquardt, weighted_linear_fit
 from .keyvalue import finite, parse_fields, read_text, write_text
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          equivalent_resonance_model, loss_rate_proxy)
@@ -29,7 +28,7 @@ __all__ = [
     "AXIS_FREQ", "AXIS_FIELD", "SCHEMA_VERSION",
     "Spectrum", "FanoFit", "LandauZenerFit", "EnergyMapPoint",
     "fano_profile", "synthesize_spectrum", "synthesize_field_scan",
-    "find_peaks", "fit_fano", "fit_linear_shift", "fit_landau_zener",
+    "find_peaks", "fit_fano", "fit_landau_zener",
     "assemble_energy_map",
     "write_spectrum", "read_spectrum_csv", "read_csv_rows",
     "render", "render_json",
@@ -327,26 +326,6 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
 
 
 # ---------------------------------------------------------------------------
-# Linear DC-shift compensation
-# ---------------------------------------------------------------------------
-
-def fit_linear_shift(points, sigma=None) -> LinearFit:
-    """Compensate the intensity-linear resonance shift.
-
-    points: sequence of (intensity W/cm^2, peak center Hz); needs at least 3
-    points with at least two distinct intensities.  The intercept is the
-    zero-intensity (compensated) resonance frequency; optional sigmas give a
-    weighted fit.
-    """
-    pts = list(points)
-    if len(pts) < 3:
-        raise DomainError("need at least 3 (intensity, center) points")
-    intensity = np.array([p[0] for p in pts], dtype=float)
-    center = np.array([p[1] for p in pts], dtype=float)
-    return weighted_linear_fit(intensity, center, sigma)
-
-
-# ---------------------------------------------------------------------------
 # Landau-Zener crossing fit
 # ---------------------------------------------------------------------------
 
@@ -437,10 +416,11 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
 
     result = levenberg_marquardt(model, _lz_initial_guess(b, e))
     e_i0, s_i, e_j0, s_j, v = result.params
+    cov, cond = _covariance(result.jtj, result.residual_norm, b.size, 5)
     return LandauZenerFit(v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
-                          covariance=result.covariance, residual_norm=result.residual_norm,
-                          dof=result.dof, condition=result.condition,
+                          covariance=cov, residual_norm=result.residual_norm,
+                          dof=b.size - 5, condition=cond,
                           iterations=result.iterations, stop=result.stop)
 
 

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -546,6 +547,13 @@ class TestFit:
         assert report["params"]["zero_intensity_center_hz"] == pytest.approx(228.7e3)
         assert report["params"]["slope_hz_per_intensity"] == pytest.approx(-2e3)
 
+    def test_linear_fit_needs_three_rows(self, tmp_path, capsys):
+        path = tmp_path / "lin.csv"
+        path.write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n")
+        code, out, err = run_cli(capsys, "fit", "--model", "linear", "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err == "domain error: need at least 3 (intensity, center) points\n"
+
     def test_malformed_input_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1,x,0\n")
@@ -840,6 +848,8 @@ class TestUsageErrorsExitTwo:
         (None, ("seed = 3", "seed = 3\nseed = 4"), 9),
         (SL + ("--grid", "1:2:3:4"), None, None),
         (GAP + ("--m", "1", "--window", "1e5"), None, None),
+        (None, ("seed = 3", "seed = -1"), 8),
+        (("scan", "--config", "c.cfg", "--out", "o5", "--seed", "-5"), None, None),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # an over-cap count must be refused before it sizes an allocation
@@ -861,6 +871,10 @@ class TestUsageErrorsExitTwo:
         assert sorted(tmp_path.iterdir()) == before
         if edit is not None:
             assert f"{cfg}: line {line}:" in err
+
+    def test_negative_seed_flag_is_an_invalid_seed(self, capsys):
+        code, _, err = run_cli(capsys, "scan", "--config", "c.cfg", "--out", "x", "--seed", "-5")
+        assert code == 2 and "argument --seed: invalid seed value: '-5'" in err
 
     @pytest.mark.parametrize("files,argv,where", [
         ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,nan,0.01\n"},
@@ -963,6 +977,8 @@ class TestUsageErrorsExitTwo:
          "states.cfg: line 5"),
         ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,0.9,0.01,7\n"},
          ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 2"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", "true")},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -973,7 +989,8 @@ class TestUsageErrorsExitTwo:
             "linear-csv-header-only", "linear-csv-one-column", "json-no-field_G", "csv-empty",
             "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2",
             "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
-            "transitions-five-columns", "registry-window_G-three", "csv-five-fields"])
+            "transitions-five-columns", "registry-window_G-three", "csv-five-fields",
+            "json-field-true"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -1000,6 +1017,26 @@ class TestNonFiniteOutputExitsThree:
         assert code == 3
         assert out == "" and "Traceback" not in err
         assert column in err
+
+    @pytest.mark.parametrize("argv", [
+        (verb, "--intensity", "0.87", "--detuning", "1e155", "--pol", "sigma-minus")
+        for verb in ("fictitious-field", "scattering-rate", "heating-rate")] + [
+        ("floquet-gap", "--omega-b-hz", "-1e300", "--rabi-hz", "3e3", "--amplitude-hz", "150e3",
+         "--m", "1"),
+        DRESSED + ("--gamma-hz", "1e155"),
+        DRESSED + ("--gamma-hz", "50", "--k-wavenumber", "1e155"),
+        ("scan", "--config", "c.cfg", "--out", "x"),
+    ], ids=lambda v: " ".join(v))
+    def test_overflowing_input_exits_three(self, tmp_path, capsys, monkeypatch, argv):
+        """A Python-float ** past double range (where numpy would give inf)
+        exits 3 with the one error line, not an OverflowError traceback."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.cfg").write_text(FREQ_CONFIG.replace("points = 90",
+                                                            "points = 90\ndensity_cm3 = 1e155"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "domain error: a number overflows double precision for these inputs\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
 
     def test_stderr_is_the_error_line_alone(self):
         """A fresh `python -m modfesh.cli` prints no numpy overflow warning
@@ -1156,3 +1193,92 @@ class TestParserBuiltOnce:
             assert run_cli(capsys, *argv)[0] == expected, argv
         assert built == []
         assert build_parser() is build_parser()
+
+
+SWEEP_VALUES = ("1e300", "-1e300", "1e155", "-1e155", "1e-300", "-1e-300", "0", "-1")
+# options of the table verbs that take no number
+NOT_NUMERIC = {"--format", "--output", "--pol", "--species", "--k-convention", "--window"}
+# every number of a valid frequency-axis and field-axis scan config is swept
+SWEEP_CONFIGS = {
+    "freq": FREQ_CONFIG.replace("points = 90\n", "points = 90\nhold_time_ms = 5\n"
+                                "density_cm3 = 1e13\nnoise_sigma = 0.01\nseed = 3\n"
+                                "field_G = 19.41\nintensity_W_cm2 = 0.87\ndc_shift_hz = 0\n"),
+    "field": FIELD_SCAN_CONFIG.replace("seed = 3\n", "seed = 3\nhold_time_ms = 5\n"
+                                       "density_cm3 = 1e13\nnoise_sigma = 0.01\n"
+                                       "field_G = 19.41\nintensity_W_cm2 = 0.87\n"
+                                       "dc_shift_hz = 0\na_bk = 200\n"),
+}
+
+
+def _with_flag(argv, flag, value):
+    """argv with flag set to value, replacing the value it has, if any."""
+    argv = list(argv)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return argv + [flag, value]
+
+
+def _config_variants(text):
+    """text with each number in turn, the value of a key or a field of a
+    bare row, set to each of SWEEP_VALUES."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for j, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                continue
+            for value in SWEEP_VALUES:
+                edited = " ".join(tokens[:j] + [value] + tokens[j + 1:])
+                yield edited, "\n".join(lines[:i] + [edited] + lines[i + 1:]) + "\n"
+
+
+class TestContractSweep:
+    """The exit-code contract over a table of extreme inputs, in process:
+    every run returns 0, 2, 3 or 4 without raising, a failing run writes one
+    error line to stderr (after argparse's usage lines) and a run that
+    succeeds writes no nan or inf."""
+
+    NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+    def check(self, capsys, argv, written=()):
+        """The ways run(argv) breaks the contract, [] if none."""
+        try:
+            code = run(list(argv))
+        except Exception as exc:   # anything escaping run breaks the contract
+            capsys.readouterr()
+            return [f"{type(exc).__name__}: {exc}"]
+        out, err = capsys.readouterr()
+        if code not in (0, 2, 3, 4):
+            return [f"exit {code}"]
+        if code:
+            lines = [l for l in err.splitlines() if not l.startswith(("usage: ", " "))]
+            return [] if len(lines) == 1 else [f"exit {code} with stderr {err!r}"]
+        found = (self.NON_FINITE.search(text) for text in [out, *map(Path.read_text, written)])
+        return [f"exit 0 writes {m.group()!r}" for m in found if m]
+
+    @pytest.mark.parametrize("verb", sorted(TABLE_VERBS))
+    def test_table_verb_flags(self, capsys, verb):
+        base = TABLE_VERBS[verb] + ("--format", "csv")
+        assert self.check(capsys, base) == []
+        flags = sorted(set(OPTIONS[verb]) - NOT_NUMERIC)
+        bad = [(flag, value, problem) for flag in flags for value in SWEEP_VALUES
+               for problem in self.check(capsys, _with_flag(base, flag, value))]
+        assert bad == []
+
+    @pytest.mark.parametrize("axis", sorted(SWEEP_CONFIGS))
+    def test_scan_config_numbers(self, tmp_path, capsys, axis):
+        cfg, out = tmp_path / "scan.cfg", tmp_path / "out"
+        written = (out.with_suffix(".csv"), out.with_suffix(".json"))
+        argv = ("scan", "--config", str(cfg), "--out", str(out))
+        cfg.write_text(SWEEP_CONFIGS[axis])
+        assert self.check(capsys, argv, written) == []
+        bad = []
+        for line, text in _config_variants(SWEEP_CONFIGS[axis]):
+            cfg.write_text(text)
+            for path in written:
+                path.unlink(missing_ok=True)
+            bad += [(line, problem) for problem in self.check(capsys, argv, written)]
+        assert bad == []

@@ -93,6 +93,13 @@ class TestBessel:
                 continue
             assert bessel_j(n, x) == pytest.approx(ref, rel=5e-12, abs=1e-14)
 
+    @pytest.mark.parametrize("n,x", [(100, 0.1), (60, 1e-3), (30, 1e-6), (5, 1e-20)])
+    def test_rescaled_recurrence_scipy_crosscheck(self, n, x):
+        """A small x grows the downward recurrence past 1e250, where it is
+        rescaled, order n included, before it overflows."""
+        ref = float(pytest.importorskip("scipy.special").jv(n, x))
+        assert bessel_j(n, x) == pytest.approx(ref, rel=1e-13, abs=0)
+
     def test_order_out_of_range(self):
         with pytest.raises(DomainError):
             bessel_j(201, 1.0)

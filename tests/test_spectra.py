@@ -7,13 +7,13 @@ import pytest
 
 from modfesh.atomdata import MolecularState, cesium_states, molecular_energy
 from modfesh.errors import ConfigError, ConvergenceError, DomainError, PoleError
-from modfesh.fitting import COST_RTOL, levenberg_marquardt
-from modfesh import spectra
+from modfesh.fitting import COST_RTOL, levenberg_marquardt, weighted_linear_fit
+from modfesh import fitting, spectra
 from modfesh.scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                                 equivalent_resonance_model, loss_rate_proxy)
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
-                             fit_linear_shift, read_spectrum_csv, read_spectrum_json,
+                             read_spectrum_csv, read_spectrum_json,
                              synthesize_field_scan, synthesize_spectrum, write_spectrum)
 from test_acceptance import _lz_synthetic
 
@@ -493,25 +493,27 @@ class TestFanoFit:
 
 
 class TestLinearShift:
+    """Shift compensation: the zero-intensity intercept of weighted_linear_fit
+    through (intensity, center) points."""
+
     def test_exact_recovery(self):
-        pts = [(0.4, 228.7e3 - 0.4 * 2e3), (0.8, 228.7e3 - 0.8 * 2e3),
-               (1.2, 228.7e3 - 1.2 * 2e3)]
-        fit = fit_linear_shift(pts)
+        intensity = np.array([0.4, 0.8, 1.2])
+        fit = weighted_linear_fit(intensity, 228.7e3 - intensity * 2e3)
         assert fit.intercept == pytest.approx(228.7e3, rel=1e-12)
         assert fit.slope == pytest.approx(-2e3, rel=1e-12)
         assert fit.residual_norm == pytest.approx(0.0, abs=1e-6)
 
     def test_weighted_outlier(self):
-        pts = [(0.2, 100e3), (0.6, 104e3), (1.0, 150e3)]
-        fit = fit_linear_shift(pts, sigma=[0.1e3, 0.1e3, 50e3])
+        fit = weighted_linear_fit([0.2, 0.6, 1.0], [100e3, 104e3, 150e3],
+                                  sigma=[0.1e3, 0.1e3, 50e3])
         assert fit.intercept == pytest.approx(98e3, rel=1e-3)
         assert fit.slope == pytest.approx(10e3, rel=2e-2)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            fit_linear_shift([(1.0, 2.0), (1.0, 3.0)])
-        with pytest.raises(DomainError):
-            fit_linear_shift([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+        with pytest.raises(DomainError, match="rank-deficient"):
+            weighted_linear_fit([1.0, 1.0], [2.0, 3.0])
+        with pytest.raises(DomainError, match="rank-deficient"):
+            weighted_linear_fit([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
 
 
 def lz_branches(v_hz=25e3, noise=0.0, seed=None, b0=18.66,
@@ -859,6 +861,20 @@ class TestEnergyMapAssembly:
             assert p.omega_res < 0           # bound states plot on the inverted axis
             assert abs(p.omega_res) == pytest.approx(truth / k, rel=0.01)
             assert not p.flagged
+
+    def test_one_covariance_per_fano_fit(self, monkeypatch):
+        """Each Fano fit forms its covariance once, from its five-parameter
+        Jacobian; the LM engine forms none."""
+        fits, covariances = [], []
+        fano, covariance = spectra.fit_fano, fitting._covariance
+        monkeypatch.setattr(spectra, "fit_fano", lambda *a, **k: fits.append(a) or fano(*a, **k))
+        for module in (spectra, fitting):
+            monkeypatch.setattr(module, "_covariance",
+                                lambda *a: covariances.append(a) or covariance(*a))
+        registry = cesium_states()
+        state = next(s for s in registry if s.label == "4g(4)")
+        assert len(assemble_energy_map(self.synth_scans(state, registry), registry)) == 2
+        assert len(covariances) == len(fits) == 6
 
     def test_subharmonic_maps_to_same_state(self):
         registry = cesium_states()
