@@ -45,7 +45,7 @@ DEFAULT_FIELD_WINDOW_G = (15.0, 50.0)
 
 @dataclass(frozen=True)
 class Transition:
-    """One hyperfine component of an optical line.
+    """One hyperfine component of an alkali D line, S1/2 -> P1/2 (D1) or P3/2 (D2).
 
     frequency is the transition frequency omega_{F'F}/2pi in Hz;
     reduced_dipole is <J||d||J'> in C m; decay_rate is the line Gamma in rad/s.
@@ -56,9 +56,9 @@ class Transition:
     F_prime: int
     frequency: float          # Hz
     reduced_dipole: float     # C m
-    J: HalfInt
-    J_prime: HalfInt
     decay_rate: float         # rad/s
+
+    J = HalfInt(1)            # 1/2, the S1/2 ground state of both lines
 
     def __post_init__(self):
         if self.line not in ("D1", "D2"):
@@ -69,6 +69,10 @@ class Transition:
             raise DomainError("reduced dipole must be positive")
         if abs(self.F - self.F_prime) > 1:
             raise DomainError("electric dipole requires |F - F'| <= 1")
+
+    @property
+    def J_prime(self) -> HalfInt:
+        return HalfInt(1 if self.line == "D1" else 3)
 
     @property
     def angular_frequency(self) -> float:
@@ -105,18 +109,16 @@ class AtomSpecies:
 
 def cesium() -> AtomSpecies:
     """Cesium-133 with the five D1/D2 hyperfine components from F = 3."""
-    j_half = HalfInt(1)   # 1/2
-    j_three_half = HalfInt(3)
     g_d1 = 2.0 * math.pi * 4.5612e6   # rad/s
     g_d2 = 2.0 * math.pi * 5.2227e6   # rad/s
     d_d1 = 2.6980e-29                 # C m
     d_d2 = 3.7971e-29                 # C m
     transitions = (
-        Transition("D1", 3, 3, 335.12056284e12, d_d1, j_half, j_half, g_d1),
-        Transition("D1", 3, 4, 335.12173052e12, d_d1, j_half, j_half, g_d1),
-        Transition("D2", 3, 2, 351.73054972e12, d_d2, j_half, j_three_half, g_d2),
-        Transition("D2", 3, 3, 351.73070092e12, d_d2, j_half, j_three_half, g_d2),
-        Transition("D2", 3, 4, 351.73090217e12, d_d2, j_half, j_three_half, g_d2),
+        Transition("D1", 3, 3, 335.12056284e12, d_d1, g_d1),
+        Transition("D1", 3, 4, 335.12173052e12, d_d1, g_d1),
+        Transition("D2", 3, 2, 351.73054972e12, d_d2, g_d2),
+        Transition("D2", 3, 3, 351.73070092e12, d_d2, g_d2),
+        Transition("D2", 3, 4, 351.73090217e12, d_d2, g_d2),
     )
     return AtomSpecies(
         name="cesium-133",
@@ -291,10 +293,8 @@ def load_species(path) -> AtomSpecies:
             if key in in_file:
                 raise ConfigError(f"repeated transition {line_name} {f_lo} {f_hi}", path, lineno)
             in_file.add(key)
-            j_prime = HalfInt(1) if line_name == "D1" else HalfInt(3)
             try:
-                transitions[key] = Transition(
-                    line_name, f_lo, f_hi, freq, dip, HalfInt(1), j_prime, gam)
+                transitions[key] = Transition(line_name, f_lo, f_hi, freq, dip, gam)
             except DomainError as exc:
                 raise ConfigError(str(exc), path, lineno) from None
         sec.done()

@@ -86,7 +86,7 @@ def _fictitious_field_columns(field, species, f_level, m_f):
     return b, b * 1e3
 
 
-# verb -> (help, takes --mf, value columns, values(field, species, F, mF));
+# verb -> (help, takes --f-level and --mf, value columns, values(field, species, F, mF));
 # each lightshift function runs once on the whole intensity grid
 _LIGHT_TABLES = {
     "fictitious-field": ("vector-light-shift fictitious magnetic field", False,
@@ -100,8 +100,8 @@ _LIGHT_TABLES = {
 
 def cmd_light_table(args) -> int:
     species = _load_species(args)
-    f_level = args.f_level if args.f_level is not None else species.ground_F
-    m_f = getattr(args, "mf", None)
+    f_level, m_f = getattr(args, "f_level", None), getattr(args, "mf", None)
+    f_level = species.ground_F if f_level is None else f_level
     intensity = _parse_grid(args.intensity)
     field = lightshift.LightField(intensity=intensity, detuning=args.detuning,
                                   polarization=_POLARIZATIONS[args.pol]())
@@ -166,10 +166,7 @@ def cmd_dressed(args) -> int:
         omega_b=2.0 * math.pi * args.omega_b_hz,
         delta_shift=2.0 * math.pi * args.delta_shift_hz, m=args.m)
     f = _parse_grid(args.grid)
-    alpha, beta = scattering.dressed_alpha_beta(model, 2.0 * math.pi * f,
-                                                k=args.k_wavenumber,
-                                                k_convention=args.k_convention,
-                                                reduced_mass=atomdata.CS_MASS / 2.0)
+    alpha, beta = scattering.dressed_alpha_beta(model, 2.0 * math.pi * f, k=args.k_wavenumber)
     _emit(args, ["f_Hz", "alpha_a0", "beta_a0"], (f, alpha, beta))
     return 0
 
@@ -385,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     light.add_argument("--detuning", type=finite, required=True,
                        help="Hz, signed, relative to the D2 F->F'=F+1 line (red < 0)")
     light.add_argument("--pol", choices=sorted(_POLARIZATIONS), required=True)
-    light.add_argument("--f-level", type=int, default=None,
-                       help="hyperfine manifold F (default: species ground F)")
 
-    for verb, (help_text, takes_mf, _, _) in _LIGHT_TABLES.items():
+    for verb, (help_text, takes_state, _, _) in _LIGHT_TABLES.items():
         p = sub.add_parser(verb, parents=[light], help=help_text)
-        if takes_mf:
+        if takes_state:
+            p.add_argument("--f-level", type=int, default=None,
+                           help="hyperfine manifold F (default: species ground F)")
             p.add_argument("--mf", type=int, default=None,
                            help="mF (default: stretched, mF = F)")
         p.set_defaults(func=cmd_light_table)
@@ -430,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--k-wavenumber", type=finite, default=0.0, help="collisional k in 1/m")
-    p.add_argument("--k-convention", choices=("collision_energy", "wavenumber"),
-                   default="collision_energy")
     p.set_defaults(func=cmd_dressed)
 
     p = sub.add_parser("scan", help="synthesize a loss spectrum from a config file")

@@ -64,7 +64,10 @@ class LMResult:
 
 def _covariance(jtj, residual_norm, n_points, n_params):
     """(covariance, condition) of a fit: s^2 (J^T J)^-1 with s^2 the reduced
-    chi-square, meaningful both for whitened residuals (s ~ 1) and raw ones."""
+    chi-square, meaningful both for whitened residuals (s ~ 1) and raw ones.
+    A non-finite J^T J raises DomainError before LAPACK prints to stdout."""
+    if not np.isfinite(jtj).all():
+        raise DomainError("J^T J of the fit overflows double precision for these inputs")
     dof = max(n_points - n_params, 1)
     s2 = residual_norm ** 2 / dof
     try:

@@ -69,11 +69,10 @@ class Polarization:
         return cls(0.0j, 0.0j, -1.0 + 0.0j)
 
     @classmethod
-    def linear(cls, angle: float = 0.0) -> "Polarization":
-        """Linear polarization in the x-y plane at the given angle from x."""
-        ux = math.cos(angle)
-        uy = math.sin(angle)
-        return cls(-(ux + 1j * uy) / _SQRT2, 0.0j, (ux - 1j * uy) / _SQRT2)
+    def linear(cls) -> "Polarization":
+        """Linear polarization in the x-y plane, along x: every angle there has
+        |u_+1|^2 = |u_-1|^2 = 1/2, the only form in which u enters a sum."""
+        return cls(-1.0 / _SQRT2 + 0.0j, 0.0j, 1.0 / _SQRT2 + 0.0j)
 
     @classmethod
     def pi(cls) -> "Polarization":

@@ -137,9 +137,7 @@ class DressedChannelModel:
             raise DomainError("inelastic coupling must be non-negative")
 
 
-def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0,
-                       k_convention: str = "collision_energy",
-                       reduced_mass: float | None = None):
+def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     """Real and imaginary parts (alpha, beta) of a = alpha - i beta, in Bohr radii.
 
     Detuning Delta = omega_b - m omega - delta_shift.  At k = 0 the exact
@@ -148,12 +146,10 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0,
         alpha = a_bk (1 + Delta_m Delta / (Delta^2 + gamma^2/4))
         beta  = a_bk Delta_m (gamma/2) / (Delta^2 + gamma^2/4)
 
-    For k > 0 the finite-k expressions are evaluated with Gamma(k) from the
-    vanishing-k relation.  The additive collision term in the resonance
-    denominator is dimensionally ambiguous in the source model, so its
-    interpretation is explicit: k_convention = "collision_energy" uses
-    hbar k^2 / (2 mu) (requires reduced_mass), "wavenumber" adds the numeric
-    value of k literally (the model's verbatim reading).
+    For k > 0 (k in 1/m) the finite-k expressions are evaluated with Gamma(k)
+    from the vanishing-k relation, and the resonance denominator gains the
+    collision energy hbar k^2 / (2 mu) in rad/s, mu = CS_MASS / 2 the reduced
+    mass of a cesium pair (the pair K2_COEFF and UNITARITY_WAVENUMBER assume).
     """
     omega = np.asarray(omega, dtype=float)
     delta = model.omega_b - model.m * omega - model.delta_shift
@@ -171,14 +167,7 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0,
         else:
             beta = model.a_bk * model.delta_m * (0.5 * gam) / denom
     else:
-        if k_convention == "collision_energy":
-            if reduced_mass is None:
-                raise DomainError("collision_energy convention needs reduced_mass")
-            kappa = HBAR * k ** 2 / (2.0 * reduced_mass)
-        elif k_convention == "wavenumber":
-            kappa = k
-        else:
-            raise DomainError(f"unknown k_convention {k_convention!r}")
+        kappa = HBAR * k ** 2 / CS_MASS   # hbar k^2 / (2 mu) with 2 mu = CS_MASS
         gam_el = 2.0 * k * (model.a_bk * A_BOHR) * model.delta_m   # Gamma(k)/hbar, rad/s
         bracket = kappa + delta
         denom_a = bracket ** 2 + 0.25 * gam ** 2 - 0.25 * gam_el ** 2

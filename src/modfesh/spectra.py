@@ -665,6 +665,8 @@ def read_spectrum_json(path) -> Spectrum:
         raise ConfigError("'points' must hold numbers", path) from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]", path)
+    if not {type(v) for row in pts for v in row} <= {int, float}:   # not true or "0.5"
+        raise ConfigError("'points' must hold numbers", path)
     try:
         return Spectrum(axis, arr[:, 0], arr[:, 1], arr[:, 2], metadata)
     except DomainError as exc:

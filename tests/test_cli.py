@@ -1,7 +1,9 @@
 import argparse
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -77,20 +79,20 @@ class TestGlobalBehavior:
 
 
 TABLE_FLAGS = ["--format", "--output"]
-LIGHT_FLAGS = TABLE_FLAGS + ["--detuning", "--f-level", "--intensity", "--pol", "--species"]
+LIGHT_FLAGS = TABLE_FLAGS + ["--detuning", "--intensity", "--pol", "--species"]
 # verb -> the option strings it takes; README "Command line" says which verbs
 # take the shared --format, --output and --species
 OPTIONS = {
     "fictitious-field": LIGHT_FLAGS,
-    "scattering-rate": LIGHT_FLAGS + ["--mf"],
-    "heating-rate": LIGHT_FLAGS + ["--mf"],
+    "scattering-rate": LIGHT_FLAGS + ["--f-level", "--mf"],
+    "heating-rate": LIGHT_FLAGS + ["--f-level", "--mf"],
     "resonances": TABLE_FLAGS + ["--m-max", "--omega-b-hz"],
     "floquet-gap": TABLE_FLAGS + ["--amplitude-hz", "--m", "--omega-b-hz", "--rabi-hz",
                                   "--window"],
     "scattering-length": TABLE_FLAGS + ["--a-bk", "--delta-m-hz", "--grid", "--m",
                                         "--omega0-hz"],
     "dressed": TABLE_FLAGS + ["--a-bk", "--delta-m-hz", "--delta-shift-hz", "--gamma-hz",
-                              "--grid", "--k-convention", "--k-wavenumber", "--m",
+                              "--grid", "--k-wavenumber", "--m",
                               "--omega-b-hz"],
     "scan": ["--config", "--out", "--seed"],
     "fit": ["--input", "--model", "--output", "--window"],
@@ -131,7 +133,6 @@ _SYNTHESIS_INPUT = ("a physical input of the scan config; cmd_scan passes it thr
 UNCALLED_DEFAULTS = {
     ("cli", "run", "argv"): "the entry point: tests and perfbench pass argv",
     ("lightshift", "LightField", "modulation_depth"): "a physical input stated in README",
-    ("lightshift", "linear", "angle"): "a physical input: --pol linear is angle 0",
     ("spectra", "render", "payload"): "tests read render as write_spectrum's reference bytes",
     ("spectra", "render", "key"): "tests read render as write_spectrum's reference bytes",
     **{("spectra", synth, name): _SYNTHESIS_INPUT
@@ -464,9 +465,9 @@ class TestScan:
 
 
 class TestFit:
-    def synth_csv(self, tmp_path, seed=3):
+    def synth_csv(self, tmp_path, seed=3, points=300):
         model = ResonanceModel(200.0, 2 * math.pi * 3e3, 2 * math.pi * 228.7e3, -1)
-        grid = np.linspace(200e3, 256e3, 300)
+        grid = np.linspace(200e3, 256e3, points)
         spec = synthesize_spectrum([model], grid, density=3e12,
                                    noise_sigma=0.01, seed=seed)
         write_spectrum(spec, tmp_path / "spec")
@@ -567,6 +568,20 @@ class TestFit:
         code, out, err = run_cli(capsys, "fit", "--model", "fano", "--input", str(path))
         assert code == 3 and out == ""
         assert err.startswith("domain error: ") and err.count("\n") == 1
+
+    def test_overflowing_covariance_exits_three(self, tmp_path, capfd):
+        """A sigma of 1e-300 overflows J^T J of the five-parameter Jacobian: one
+        domain error line, and nothing from LAPACK (which prints "On entry to
+        DLASCL ..." at the file-descriptor level) ahead of it in stdout."""
+        path = self.synth_csv(tmp_path, points=60)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",1e-300"   # the first data row
+        path.write_text("\n".join(lines) + "\n")
+        code = run(["fit", "--model", "fano", "--input", str(path)])
+        out, err = capfd.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("domain error: ") and err.count("\n") == 1
+        assert "DLASCL" not in err
 
     def test_nonconvergent_fit_exits_four_with_report(self, tmp_path, capsys):
         # an unresolved two-point spike starves the 5-parameter fit
@@ -979,6 +994,10 @@ class TestUsageErrorsExitTwo:
          ("fit", "--model", "fano", "--input", "{tmp}/spec.csv"), "spec.csv: line 2"),
         ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", "true")},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": SPECTRUM_JSON % "true"},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": SPECTRUM_JSON % '"0.5"'},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -990,7 +1009,7 @@ class TestUsageErrorsExitTwo:
             "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2",
             "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
             "transitions-five-columns", "registry-window_G-three", "csv-five-fields",
-            "json-field-true"])
+            "json-field-true", "json-point-true", "json-point-string"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -1196,8 +1215,12 @@ class TestParserBuiltOnce:
 
 
 SWEEP_VALUES = ("1e300", "-1e300", "1e155", "-1e155", "1e-300", "-1e-300", "0", "-1")
+# the data files also take nan and inf; JSON spells them NaN and Infinity and
+# adds true, "0.5" and null, which np.asarray(dtype=float) reads as 1, 0.5, nan
+FILE_VALUES = SWEEP_VALUES + ("nan", "inf")
+JSON_VALUES = SWEEP_VALUES + ("NaN", "Infinity", "true", '"0.5"', "null")
 # options of the table verbs that take no number
-NOT_NUMERIC = {"--format", "--output", "--pol", "--species", "--k-convention", "--window"}
+NOT_NUMERIC = {"--format", "--output", "--pol", "--species", "--window"}
 # every number of a valid frequency-axis and field-axis scan config is swept
 SWEEP_CONFIGS = {
     "freq": FREQ_CONFIG.replace("points = 90\n", "points = 90\nhold_time_ms = 5\n"
@@ -1208,6 +1231,44 @@ SWEEP_CONFIGS = {
                                        "field_G = 19.41\nintensity_W_cm2 = 0.87\n"
                                        "dc_shift_hz = 0\na_bk = 200\n"),
 }
+# every number of a species file and of a two-state registry file is swept
+SWEEP_SPECIES = """\
+[species]
+mass_kg = 2.2069465e-25
+nuclear_spin = 3.5
+ground_F = 3
+ground_gF = -0.25
+[transitions]
+D1 3 4 335121730520000.0 2.698e-29 28659130.3
+D2 3 4 351730902170000.0 3.7971e-29 32815191.9
+"""
+SWEEP_REGISTRY = """\
+[state 6s]
+E0_Hz = -182e3
+mu_rel_Hz_per_G = -1.35e6
+B_ref_G = 18.66
+window_G = 15 50
+crossing_partner = 6g(6)
+V_ij_Hz = 25e3
+[state 6g(6)]
+E0_Hz = -182e3
+mu_rel_Hz_per_G = -8e3
+B_ref_G = 18.66
+window_G = 15 50
+crossing_partner = 6s
+V_ij_Hz = 25e3
+"""
+
+
+def _lz_row(b, s):
+    """A noiseless 6s/6g(6) branch sample: E = (Ei + Ej + s sqrt((Ei - Ej)^2 + V^2)) / 2."""
+    ei, ej = -182e3 - 1.35e6 * (b - 18.66), -182e3 - 8e3 * (b - 18.66)
+    return f"{b!r},{0.5 * (ei + ej + s * math.hypot(ei - ej, 25e3))!r},{s}\n"
+
+
+LZ_INPUT = "B_Gauss,E_Hz,branch\n" + "".join(
+    _lz_row(b, s) for b in np.linspace(18.56, 18.76, 11).tolist() for s in (1, -1))
+LINEAR_INPUT = "intensity,center,sigma\n0.4,227.9e3,50\n0.8,227.1e3,50\n1.2,226.3e3,50\n"
 
 
 def _with_flag(argv, flag, value):
@@ -1219,66 +1280,153 @@ def _with_flag(argv, flag, value):
     return argv + [flag, value]
 
 
-def _config_variants(text):
+def _config_variants(text, values=SWEEP_VALUES, rows=None, sep=" "):
     """text with each number in turn, the value of a key or a field of a
-    bare row, set to each of SWEEP_VALUES."""
+    bare row, set to each of values; rows (line indices) limits the lines,
+    and sep="," sweeps the fields of a CSV."""
     lines = text.splitlines()
-    for i, line in enumerate(lines):
-        tokens = line.split()
+    for i in range(len(lines)) if rows is None else rows:
+        tokens = lines[i].split(sep)
         for j, token in enumerate(tokens):
             try:
                 float(token)
             except ValueError:
                 continue
-            for value in SWEEP_VALUES:
-                edited = " ".join(tokens[:j] + [value] + tokens[j + 1:])
+            for value in values:
+                edited = sep.join(tokens[:j] + [value] + tokens[j + 1:])
                 yield edited, "\n".join(lines[:i] + [edited] + lines[i + 1:]) + "\n"
+
+
+def _json_variants(text, rows):
+    """A spectrum JSON with each metadata number and each field of the given
+    points rows in turn set to each of JSON_VALUES (raw JSON text)."""
+    payload = json.loads(text)
+    slots = [(payload["metadata"], key) for key in ("field_G", "intensity_W_cm2")]
+    slots += [(payload["points"][i], j) for i in rows for j in range(3)]
+    for container, key in slots:
+        kept = container[key]
+        container[key] = "@"
+        template = json.dumps(payload)
+        container[key] = kept
+        for value in JSON_VALUES:
+            yield f"{key}={value}", template.replace('"@"', value)
+
+
+def _spectrum_text(tmp_path, suffix, grid, f_hz, **options):
+    """The CSV or JSON text of a noiseless m = -1 loss line at f_hz (19.41 G,
+    0.8 W/cm^2) on grid, and the index of its deepest sample."""
+    model = ResonanceModel(200.0, 2 * math.pi * 3e3, 2 * math.pi * f_hz, -1)
+    spec = synthesize_spectrum([model], grid, density=3e12, **options,
+                               metadata={"field_G": 19.41, "intensity_W_cm2": 0.8})
+    write_spectrum(spec, tmp_path / "synth")
+    return (tmp_path / "synth").with_suffix(suffix).read_text(), int(np.argmin(spec.y))
 
 
 class TestContractSweep:
     """The exit-code contract over a table of extreme inputs, in process:
-    every run returns 0, 2, 3 or 4 without raising, a failing run writes one
-    error line to stderr (after argparse's usage lines) and a run that
-    succeeds writes no nan or inf."""
+    every run returns 0, 2, 3 or 4 without raising and writes nothing past
+    sys.stdout and sys.stderr (at the file-descriptor level), a failing run
+    writes one error line to stderr (after argparse's usage lines; `fit`'s
+    exit 4 writes its report instead) and a run that succeeds writes no nan
+    or inf."""
 
     NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
-    def check(self, capsys, argv, written=()):
-        """The ways run(argv) breaks the contract, [] if none."""
+    def check(self, capfd, argv, written=(), expect=None):
+        """The ways run(argv) breaks the contract, or exits other than with
+        expect if given; [] if none."""
+        out, err = io.StringIO(), io.StringIO()
         try:
-            code = run(list(argv))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(list(argv))
         except Exception as exc:   # anything escaping run breaks the contract
-            capsys.readouterr()
-            return [f"{type(exc).__name__}: {exc}"]
-        out, err = capsys.readouterr()
+            code = f"{type(exc).__name__}: {exc}"
+        bypassed = "".join(capfd.readouterr())   # written below sys.stdout and sys.stderr
+        problems = [f"file-descriptor output {bypassed!r}"] if bypassed else []
+        if expect is not None and code != expect:
+            problems.append(f"exit {code}, expected {expect}")
+        out, err = out.getvalue(), err.getvalue()
         if code not in (0, 2, 3, 4):
-            return [f"exit {code}"]
+            return problems + [code if isinstance(code, str) else f"exit {code}"]
+        if code == 4 and argv[0] == "fit":
+            report = json.loads(out) if out else {}
+            return problems + ([] if err == "" and report.get("converged") is False
+                               else [f"fit exit 4 with stdout {out!r}, stderr {err!r}"])
         if code:
             lines = [l for l in err.splitlines() if not l.startswith(("usage: ", " "))]
-            return [] if len(lines) == 1 else [f"exit {code} with stderr {err!r}"]
+            return problems + ([] if len(lines) == 1 else [f"exit {code} with stderr {err!r}"])
         found = (self.NON_FINITE.search(text) for text in [out, *map(Path.read_text, written)])
-        return [f"exit 0 writes {m.group()!r}" for m in found if m]
+        return problems + [f"exit 0 writes {m.group()!r}" for m in found if m]
+
+    def sweep(self, capfd, path, text, variants, argv, written=()):
+        """(edited field, problem) of each variant text written to path, after
+        text itself ran with exit 0."""
+        path.write_text(text)
+        bad = [("", problem) for problem in self.check(capfd, argv, written, expect=0)]
+        for edited, variant in variants:
+            path.write_text(variant)
+            for out in written:
+                out.unlink(missing_ok=True)
+            bad += [(edited, problem) for problem in self.check(capfd, argv, written)]
+        return bad
 
     @pytest.mark.parametrize("verb", sorted(TABLE_VERBS))
-    def test_table_verb_flags(self, capsys, verb):
+    def test_table_verb_flags(self, capfd, verb):
         base = TABLE_VERBS[verb] + ("--format", "csv")
-        assert self.check(capsys, base) == []
+        assert self.check(capfd, base, expect=0) == []
         flags = sorted(set(OPTIONS[verb]) - NOT_NUMERIC)
         bad = [(flag, value, problem) for flag in flags for value in SWEEP_VALUES
-               for problem in self.check(capsys, _with_flag(base, flag, value))]
+               for problem in self.check(capfd, _with_flag(base, flag, value))]
         assert bad == []
 
     @pytest.mark.parametrize("axis", sorted(SWEEP_CONFIGS))
-    def test_scan_config_numbers(self, tmp_path, capsys, axis):
+    def test_scan_config_numbers(self, tmp_path, capfd, axis):
         cfg, out = tmp_path / "scan.cfg", tmp_path / "out"
-        written = (out.with_suffix(".csv"), out.with_suffix(".json"))
-        argv = ("scan", "--config", str(cfg), "--out", str(out))
-        cfg.write_text(SWEEP_CONFIGS[axis])
-        assert self.check(capsys, argv, written) == []
-        bad = []
-        for line, text in _config_variants(SWEEP_CONFIGS[axis]):
-            cfg.write_text(text)
-            for path in written:
-                path.unlink(missing_ok=True)
-            bad += [(line, problem) for problem in self.check(capsys, argv, written)]
-        assert bad == []
+        text = SWEEP_CONFIGS[axis]
+        assert self.sweep(capfd, cfg, text, _config_variants(text),
+                          ("scan", "--config", str(cfg), "--out", str(out)),
+                          (out.with_suffix(".csv"), out.with_suffix(".json"))) == []
+
+    @pytest.mark.parametrize("verb", ["fictitious-field", "scattering-rate"])
+    def test_species_file_numbers(self, tmp_path, capfd, verb):
+        path = tmp_path / "cs.species"
+        assert self.sweep(capfd, path, SWEEP_SPECIES, _config_variants(SWEEP_SPECIES, FILE_VALUES),
+                          (verb, "--species", str(path), "--intensity", "0.87") + LIGHT) == []
+
+    def test_registry_file_numbers(self, tmp_path, capfd):
+        path, cfg, out = tmp_path / "states.cfg", tmp_path / "field.cfg", tmp_path / "out"
+        cfg.write_text(FIELD_SCAN_CONFIG.replace("state = 4g(4)", f"state = 6s\nregistry = {path}")
+                       .replace("19.2", "18.5").replace("20.5", "18.8"))
+        assert self.sweep(capfd, path, SWEEP_REGISTRY,
+                          _config_variants(SWEEP_REGISTRY, FILE_VALUES),
+                          ("scan", "--config", str(cfg), "--out", str(out)),
+                          (out.with_suffix(".csv"), out.with_suffix(".json"))) == []
+
+    def test_spectrum_csv_numbers(self, tmp_path, capfd):
+        """The first row, the deepest one and the last of a 60-point scan."""
+        text, dip = _spectrum_text(tmp_path, ".csv", np.linspace(210e3, 246e3, 60), 228.7e3,
+                                   noise_sigma=0.01, seed=3)
+        path = tmp_path / "spec.csv"
+        rows = (2, dip + 2, len(text.splitlines()) - 1)   # after the schema and header lines
+        assert self.sweep(capfd, path, text, _config_variants(text, FILE_VALUES, rows, ","),
+                          ("fit", "--model", "fano", "--input", str(path))) == []
+
+    def test_spectrum_json_numbers(self, tmp_path, capfd):
+        """The metadata numbers, and the first point, the deepest one and the
+        last of a 300-point scan, through energy-map."""
+        text, dip = _spectrum_text(tmp_path, ".json", np.linspace(178.7e3, 278.7e3, 300),
+                                   228.7e3)
+        (tmp_path / "scans").mkdir()
+        assert self.sweep(capfd, tmp_path / "scans" / "scan.json", text,
+                          _json_variants(text, (0, dip, -1)),
+                          ("energy-map", "--scan-dir", str(tmp_path / "scans"))) == []
+
+    @pytest.mark.parametrize("model,text", [("lz", LZ_INPUT), ("linear", LINEAR_INPUT)],
+                             ids=["lz", "linear"])
+    def test_fit_input_numbers(self, tmp_path, capfd, model, text):
+        """The first row, a middle one and the last of a fit input."""
+        path = tmp_path / "input.csv"
+        last = len(text.splitlines()) - 1
+        assert self.sweep(capfd, path, text,
+                          _config_variants(text, FILE_VALUES, (1, 1 + last // 2, last), ","),
+                          ("fit", "--model", model, "--input", str(path))) == []

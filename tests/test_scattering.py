@@ -164,19 +164,16 @@ class TestDressedAlphaBeta:
         m = self.model()
         w = self.omega_at(m, 3.0 * m.gamma_in)
         a0, b0 = dressed_alpha_beta(m, w, k=0.0)
-        ak, bk = dressed_alpha_beta(m, w, k=1.0, k_convention="collision_energy",
-                                    reduced_mass=CS_MASS / 2.0)
+        ak, bk = dressed_alpha_beta(m, w, k=1.0)
         assert ak == pytest.approx(a0, rel=1e-6)
         assert bk == pytest.approx(b0, rel=1e-6)
 
     def test_finite_k_conventions(self):
+        """The one finite-k convention, the collision energy hbar k^2 / (2 mu)."""
         m = self.model()
         w = self.omega_at(m, 5.0 * m.gamma_in)
-        with pytest.raises(DomainError):
-            dressed_alpha_beta(m, w, k=1e5)   # energy convention needs the mass
-        a_en, _ = dressed_alpha_beta(m, w, k=1e5, reduced_mass=CS_MASS / 2.0)
-        a_wn, _ = dressed_alpha_beta(m, w, k=1e5, k_convention="wavenumber")
-        assert math.isfinite(a_en) and math.isfinite(a_wn)
+        a_en, b_en = dressed_alpha_beta(m, w, k=1e5)
+        assert math.isfinite(a_en) and math.isfinite(b_en)
 
 
 class TestInelasticScaling:

@@ -492,6 +492,37 @@ class TestFanoFit:
         assert np.allclose(fit.covariance, cov, rtol=1e-7, atol=0)
 
 
+class TestPoleOffset:
+    """README "What omega_res_Hz estimates": a Fano center estimates the center of
+    the loss feature, which lies below the pole E/|m| of the m = -1 line
+    (E = 228.7 kHz; widths 3 and 4 kHz, 2.5e12 cm^-3, noiseless, +-20 kHz
+    window) by ~15 Hz.  At 150 Hz spacing the grid phase scatters it by
+    +-8 Hz about that."""
+
+    E_HZ = 228.7e3
+
+    def offsets(self, spacing, phases):
+        """Fitted m = -1 center minus the pole, one per grid phase (the pole's
+        offset from the grid in units of spacing, up to a constant)."""
+        models = [bound_resonance(self.E_HZ, 3e3, 1), bound_resonance(self.E_HZ, 4e3, 2)]
+        window = (self.E_HZ - 20e3, self.E_HZ + 20e3)
+        steps = np.arange(int(40e3 / spacing) + 1)
+        offsets = []
+        for phase in phases:
+            spec = synthesize_spectrum(models, window[0] + spacing * (phase + steps),
+                                       density=2.5e12)
+            offsets.append(fit_fano(spec, window=window).center - self.E_HZ)
+        return offsets
+
+    def test_resolved_offset(self):
+        assert all(-20.0 <= d <= -8.0 for d in self.offsets(15.0, (0.0, 0.5)))
+
+    def test_offset_at_workload_spacing(self):
+        offsets = self.offsets(150.0, np.arange(10) / 10)
+        assert -20.0 <= np.mean(offsets) <= -8.0
+        assert all(-25.0 <= d <= -5.0 for d in offsets)
+
+
 class TestLinearShift:
     """Shift compensation: the zero-intensity intercept of weighted_linear_fit
     through (intensity, center) points."""
