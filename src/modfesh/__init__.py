@@ -11,7 +11,7 @@ from .errors import ConfigError, ConvergenceError, DomainError, PoleError
 from .floquet import (DrivenTwoLevel, FloquetSolution, avoided_crossing_gap,
                       effective_coupling, floquet_spectrum, resonance_frequencies)
 from .lightshift import (LightField, Polarization, fictitious_field, heating_rate,
-                         level_modulation_amplitude, scattering_rate, vector_polarizability)
+                         scattering_rate, vector_polarizability)
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          inelastic_channel_scaling, loss_rate_proxy, scattering_length,
                          width_from_coupling)

@@ -20,7 +20,7 @@ from .specfun import HalfInt
 __all__ = [
     "Transition", "AtomSpecies", "MolecularState",
     "cesium", "cesium_states",
-    "bare_energy", "molecular_energy", "crossing_field",
+    "bare_energy", "molecular_energy", "crossing_branches",
     "load_species", "save_species", "load_state_registry", "save_state_registry",
 ]
 
@@ -91,11 +91,6 @@ class AtomSpecies:
     def __post_init__(self):
         if not self.transitions:
             raise DomainError("species needs at least one transition")
-
-    @property
-    def reduced_mass(self) -> float:
-        """Two identical colliding partners."""
-        return self.mass / 2.0
 
     def reference_transition(self) -> Transition:
         """The D2 F -> F'=F+1 line that detunings are quoted against."""
@@ -241,18 +236,6 @@ def crossing_branches(state: MolecularState, B, registry) -> tuple:
     if state.crossing_partner is None:
         raise DomainError(f"state {state.label!r} has no crossing partner")
     return _branches(state, B, registry)[1:]
-
-
-def crossing_field(state: MolecularState, registry) -> float:
-    """Field (G) where the two bare linear models intersect."""
-    if state.crossing_partner is None:
-        raise DomainError(f"state {state.label!r} has no crossing partner")
-    partner = _resolve_partner(state, registry)
-    denom = state.mu_rel - partner.mu_rel
-    if denom == 0:
-        raise DomainError("parallel levels never cross")
-    num = (partner.E0 - partner.mu_rel * partner.B_ref) - (state.E0 - state.mu_rel * state.B_ref)
-    return num / denom
 
 
 # ---------------------------------------------------------------------------

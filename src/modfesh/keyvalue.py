@@ -46,13 +46,14 @@ def finite(text: str) -> float:
 
 def parse_fields(fields, parsers, what: str, path=None, line=None) -> tuple:
     """Each field through its parser, exactly one field per parser.  A wrong
-    field count, or a ValueError or TypeError from a parser, is a ConfigError
-    naming what, the file and the line."""
+    field count, or a ValueError, TypeError or OverflowError (float of an
+    integer beyond double range) from a parser, is a ConfigError naming what,
+    the file and the line."""
     if len(fields) != len(parsers):
         raise ConfigError(f"{what} takes {len(parsers)} columns, got {len(fields)}", path, line)
     try:
         return tuple(parse(text) for parse, text in zip(parsers, fields))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot parse {what}: {exc}", path, line) from None
 
 

@@ -1,8 +1,7 @@
 """AC-Stark physics of the modulation beam.
 
 Vector polarizability and fictitious magnetic field of the ground hyperfine
-manifold, photon scattering rate, recoil heating rate, and the conversion of
-intensity modulation into a level-modulation amplitude.
+manifold, photon scattering rate and recoil heating rate.
 
 Only the D1 and D2 transitions of the species table enter the sums, with no
 saturation or linewidth terms in the denominators; a guard therefore rejects
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,9 +31,9 @@ from .errors import DomainError
 from .specfun import wigner_3j, wigner_6j
 
 __all__ = [
-    "Polarization", "LightField", "ModulationDrive",
+    "Polarization", "LightField",
     "vector_polarizability", "fictitious_field",
-    "scattering_rate", "heating_rate", "level_modulation_amplitude",
+    "scattering_rate", "heating_rate",
 ]
 
 NEAR_RESONANCE_LINEWIDTHS = 10.0
@@ -84,10 +82,6 @@ class Polarization:
         """|u_-1|^2 - |u_+1|^2 (the polarization factor of the fictitious field)."""
         return abs(self.u_minus) ** 2 - abs(self.u_plus) ** 2
 
-    def swapped(self) -> "Polarization":
-        """sigma+ <-> sigma- swap (u_+1 <-> u_-1)."""
-        return Polarization(self.u_minus, self.u_zero, self.u_plus)
-
     def component_weight(self, q: int) -> float:
         """|u_q|^2 for q in (-1, 0, +1)."""
         return abs({+1: self.u_plus, 0: self.u_zero, -1: self.u_minus}[q]) ** 2
@@ -105,7 +99,6 @@ class LightField:
     intensity: float                   # W/cm^2, scalar or array
     detuning: float                    # Hz
     polarization: Polarization
-    modulation_depth: float = 0.0      # fraction in [0, 1]
 
     def __post_init__(self):
         intensity = np.asarray(self.intensity, dtype=float)
@@ -115,8 +108,6 @@ class LightField:
             object.__setattr__(self, "intensity", intensity)
         if not math.isfinite(self.detuning):
             raise DomainError("detuning must be finite")
-        if not 0.0 <= self.modulation_depth <= 1.0:
-            raise DomainError("modulation depth must lie in [0, 1]")
 
     def angular_frequency(self, species: AtomSpecies) -> float:
         """Absolute optical angular frequency in rad/s."""
@@ -235,26 +226,3 @@ def heating_rate(field: LightField, species: AtomSpecies, F: int, mF: int):
     dT_dt = (2.0 / (3.0 * KB)) * rs * (HBAR * k_photon) ** 2 / (2.0 * species.mass)  # K/s
     return dT_dt * 1.0e6   # K/s -> nK/ms
 
-
-class ModulationDrive(NamedTuple):
-    """Level-modulation drive in rad/s: cosine amplitude and DC offset."""
-
-    amplitude: float
-    dc: float
-
-
-def level_modulation_amplitude(field: LightField, shift_slope: float) -> ModulationDrive:
-    """Convert intensity modulation into a level-modulation amplitude.
-
-    The interference of the two beams produces a raised-cosine intensity
-    I(t) = I_pk [(1 - d) + d (1 + cos wt)/2] with d = modulation_depth, so a
-    differential-shift slope (Hz per W/cm^2, calibrated per state) gives
-
-        amplitude = 2 pi * slope * I_pk * d/2        (the A of the two-level model)
-        dc        = 2 pi * slope * I_pk * (1 - d/2)  (static shift of the level)
-    """
-    if not math.isfinite(shift_slope):
-        raise DomainError("shift slope must be finite")
-    base = 2.0 * math.pi * shift_slope * field.intensity
-    return ModulationDrive(amplitude=base * field.modulation_depth / 2.0,
-                           dc=base * (1.0 - field.modulation_depth / 2.0))

@@ -23,7 +23,7 @@ from .specfun import bessel_j
 
 __all__ = [
     "ResonanceModel", "DressedChannelModel", "ScalingResult",
-    "scattering_length", "pole_frequency", "zero_crossing_frequency",
+    "scattering_length", "pole_frequency",
     "width_from_coupling", "dressed_alpha_beta", "equivalent_resonance_model",
     "inelastic_channel_scaling", "loss_rate_proxy",
     "K2_COEFF", "K3_COEFF", "UNITARITY_WAVENUMBER",
@@ -81,11 +81,6 @@ def scattering_length(model: ResonanceModel, omega):
 def pole_frequency(model: ResonanceModel) -> float:
     """Modulation frequency (rad/s) of the divergence: -m w = omega0."""
     return model.omega0 / (-model.m)
-
-
-def zero_crossing_frequency(model: ResonanceModel) -> float:
-    """Modulation frequency (rad/s) where a_s = 0: -m w = omega0 + Delta_m."""
-    return (model.omega0 + model.delta_m) / (-model.m)
 
 
 def width_from_coupling(matrix_element_sq: float, A: float, omega: float, m: int,

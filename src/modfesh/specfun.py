@@ -167,10 +167,10 @@ def _delta(a: int, b: int, c: int) -> tuple:
 def _racah_sum(lows, highs, weight=lambda t: 1) -> tuple:
     """Racah's alternating sum over max(lows) <= t <= min(highs) of
     (-1)^t weight(t) / (prod (t - lo)! prod (hi - t)!), exactly, as an integer
-    over a common denominator that every term's denominator divides."""
+    over a common denominator that every term's denominator divides.  The
+    callers' selection rules (triangle, |m| <= j, sum m = 0) make each
+    hi - lo a triangle or |m| <= j difference, so the range is never empty."""
     tmin, tmax = max(lows), min(highs)
-    if tmax < tmin:
-        return 0, 1
     fact = math.factorial
     common = math.prod(fact(tmax - lo) for lo in lows) * math.prod(fact(hi - tmin) for hi in highs)
     total = sum((-1 if t % 2 else 1) * weight(t) * common

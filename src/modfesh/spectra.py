@@ -574,16 +574,16 @@ def render_json(payload: dict) -> str:
         raise DomainError("a number in the JSON output is not finite for these inputs") from None
 
 
-def render(fmt: str, header, columns, payload=None, key: str = "rows") -> str:
+def render(fmt: str, header, columns) -> str:
     """Text of a table given as one sequence per header name, in fmt 'csv'
-    (schema line, header, cells), 'table' (aligned) or 'json' (payload,
-    default {"columns": header}, plus the rows under key); DomainError if a
-    float column holds a NaN or an infinity."""
+    (schema line, header, cells), 'table' (aligned) or 'json' ({"columns":
+    header} plus the rows under "rows"); DomainError if a float column holds a
+    NaN or an infinity."""
     for name, column in zip(header, columns):
         values = np.asarray(column)
         if values.dtype.kind == "f" and not np.isfinite(values).all():
             raise DomainError(f"{name} is not finite for these inputs")
-    return _layout(fmt, header, [_cells(c, fmt) for c in columns], payload, key)
+    return _layout(fmt, header, [_cells(c, fmt) for c in columns])
 
 
 def _layout(fmt: str, header, cells, payload=None, key: str = "rows") -> str:
@@ -661,7 +661,7 @@ def read_spectrum_json(path) -> Spectrum:
                           path) from None
     try:
         arr = np.asarray(pts, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):   # OverflowError: an integer past double range
         raise ConfigError("'points' must hold numbers", path) from None
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ConfigError("'points' must be an N x 3 array of [x, y, sigma]", path)

@@ -132,9 +132,6 @@ _SYNTHESIS_INPUT = ("a physical input of the scan config; cmd_scan passes it thr
                     "**common to a functools.partial of the synthesizer")
 UNCALLED_DEFAULTS = {
     ("cli", "run", "argv"): "the entry point: tests and perfbench pass argv",
-    ("lightshift", "LightField", "modulation_depth"): "a physical input stated in README",
-    ("spectra", "render", "payload"): "tests read render as write_spectrum's reference bytes",
-    ("spectra", "render", "key"): "tests read render as write_spectrum's reference bytes",
     **{("spectra", synth, name): _SYNTHESIS_INPUT
        for synth in ("synthesize_spectrum", "synthesize_field_scan")
        for name in ("hold_time", "density", "noise_sigma", "seed", "metadata")},
@@ -188,6 +185,53 @@ def test_library_defaults_have_callers():
     uncalled = {key for key, position in defaults.items() if not passed(*key[1:], position)}
     assert uncalled - UNCALLED_DEFAULTS.keys() == set()   # no src caller sets these
     assert UNCALLED_DEFAULTS.keys() - uncalled == set()   # listed, yet a src call passes them
+
+
+# Public names that nothing outside the unit tests reads, each kept for a reason.
+UNREAD_PUBLIC_NAMES = {
+    ("floquet", "floquet_spectrum"): "TestMatrixAgreement checks its quasi-energies against "
+                                     "the truncated-matrix oracle",
+    ("spectra", "fano_profile"): "the model whose parameters FanoFit reports, and the "
+                                 "tests' scipy reference",
+    ("atomdata", "crossing_branches"): "the branch energies that the 6s/6g(6) avoided-"
+                                       "crossing chain scans and fits",
+}
+
+
+def test_public_names_have_readers():
+    """Every name in a module's __all__, and every public method or property
+    of an exported class, is read (an ast Name or Attribute load, not a
+    string) in a src module, in the acceptance criteria, in perfbench or in a
+    python block of README, or is in UNREAD_PUBLIC_NAMES.  A listed name that
+    gains a reader fails too."""
+    package = Path(modfesh.__file__).parent
+    root = package.parents[1]
+    texts = [path.read_text(encoding="utf-8") for path in
+             [*sorted(package.glob("*.py")), root / "tests" / "test_acceptance.py",
+              *sorted((root / "perfbench").glob("*.py"))] if path.name != "__init__.py"]
+    texts += re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(encoding="utf-8"),
+                        re.S | re.M)
+    names, attributes = set(), set()   # Name loads, and the attr of Attribute loads
+    for text in texts:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+
+    unread = set()
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"modfesh.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            if name not in names and name not in attributes:
+                unread.add((path.stem, name))
+            obj = getattr(module, name)
+            for attr, member in vars(obj).items() if isinstance(obj, type) else ():
+                if (not attr.startswith("_") and attr not in attributes and isinstance(
+                        member, (types.FunctionType, staticmethod, classmethod, property))):
+                    unread.add((path.stem, f"{name}.{attr}"))
+    assert unread - UNREAD_PUBLIC_NAMES.keys() == set()   # no reader: give it one or delete it
+    assert UNREAD_PUBLIC_NAMES.keys() - unread == set()   # listed, yet now read
 
 
 class TestFictitiousField:
@@ -998,6 +1042,10 @@ class TestUsageErrorsExitTwo:
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"scans/scan.json": SPECTRUM_JSON % '"0.5"'},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("1.1e5", "1" + "0" * 400)},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", "1" + "0" * 400)},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -1009,7 +1057,8 @@ class TestUsageErrorsExitTwo:
             "csv-header-only", "csv-three-fields", "csv-mixed-axis", "json-points-n-by-2",
             "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
             "transitions-five-columns", "registry-window_G-three", "csv-five-fields",
-            "json-field-true", "json-point-true", "json-point-string"])
+            "json-field-true", "json-point-true", "json-point-string", "json-point-big-int",
+            "json-field-big-int"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -1017,7 +1066,7 @@ class TestUsageErrorsExitTwo:
         before = sorted(tmp_path.rglob("*"))
         code, out, err = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert code == 2
-        assert out == "" and "Traceback" not in err
+        assert out == "" and "Traceback" not in err and err.count("\n") == 1
         assert f"{tmp_path}/{where}:" in err
         assert sorted(tmp_path.rglob("*")) == before
 

@@ -87,6 +87,28 @@ class TestLevenbergMarquardt:
         assert len(points) == len(set(points))
         assert len(points) > res.iterations
 
+    def test_singular_damped_solve_raises_damping(self, monkeypatch):
+        """A damped system that LAPACK finds singular is retried with ten times
+        the damping, and the fit ends where it ends without the failure."""
+        model, _ = exponential_problem(noise=0.01, seed=5)
+        expected = levenberg_marquardt(model, [1.0, 1.0, 0.0])
+        solve, matrices = np.linalg.solve, []
+
+        def singular_once(a, b):
+            matrices.append(a)
+            if len(matrices) == 2:   # the first damped solve; the first call is the GN test
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_once)
+        res = levenberg_marquardt(model, [1.0, 1.0, 0.0])
+        monkeypatch.undo()
+        # the retry differs from the failed system by nine times the damping
+        # term lambda diag(J^T J) alone: a positive diagonal
+        extra = matrices[2] - matrices[1]
+        assert np.all(np.diag(extra) > 0) and np.all(extra == np.diag(np.diag(extra)))
+        assert res.params == pytest.approx(expected.params, rel=1e-6)
+
 
 class TestWeightedLinearFit:
     def test_exact_line(self):
@@ -109,6 +131,12 @@ class TestWeightedLinearFit:
     def test_rank_deficient(self):
         with pytest.raises(DomainError):
             weighted_linear_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+
+    def test_singular_normal_matrix(self):
+        """Distinct abscissas whose squares underflow make X^T W X exactly
+        singular: the inverse fails, not the equal-abscissa check."""
+        with pytest.raises(DomainError, match="^rank-deficient linear fit$"):
+            weighted_linear_fit([0.0, 1e-200, 2e-200], [1.0, 2.0, 3.0])
 
     def test_two_points_exact(self):
         fit = weighted_linear_fit([0.0, 1.0], [4.0, 6.0])

@@ -218,6 +218,13 @@ class TestAvoidedCrossingGap:
         with pytest.raises(DomainError):
             avoided_crossing_gap(m, -1, (0.98, 1.00003))
 
+    def test_minimum_on_window_edge(self):
+        # the window ends 2e-9 past the minimum at w ~ 1.0000503848: the vertex
+        # settles inside the window but within 2 GAP_XTOL_REL of its edge
+        m = model(omega_b=1.0, Omega=0.01, A=0.8)
+        with pytest.raises(DomainError, match="^no interior minimum bracketed by the scan window$"):
+            avoided_crossing_gap(m, -1, (0.98, 1.000050387))
+
     def test_minimum_near_window_edge(self):
         # the minimum sits 8e-5 inside the left edge, 0.4 % of the window
         # width, and is still interior

@@ -6,8 +6,7 @@ import pytest
 from modfesh.atomdata import cesium
 from modfesh.errors import DomainError
 from modfesh.lightshift import (LightField, Polarization, fictitious_field,
-                                heating_rate, level_modulation_amplitude,
-                                scattering_rate, vector_polarizability)
+                                heating_rate, scattering_rate, vector_polarizability)
 
 from oracles import sum_over_states_fictitious_field
 
@@ -44,8 +43,11 @@ class TestPolarization:
         assert p.component_weight(-1) == pytest.approx(0.5)
 
     def test_swap(self):
-        p = Polarization.sigma_minus()
-        assert p.swapped().circularity == -p.circularity
+        """sigma+ is sigma- with u_+1 and u_-1 exchanged, of opposite circularity."""
+        minus, plus = Polarization.sigma_minus(), Polarization.sigma_plus()
+        assert (plus.u_plus, plus.u_zero, plus.u_minus) == (minus.u_minus, minus.u_zero,
+                                                            minus.u_plus)
+        assert plus.circularity == -minus.circularity
 
 
 class TestVectorPolarizability:
@@ -195,43 +197,6 @@ class TestHeatingRate:
         h1 = heating_rate(self.field(intensity=1.0), cs, 3, 3)
         h3 = heating_rate(self.field(intensity=3.0), cs, 3, 3)
         assert h3 / h1 == pytest.approx(3.0, rel=1e-12)
-
-
-class TestLevelModulation:
-    def field(self, depth, intensity=1.0):
-        return LightField(intensity=intensity, detuning=-23e9,
-                          polarization=Polarization.sigma_minus(),
-                          modulation_depth=depth)
-
-    def test_zero_depth_pure_dc(self):
-        drive = level_modulation_amplitude(self.field(0.0), shift_slope=1e3)
-        assert drive.amplitude == 0.0
-        assert drive.dc == pytest.approx(2 * math.pi * 1e3)
-
-    def test_raised_cosine_convention(self):
-        # I(t) = I_pk [(1-d) + d (1+cos wt)/2]: cosine amplitude d/2, DC 1 - d/2
-        drive = level_modulation_amplitude(self.field(0.86), shift_slope=1.0)
-        assert drive.amplitude == pytest.approx(2 * math.pi * 0.43)
-        assert drive.dc == pytest.approx(2 * math.pi * 0.57)
-
-    def test_sign_carries_through(self):
-        drive = level_modulation_amplitude(self.field(0.5), shift_slope=-2e3)
-        assert drive.amplitude < 0
-        assert drive.dc < 0
-
-    def test_depth_validated(self):
-        with pytest.raises(DomainError):
-            LightField(1.0, -23e9, Polarization.sigma_minus(), modulation_depth=1.4)
-
-    def test_slope_must_be_finite(self):
-        with pytest.raises(DomainError):
-            level_modulation_amplitude(self.field(0.5), shift_slope=math.inf)
-
-    def test_linear_in_intensity(self):
-        drives = [level_modulation_amplitude(self.field(0.86, intensity=i), 1.5e3)
-                  for i in (0.3, 0.6, 1.2)]
-        assert drives[1].amplitude / drives[0].amplitude == pytest.approx(2.0, rel=1e-12)
-        assert drives[2].dc / drives[0].dc == pytest.approx(4.0, rel=1e-12)
 
 
 class TestIntensityArray:

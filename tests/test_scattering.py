@@ -9,7 +9,7 @@ from modfesh.scattering import (K3_COEFF, DressedChannelModel, ResonanceModel,
                                 dressed_alpha_beta, equivalent_resonance_model,
                                 inelastic_channel_scaling, loss_rate_proxy,
                                 pole_frequency, scattering_length,
-                                width_from_coupling, zero_crossing_frequency)
+                                width_from_coupling)
 from modfesh.specfun import bessel_j
 
 
@@ -27,7 +27,6 @@ class TestScatteringLength:
         # binary-friendly values make -m w - omega0 == delta_m exactly
         m = ResonanceModel(a_bk=128.0, delta_m=0.25e6, omega0=1.0e6, m=-1)
         assert scattering_length(m, 1.25e6) == 0.0
-        assert zero_crossing_frequency(m) == 1.25e6
 
     def test_decoupled_limit(self):
         m = self.model(delta_m=0.0)
@@ -43,11 +42,13 @@ class TestScatteringLength:
         assert err.value.location == 1.0e6
 
     def test_pole_zero_ordering(self):
-        # the zero sits exactly delta_m above the pole in the -m omega variable
+        # a_s vanishes at -m omega = omega0 + delta_m: the zero sits delta_m
+        # above the pole in the -m omega variable
         for m_order in (-2, -1, 1, 2):
             m = ResonanceModel(a_bk=-50.0, delta_m=7.5e3, omega0=3.0e5, m=m_order)
-            assert (-m_order * zero_crossing_frequency(m)) - (-m_order * pole_frequency(m)) \
-                == pytest.approx(7.5e3)
+            zero = (m.omega0 + m.delta_m) / (-m_order)
+            assert scattering_length(m, zero) == pytest.approx(0.0, abs=1e-9)
+            assert (-m_order * zero) - (-m_order * pole_frequency(m)) == pytest.approx(7.5e3)
 
     def test_vectorized(self):
         m = self.model()

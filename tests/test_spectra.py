@@ -809,8 +809,9 @@ class TestSpectrumIO:
             spectra.render(fmt, ["x", "y"], columns)
 
     def test_write_spectrum_formats_each_column_once(self, tmp_path, monkeypatch):
-        """One write_spectrum formats x, y and sigma once for both files, and
-        each file holds the bytes render gives for it."""
+        """One write_spectrum formats x, y and sigma once for both files; the
+        csv holds the bytes render gives for it and the json the bytes of
+        json.dumps."""
         spec = Spectrum(AXIS_FREQ, np.linspace(150e3, 250e3, 7),
                         [0.1, 1.2, 0.0, 5e-324, 0.3, 1.0, 0.7],
                         [1e22, 5e-324, 0.1, 0.0, 0.01, 2.5e-300, 1 / 3],
@@ -827,9 +828,10 @@ class TestSpectrumIO:
         assert len(calls) == 3   # x, y, sigma; the separate csv and json writers made 7
         csv = spectra.render("csv", spectra._CSV_HEADER.split(","),
                              ([spec.axis] * len(spec), spec.x, spec.y, spec.sigma))
-        js = spectra.render("json", (), (spec.x, spec.y, spec.sigma),
-                            {"axis": spec.axis, "kind": "spectrum", "metadata": spec.metadata},
-                            key="points")
+        js = json.dumps({"axis": spec.axis, "kind": "spectrum", "metadata": spec.metadata,
+                         "points": np.column_stack([spec.x, spec.y, spec.sigma]).tolist(),
+                         "schema_version": spectra.SCHEMA_VERSION},
+                        indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "spec.csv").read_bytes() == csv.encode()
         assert (tmp_path / "spec.json").read_bytes() == js.encode()
 
