@@ -51,6 +51,20 @@ def seed(text: str) -> int:
     return value
 
 
+def positive(text: str) -> float:
+    """A finite number above 0 (argparse: "invalid positive value")."""
+    if (value := finite(text)) <= 0:
+        raise ValueError(value)
+    return value
+
+
+def fraction(text: str) -> float:
+    """A finite number strictly between 0 and 1."""
+    if not 0 < (value := finite(text)) < 1:
+        raise ValueError(value)
+    return value
+
+
 def _parse_grid(text: str):
     """'0.87' -> [0.87]; '0.2:1.7:16' -> 16 points from 0.2 to 1.7."""
     if ":" not in text:
@@ -204,11 +218,16 @@ def cmd_scan(args) -> int:
             raise ConfigError("frequency scan needs at least one [resonance] section", path)
         start = scan_sec.get("start_hz", finite, REQUIRED)
         stop = scan_sec.get("stop_hz", finite, REQUIRED)
-        models = [scattering.ResonanceModel(
-            a_bk=sec.get("a_bk", finite, REQUIRED),
-            delta_m=2 * math.pi * sec.get("delta_m_hz", finite, REQUIRED),
-            omega0=2 * math.pi * (sec.get("omega0_hz", finite, REQUIRED) + dc_shift),
-            m=sec.get("m", int, REQUIRED)) for sec in sections["resonance"]]
+        models = []
+        for sec in sections["resonance"]:
+            values = (sec.get("a_bk", finite, REQUIRED),
+                      2 * math.pi * sec.get("delta_m_hz", finite, REQUIRED),
+                      2 * math.pi * (sec.get("omega0_hz", finite, REQUIRED) + dc_shift),
+                      sec.get("m", int, REQUIRED))
+            try:
+                models.append(scattering.ResonanceModel(*values))
+            except DomainError as exc:
+                raise ConfigError(str(exc), path, sec.line) from None
         synthesize = functools.partial(spectra.synthesize_spectrum, models)
     else:
         widths_secs = sections["widths"]
@@ -448,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of spectrum JSON files with field_G/intensity metadata")
     p.add_argument("--registry", default="builtin",
                    help="molecular-state registry file, or 'builtin'")
-    p.add_argument("--min-depth", type=finite, default=0.05)
-    p.add_argument("--min-separation-hz", type=finite, default=8e3)
+    p.add_argument("--min-depth", type=fraction, default=0.05)
+    p.add_argument("--min-separation-hz", type=positive, default=8e3)
     p.set_defaults(func=cmd_energy_map)
 
     for action in sub.choices.values():

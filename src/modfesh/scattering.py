@@ -24,7 +24,7 @@ from .specfun import bessel_j
 __all__ = [
     "ResonanceModel", "DressedChannelModel", "ScalingResult",
     "scattering_length", "pole_frequency",
-    "width_from_coupling", "dressed_alpha_beta", "equivalent_resonance_model",
+    "width_from_coupling", "dressed_alpha_beta",
     "inelastic_channel_scaling", "loss_rate_proxy",
     "K2_COEFF", "K3_COEFF", "UNITARITY_WAVENUMBER",
 ]
@@ -114,6 +114,9 @@ class DressedChannelModel:
     |J_m(A/w)|^2 drive dependence).  gamma_in is the inelastic coupling as an
     angular rate gamma/hbar.  delta_shift is the drive-induced resonance shift
     delta-omega_m (~ A^(2|m|), prefactor calibrated).
+
+    At gamma_in = 0 alpha is the scattering length of ResonanceModel(a_bk,
+    delta_m, omega_b - delta_shift, -m): a bound state has m > 0 here, m < 0 there.
     """
 
     a_bk: float          # Bohr radii
@@ -177,19 +180,6 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     if alpha.ndim == 0:
         return float(alpha), float(beta)
     return alpha, beta
-
-
-def equivalent_resonance_model(model: DressedChannelModel) -> ResonanceModel:
-    """The gamma_in -> 0 reduction of the dressed model as a two-channel resonance.
-
-    With m' = -m and omega0 = omega_b - delta_shift the two-channel denominator
-    -m' w - omega0 equals minus the dressed detuning Delta, so
-    a_bk (1 - Delta_m / (-m' w - omega0)) = a_bk (1 + Delta_m / Delta), the
-    gamma_in -> 0 limit of the dressed alpha.  (The m-sign conventions of the
-    two pictures are opposite: a bound state is m' < 0 here, m > 0 there.)
-    """
-    return ResonanceModel(a_bk=model.a_bk, delta_m=model.delta_m,
-                          omega0=model.omega_b - model.delta_shift, m=-model.m)
 
 
 class ScalingResult(NamedTuple):

@@ -3,8 +3,9 @@ fits, DC-shift compensation, and assembly of the binding-energy map.
 
 Synthetic spectra use the forward model N_m/N_0 = exp(-(rate - rate_bg) t)
 with the loss rate from ``scattering.loss_rate_proxy`` evaluated on the
-composite scattering length of all supplied resonances; the background rate
-at a_s = a_bk normalizes the far-off-resonance baseline to 1.  Noise is
+composite scattering length a_bk - sum a_bk Delta_m / (-m w - omega0) of the
+supplied ``ResonanceModel``s; the background rate at a_s = a_bk normalizes
+the far-off-resonance baseline to 1.  Noise is
 Gaussian, seedable through numpy's PCG64 ``default_rng`` (documented here for
 cross-run reproducibility; identical seeds give bit-identical spectra).
 """
@@ -21,8 +22,7 @@ from .atomdata import MolecularState, molecular_energy
 from .errors import ConfigError, ConvergenceError, DomainError
 from .fitting import LeastSquaresFit, _covariance, levenberg_marquardt, weighted_linear_fit
 from .keyvalue import finite, parse_fields, read_text, write_text
-from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
-                         equivalent_resonance_model, loss_rate_proxy)
+from .scattering import ResonanceModel, loss_rate_proxy
 
 __all__ = [
     "AXIS_FREQ", "AXIS_FIELD", "SCHEMA_VERSION",
@@ -82,71 +82,40 @@ class Spectrum:
 # Forward model
 # ---------------------------------------------------------------------------
 
-def _composite_alpha_beta(resonances, omega):
-    """Total (alpha, beta) in Bohr radii on an omega grid (rad/s).
-
-    Deviations of each resonance add on the shared background of the first
-    model; exact poles give +-inf which the unitarity cap later clips.
-    """
+def _loss_spectrum(axis, x, resonances, omega, *, hold_time, density, noise_sigma, seed,
+                   metadata) -> Spectrum:
+    """N_m/N_0 on the increasing grid x, drive omega (rad/s) per point: each
+    resonance's deviation adds on the first one's a_bk (an exact pole's +-inf is
+    clipped by loss_rate_proxy's unitarity cap); then seeded noise and clipping."""
+    if x.size < 2 or np.any(np.diff(x) <= 0):
+        raise DomainError("scan grid must have at least 2 increasing points")
+    if hold_time <= 0:
+        raise DomainError("hold time must be positive")
     if not resonances:
         raise DomainError("need at least one resonance model")
     a_bk = resonances[0].a_bk
     alpha = np.full_like(omega, a_bk, dtype=float)
-    beta = np.zeros_like(omega, dtype=float)
     for model in resonances:
-        if isinstance(model, DressedChannelModel):
-            if model.gamma_in == 0.0:
-                model = equivalent_resonance_model(model)
-            else:
-                a_i, b_i = dressed_alpha_beta(model, omega, k=0.0)
-                alpha = alpha + (a_i - model.a_bk)
-                beta = beta + b_i
-                continue
-        if model.delta_m == 0.0:
-            continue
-        denom = -model.m * omega - model.omega0
-        with np.errstate(divide="ignore"):
-            # exact poles give +-inf, clipped later by the unitarity cap
-            dev = -model.a_bk * model.delta_m / denom
-        alpha = alpha + dev
-    return alpha, beta
-
-
-def _loss_spectrum(axis, x, alpha, beta, a_bk, *, hold_time, density, noise_sigma, seed,
-                   metadata) -> Spectrum:
-    """Relative atom number from the composite (alpha, beta), normalized by the
-    background rate at a_bk, then seeded Gaussian noise, clipping and metadata."""
-    rate = loss_rate_proxy(alpha, beta, density)
-    rate_bg = loss_rate_proxy(a_bk, 0.0, density)
-    y = np.exp(-(rate - rate_bg) * hold_time)
-    sigma = np.full_like(y, float(noise_sigma))
+        if model.delta_m != 0.0:
+            with np.errstate(divide="ignore"):
+                alpha -= model.a_bk * model.delta_m / (-model.m * omega - model.omega0)
+    rate = loss_rate_proxy(alpha, 0.0, density) - loss_rate_proxy(a_bk, 0.0, density)
+    y = np.exp(-rate * hold_time)
     if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        y = y + rng.normal(0.0, noise_sigma, size=y.size)
-    y = np.clip(y, 0.0, RELATIVE_ATOMS_MAX)
+        y = y + np.random.default_rng(seed).normal(0.0, noise_sigma, size=y.size)
     meta = {"hold_time_ms": hold_time * 1e3, "density_cm3": density,
-            "noise_sigma": noise_sigma, "seed": seed}
-    if metadata:
-        meta.update(metadata)
-    return Spectrum(axis, x, y, sigma, meta)
+            "noise_sigma": noise_sigma, "seed": seed, **(metadata or {})}
+    return Spectrum(axis, x, np.clip(y, 0.0, RELATIVE_ATOMS_MAX),
+                    np.full_like(y, float(noise_sigma)), meta)
 
 
 def synthesize_spectrum(resonances, grid_hz, *, hold_time: float = 5e-3,
                         density: float = 1e13, noise_sigma: float = 0.0, seed=None,
                         metadata: dict | None = None) -> Spectrum:
-    """Loss spectrum versus modulation frequency (grid in Hz, monotone).
-
-    resonances: ResonanceModel or DressedChannelModel instances sharing the
-    background scattering length of the first entry.
-    """
+    """Loss spectrum versus modulation frequency (grid in Hz, increasing) of
+    ResonanceModels that share the background scattering length of the first."""
     grid_hz = np.asarray(grid_hz, dtype=float)
-    if grid_hz.size < 2 or np.any(np.diff(grid_hz) <= 0):
-        raise DomainError("frequency grid must be monotonically increasing")
-    if hold_time <= 0:
-        raise DomainError("hold time must be positive")
-    omega = 2.0 * math.pi * grid_hz
-    alpha, beta = _composite_alpha_beta(list(resonances), omega)
-    return _loss_spectrum(AXIS_FREQ, grid_hz, alpha, beta, resonances[0].a_bk,
+    return _loss_spectrum(AXIS_FREQ, grid_hz, list(resonances), 2.0 * math.pi * grid_hz,
                           hold_time=hold_time, density=density,
                           noise_sigma=noise_sigma, seed=seed, metadata=metadata)
 
@@ -161,20 +130,16 @@ def synthesize_field_scan(state: MolecularState, registry, f_mod_hz: float,
     widths_hz maps |m| -> resonance width Delta_m/2pi in Hz (calibration
     inputs).  dc_shift_hz displaces the free-to-bound gap uniformly (the DC
     light-shift of the level difference).  Resonances land where the shifted
-    |E(B)| equals |m| f_mod on either side of the threshold crossing.  The
-    composite scattering length is evaluated on the whole (field, order) grid.
+    |E(B)| equals |m| f_mod on either side of the threshold crossing.
     """
     b_grid = np.asarray(b_grid, dtype=float)
-    if b_grid.size < 2 or np.any(np.diff(b_grid) <= 0):
-        raise DomainError("field grid must be monotonically increasing")
     omega_b = -2.0 * math.pi * (molecular_energy(state, b_grid, registry) + dc_shift_hz)
     # a state below threshold (omega_b > 0) resonates at order -|m|: the
     # denominator -m w - omega0 is the same with the sign moved onto w
     omega = np.where(omega_b > 0, -2.0 * math.pi * f_mod_hz, 2.0 * math.pi * f_mod_hz)
     models = [ResonanceModel(a_bk=a_bk, delta_m=2.0 * math.pi * widths_hz[k],
                              omega0=omega_b, m=k) for k in sorted(widths_hz)]
-    alpha, beta = _composite_alpha_beta(models, omega)
-    return _loss_spectrum(AXIS_FIELD, b_grid, alpha, beta, a_bk,
+    return _loss_spectrum(AXIS_FIELD, b_grid, models, omega,
                           hold_time=hold_time, density=density,
                           noise_sigma=noise_sigma, seed=seed,
                           metadata={"modulation_freq_Hz": f_mod_hz, "state": state.label,

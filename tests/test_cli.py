@@ -187,6 +187,10 @@ def test_library_defaults_have_callers():
     assert UNCALLED_DEFAULTS.keys() - uncalled == set()   # listed, yet a src call passes them
 
 
+README_PYTHON_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```",
+    (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"), re.S | re.M)
+
 # Public names that nothing outside the unit tests reads, each kept for a reason.
 UNREAD_PUBLIC_NAMES = {
     ("floquet", "floquet_spectrum"): "TestMatrixAgreement checks its quasi-energies against "
@@ -209,8 +213,7 @@ def test_public_names_have_readers():
     texts = [path.read_text(encoding="utf-8") for path in
              [*sorted(package.glob("*.py")), root / "tests" / "test_acceptance.py",
               *sorted((root / "perfbench").glob("*.py"))] if path.name != "__init__.py"]
-    texts += re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(encoding="utf-8"),
-                        re.S | re.M)
+    texts += README_PYTHON_BLOCKS
     names, attributes = set(), set()   # Name loads, and the attr of Attribute loads
     for text in texts:
         for node in ast.walk(ast.parse(text)):
@@ -232,6 +235,14 @@ def test_public_names_have_readers():
                     unread.add((path.stem, f"{name}.{attr}"))
     assert unread - UNREAD_PUBLIC_NAMES.keys() == set()   # no reader: give it one or delete it
     assert UNREAD_PUBLIC_NAMES.keys() - unread == set()   # listed, yet now read
+
+
+@pytest.mark.parametrize("block", README_PYTHON_BLOCKS,
+                         ids=[f"block-{i}" for i in range(1, len(README_PYTHON_BLOCKS) + 1)])
+def test_readme_python_block_runs(tmp_path, monkeypatch, block):
+    """Each python block of README runs as written, in an empty directory."""
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 class TestFictitiousField:
@@ -507,6 +518,19 @@ class TestScan:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("axis", ["freq", "field"])
+    @pytest.mark.parametrize("hold", ["0", "-5"])
+    def test_non_positive_hold_time_exits_three(self, tmp_path, capsys, axis, hold):
+        """Both axes refuse a hold time <= 0; a field-axis scan once wrote a
+        flat spectrum at 0 and relative atom numbers above 1 at -5."""
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text({"freq": FREQ_CONFIG, "field": FIELD_SCAN_CONFIG}[axis]
+                       .replace("[scan]\n", f"[scan]\nhold_time_ms = {hold}\n"))
+        code, out, err = run_cli(capsys, "scan", "--config", str(cfg),
+                                 "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (3, "", "domain error: hold time must be positive\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
 
 class TestFit:
     def synth_csv(self, tmp_path, seed=3, points=300):
@@ -692,6 +716,15 @@ class TestEnergyMap:
             assert fields[3] == "4g(4)"
             assert fields[4] == "1"          # bound
             assert int(fields[2]) in (-1, -2)
+
+    def test_threshold_flags_at_their_defaults(self, tmp_path, capsys):
+        """--min-depth 0.05 and --min-separation-hz 8e3, written out, give the
+        map of the defaults."""
+        scan_dir = self.make_scan_dir(tmp_path)
+        default = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir))
+        explicit = run_cli(capsys, "energy-map", "--scan-dir", str(scan_dir),
+                           "--min-depth", "0.05", "--min-separation-hz", "8e3")
+        assert explicit == default and default[0] == 0
 
     def test_registry_file_argument(self, tmp_path, capsys):
         scan_dir = self.make_scan_dir(tmp_path)
@@ -909,6 +942,11 @@ class TestUsageErrorsExitTwo:
         (GAP + ("--m", "1", "--window", "1e5"), None, None),
         (None, ("seed = 3", "seed = -1"), 8),
         (("scan", "--config", "c.cfg", "--out", "o5", "--seed", "-5"), None, None),
+        (("energy-map", "--scan-dir", "scans", "--min-separation-hz", "0"), None, None),
+        (("energy-map", "--scan-dir", "scans", "--min-separation-hz", "-5"), None, None),
+        (("energy-map", "--scan-dir", "scans", "--min-depth", "2"), None, None),
+        (("energy-map", "--scan-dir", "scans", "--min-depth", "0"), None, None),
+        (("energy-map", "--scan-dir", "scans", "--min-depth", "-1"), None, None),
     ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
     def test_exit_two(self, tmp_path, capsys, monkeypatch, argv, edit, line):
         # an over-cap count must be refused before it sizes an allocation
@@ -917,6 +955,8 @@ class TestUsageErrorsExitTwo:
         # valid inputs for the rows with a flag their verb does not take
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c.cfg").write_text(FIELD_SCAN_CONFIG)
+        (tmp_path / "scans").mkdir()
+        (tmp_path / "scans" / "scan.json").write_text(SPECTRUM_JSON % "0.9")
         (tmp_path / "lin.csv").write_text("intensity,center\n0.4,227.9e3\n0.8,227.1e3\n"
                                           "1.2,226.3e3\n")
         if edit is not None:
@@ -934,6 +974,14 @@ class TestUsageErrorsExitTwo:
     def test_negative_seed_flag_is_an_invalid_seed(self, capsys):
         code, _, err = run_cli(capsys, "scan", "--config", "c.cfg", "--out", "x", "--seed", "-5")
         assert code == 2 and "argument --seed: invalid seed value: '-5'" in err
+
+    @pytest.mark.parametrize("flag,value,kind", [
+        ("--min-separation-hz", "0", "positive"), ("--min-separation-hz", "-5", "positive"),
+        ("--min-depth", "0", "fraction"), ("--min-depth", "1", "fraction"),
+        ("--min-depth", "nan", "fraction")])
+    def test_energy_map_threshold_flag_is_named(self, capsys, flag, value, kind):
+        code, _, err = run_cli(capsys, "energy-map", "--scan-dir", ".", flag, value)
+        assert code == 2 and f"argument {flag}: invalid {kind} value: '{value}'" in err
 
     @pytest.mark.parametrize("files,argv,where", [
         ({"spec.csv": "axis,value,relative_atoms,sigma\nmodulation_freq_Hz,1e5,nan,0.01\n"},
@@ -1046,6 +1094,9 @@ class TestUsageErrorsExitTwo:
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace("19.41", "1" + "0" * 400)},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        ({"freq.cfg": FREQ_CONFIG.replace("a_bk = 200", "a_bk = 0")}, SCAN_FREQ,
+         "freq.cfg: line 5"),
+        ({"freq.cfg": FREQ_CONFIG.replace("m = 1\n", "m = 0\n")}, SCAN_FREQ, "freq.cfg: line 5"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -1058,7 +1109,7 @@ class TestUsageErrorsExitTwo:
             "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
             "transitions-five-columns", "registry-window_G-three", "csv-five-fields",
             "json-field-true", "json-point-true", "json-point-string", "json-point-big-int",
-            "json-field-big-int"])
+            "json-field-big-int", "resonance-a_bk-0", "resonance-m-0"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

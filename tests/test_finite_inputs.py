@@ -18,7 +18,7 @@ from modfesh.scattering import (DressedChannelModel, ResonanceModel, dressed_alp
                                 inelastic_channel_scaling, loss_rate_proxy, width_from_coupling)
 from modfesh.specfun import HalfInt, bessel_j
 from modfesh.spectra import (AXIS_FREQ, Spectrum, find_peaks, fit_fano, fit_landau_zener,
-                             synthesize_spectrum)
+                             synthesize_field_scan, synthesize_spectrum)
 
 NAN = math.nan
 X, Y = [0.4, 0.8, 1.2], [227.9e3, 227.1e3, 226.3e3]
@@ -60,6 +60,14 @@ def _dressed_on_both_poles():
 
 SPECTRUM = Spectrum(AXIS_FREQ, np.linspace(1e5, 2e5, 9), np.full(9, 0.9), np.full(9, 0.01))
 A_GRID = np.geomspace(1e-3, 1e-1, 8)
+B_GRID = np.linspace(19.2, 20.5, 9)
+LINE = ResonanceModel(a_bk=200.0, delta_m=2e4, omega0=1.4e6, m=-1)
+
+
+def _field_scan(b_grid=B_GRID, **options):
+    """A 4g(4) field-axis scan at 150 kHz with one first-order width."""
+    registry = cesium_states()
+    return synthesize_field_scan(registry[0], registry, 150e3, b_grid, {1: 3e3}, **options)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -93,6 +101,12 @@ A_GRID = np.geomspace(1e-3, 1e-1, 8)
      "x, y, sigma must have equal length"),
     (lambda: synthesize_spectrum([], SPECTRUM.x), DomainError,
      "need at least one resonance model"),
+    (lambda: _field_scan(hold_time=0.0), DomainError, "hold time must be positive"),
+    (lambda: _field_scan(hold_time=-5e-3), DomainError, "hold time must be positive"),
+    (lambda: synthesize_spectrum([LINE], SPECTRUM.x[::-1]), DomainError,
+     "scan grid must have at least 2 increasing points"),
+    (lambda: _field_scan(B_GRID[::-1]), DomainError,
+     "scan grid must have at least 2 increasing points"),
     (lambda: find_peaks(Spectrum(AXIS_FREQ, [], [], []), 0.05, 1e3), DomainError,
      "empty spectrum"),
     (lambda: fit_fano(SPECTRUM, window=(2e5, 1e5)), DomainError, "window must satisfy lo < hi"),
@@ -102,8 +116,9 @@ A_GRID = np.geomspace(1e-3, 1e-1, 8)
         "linear-one-point", "spectrum-omega_mod-0", "gap-m-0", "width-omega-0",
         "width-matrix-element", "dressed-finite-k-pole", "scaling-m-0", "scaling-omega_mod-0",
         "scaling-three-points", "scaling-A-0", "halfint-complex", "bessel-order-0.5",
-        "spectrum-lengths", "synthesize-no-resonance", "peaks-empty", "fano-window",
-        "lz-four-samples"])
+        "spectrum-lengths", "synthesize-no-resonance", "field-scan-hold-0",
+        "field-scan-hold-negative", "freq-grid-decreasing", "field-grid-decreasing",
+        "peaks-empty", "fano-window", "lz-four-samples"])
 def test_out_of_range_input_is_refused(call, error, message):
     """Each guard on outside input refuses the input with its own message."""
     with pytest.raises(error, match=message):

@@ -6,8 +6,7 @@ import pytest
 from modfesh.atomdata import A_BOHR, CS_MASS
 from modfesh.errors import DomainError, PoleError
 from modfesh.scattering import (K3_COEFF, DressedChannelModel, ResonanceModel,
-                                dressed_alpha_beta, equivalent_resonance_model,
-                                inelastic_channel_scaling, loss_rate_proxy,
+                                dressed_alpha_beta, inelastic_channel_scaling, loss_rate_proxy,
                                 pole_frequency, scattering_length,
                                 width_from_coupling)
 from modfesh.specfun import bessel_j
@@ -130,7 +129,7 @@ class TestDressedAlphaBeta:
     def test_two_channel_reduction(self):
         # gamma_in -> 0 reproduces the plain resonance form on a dense grid
         m = self.model(gamma_in=0.0, delta_shift=2 * math.pi * 12.0)
-        eq = equivalent_resonance_model(m)
+        eq = ResonanceModel(m.a_bk, m.delta_m, m.omega_b - m.delta_shift, -m.m)
         omega = np.linspace(0.2, 3.0, 1000) * (m.omega_b / abs(m.m))
         omega = omega[np.abs(m.omega_b - m.m * omega - m.delta_shift) > 1e3]
         alpha, beta = dressed_alpha_beta(m, omega)

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from modfesh.atomdata import MolecularState, cesium_states, molecular_energy
-from modfesh.errors import ConfigError, ConvergenceError, DomainError, PoleError
+from modfesh.errors import ConfigError, ConvergenceError, DomainError
 from modfesh.fitting import COST_RTOL, levenberg_marquardt, weighted_linear_fit
 from modfesh import fitting, spectra
-from modfesh.scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
-                                equivalent_resonance_model, loss_rate_proxy)
+from modfesh.scattering import ResonanceModel, loss_rate_proxy
 from modfesh.spectra import (AXIS_FREQ, Spectrum, assemble_energy_map,
                              fano_profile, find_peaks, fit_fano, fit_landau_zener,
                              read_spectrum_csv, read_spectrum_json,
@@ -79,27 +78,6 @@ class TestSynthesize:
         spec = synthesize_spectrum([m], grid)
         assert np.all(np.isfinite(spec.y))
         assert spec.y[1] < 0.9
-
-    def test_dressed_models_accepted(self):
-        m = DressedChannelModel(a_bk=200.0, delta_m=TWO_PI * 1e3,
-                                gamma_in=TWO_PI * 200.0, omega_b=TWO_PI * 200e3,
-                                delta_shift=0.0, m=1)
-        spec = synthesize_spectrum([m], np.linspace(150e3, 250e3, 301))
-        assert np.all(np.isfinite(spec.y))
-        assert spec.y.min() < 0.99
-
-    def test_lossless_dressed_model_is_its_resonance_model(self):
-        """gamma_in = 0 with a grid point exactly on the bare pole: the dressed
-        formula would raise PoleError there, so the synthesis uses the
-        equivalent two-channel model, whose pole the unitarity cap clips."""
-        m = DressedChannelModel(a_bk=200.0, delta_m=TWO_PI * 3e3, gamma_in=0.0,
-                                omega_b=TWO_PI * 200e3, delta_shift=0.0, m=1)
-        grid = np.array([150e3, 200e3, 250e3])
-        with pytest.raises(PoleError):
-            dressed_alpha_beta(m, TWO_PI * grid)
-        spec = synthesize_spectrum([m], grid)
-        ref = synthesize_spectrum([equivalent_resonance_model(m)], grid)
-        assert spec.y.tobytes() == ref.y.tobytes() and spec.y[1] < 0.9
 
     def test_field_scan_dips(self):
         # fixed drive frequency, sweep B through the threshold crossing:
