@@ -15,7 +15,7 @@ from .lightshift import (LightField, Polarization, fictitious_field, heating_rat
 from .scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                          inelastic_channel_scaling, loss_rate_proxy, scattering_length,
                          width_from_coupling)
-from .specfun import HalfInt, bessel_j, wigner_3j, wigner_6j
+from .specfun import bessel_j, wigner_3j, wigner_6j
 from .spectra import (FanoFit, Spectrum, assemble_energy_map, fano_profile, find_peaks,
                       fit_fano, fit_landau_zener, synthesize_field_scan, synthesize_spectrum)
 

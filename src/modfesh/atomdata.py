@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .keyvalue import (REQUIRED, Section, finite, format_keyvalue, load_keyvalue, parse_fields,
                        write_text)
-from .specfun import HalfInt
+from .specfun import half_integer
 
 __all__ = [
     "Transition", "AtomSpecies", "MolecularState",
@@ -58,46 +59,63 @@ class Transition:
     reduced_dipole: float     # C m
     decay_rate: float         # rad/s
 
-    J = HalfInt(1)            # 1/2, the S1/2 ground state of both lines
+    J = Fraction(1, 2)        # the S1/2 ground state of both lines
 
     def __post_init__(self):
         if self.line not in ("D1", "D2"):
             raise DomainError(f"unknown line {self.line!r}")
-        if self.frequency <= 0:
-            raise DomainError("transition frequency must be positive")
-        if self.reduced_dipole <= 0:
-            raise DomainError("reduced dipole must be positive")
+        for name in ("frequency", "reduced_dipole", "decay_rate"):
+            if getattr(self, name) <= 0:
+                raise DomainError(f"transition {name} must be positive")
         if abs(self.F - self.F_prime) > 1:
             raise DomainError("electric dipole requires |F - F'| <= 1")
 
     @property
-    def J_prime(self) -> HalfInt:
-        return HalfInt(1 if self.line == "D1" else 3)
+    def J_prime(self) -> Fraction:
+        return Fraction(1 if self.line == "D1" else 3, 2)
 
     @property
     def angular_frequency(self) -> float:
         return 2.0 * math.pi * self.frequency
 
 
+def _check_levels(tr: Transition, i_nuc) -> None:
+    """DomainError unless F and F' lie within |I - J|..I + J for nuclear spin I."""
+    for name, f, j in (("F", tr.F, tr.J), ("F'", tr.F_prime, tr.J_prime)):
+        if not abs(i_nuc - j) <= f <= i_nuc + j:
+            raise DomainError(f"{tr.line} {tr.F}->{tr.F_prime}: {name} outside "
+                              f"|I - J|..I + J = {abs(i_nuc - j)}..{i_nuc + j}")
+
+
 @dataclass(frozen=True)
 class AtomSpecies:
+    """An alkali species; construction refuses unphysical values (DomainError)."""
+
     name: str
     mass: float               # kg
-    nuclear_spin: HalfInt
+    nuclear_spin: Fraction    # I, a half-integer
     ground_F: int
     ground_gF: float
     transitions: tuple
 
     def __post_init__(self):
-        if not self.transitions:
-            raise DomainError("species needs at least one transition")
+        if not 0 < self.mass < math.inf:
+            raise DomainError(f"mass must be positive and finite, got {self.mass}")
+        if not 0 < abs(self.ground_gF) < math.inf:
+            raise DomainError(f"ground_gF must be non-zero and finite, got {self.ground_gF}")
+        if not (self.nuclear_spin >= 0 and abs(self.ground_F - self.nuclear_spin) == 0.5):
+            raise DomainError(f"need I >= 0 and ground_F = I +- 1/2, got I = {self.nuclear_spin}, "
+                              f"ground_F = {self.ground_F}")
+        for tr in self.transitions:
+            _check_levels(tr, self.nuclear_spin)
+        self.reference_transition()
 
     def reference_transition(self) -> Transition:
         """The D2 F -> F'=F+1 line that detunings are quoted against."""
         for tr in self.transitions:
             if tr.line == "D2" and tr.F == self.ground_F and tr.F_prime == self.ground_F + 1:
                 return tr
-        raise ConfigError(
+        raise DomainError(
             f"species {self.name!r} lacks the D2 F={self.ground_F}->F'={self.ground_F + 1} "
             "reference transition")
 
@@ -118,7 +136,7 @@ def cesium() -> AtomSpecies:
     return AtomSpecies(
         name="cesium-133",
         mass=CS_MASS,
-        nuclear_spin=HalfInt(7),      # 7/2
+        nuclear_spin=Fraction(7, 2),
         ground_F=3,
         ground_gF=-0.25,
         transitions=transitions,
@@ -244,55 +262,53 @@ def crossing_branches(state: MolecularState, B, registry) -> tuple:
 
 # [species] keys: (AtomSpecies field, key, parser)
 _SPECIES_KEYS = (("name", "name", str), ("mass", "mass_kg", finite),
-                 ("nuclear_spin", "nuclear_spin", HalfInt.coerce),
+                 ("nuclear_spin", "nuclear_spin", half_integer),
                  ("ground_F", "ground_F", int), ("ground_gF", "ground_gF", finite))
 
 
 def load_species(path) -> AtomSpecies:
     """Load a species file on top of the embedded cesium defaults.
 
-    The one [species] section's keys override scalar fields; [transitions]
-    rows replace the matching (line, F, F') entry or append a new one, each
-    (line, F, F') once; a repeat of either is a ConfigError.  Row columns:
-    line F F' frequency_Hz reduced_dipole_Cm decay_rad_s
-    (raw SI values so that save/load round trips are bit-exact).
+    The one [species] section's keys override scalar fields; each [transitions]
+    row (line F F' frequency_Hz reduced_dipole_Cm decay_rad_s, raw SI values for
+    bit-exact save/load round trips) replaces the entry with its (line, F, F')
+    or adds one.  A second [species] section or (line, F, F') row, or a value
+    that Transition or AtomSpecies refuses, is a ConfigError at its line.
     """
     species = cesium()
     sections = load_keyvalue(path, ("species", "transitions"))
-    if len(sections["species"]) > 1:
-        raise ConfigError("a species file holds one [species] section", path,
-                          sections["species"][1].line)
-    for sec in sections["species"]:
-        species = replace(species, **{name: sec.get(key, parse, getattr(species, name))
-                                      for name, key, parse in _SPECIES_KEYS})
-        sec.done()
-    transitions = {(t.line, t.F, t.F_prime): t for t in species.transitions}
-    in_file = set()
+    head, *extra = sections["species"] or [Section("species", None)]
+    if extra:
+        raise ConfigError("a species file holds one [species] section", path, extra[0].line)
+    fields = {name: head.get(key, parse, getattr(species, name))
+              for name, key, parse in _SPECIES_KEYS}
+    head.done()
+    in_file = {}
     for sec in sections["transitions"]:
-        rows = sec.take_rows((str, int, int, finite, finite, finite),
-                             "transition row (line F F' freq_Hz dipole_Cm decay_rad_s)")
-        for lineno, (line_name, f_lo, f_hi, freq, dip, gam) in rows:
+        for lineno, (line_name, f_lo, f_hi, freq, dip, gam) in sec.take_rows(
+                (str, int, int, finite, finite, finite),
+                "transition row (line F F' freq_Hz dipole_Cm decay_rad_s)"):
             key = (line_name, f_lo, f_hi)
             if key in in_file:
                 raise ConfigError(f"repeated transition {line_name} {f_lo} {f_hi}", path, lineno)
-            in_file.add(key)
             try:
-                transitions[key] = Transition(line_name, f_lo, f_hi, freq, dip, gam)
+                in_file[key] = Transition(line_name, f_lo, f_hi, freq, dip, gam)
+                _check_levels(in_file[key], fields["nuclear_spin"])
             except DomainError as exc:
                 raise ConfigError(str(exc), path, lineno) from None
         sec.done()
+    transitions = {(t.line, t.F, t.F_prime): t for t in species.transitions} | in_file
     ordered = tuple(sorted(transitions.values(), key=lambda t: (t.line, t.F, t.F_prime)))
-    return replace(species, transitions=ordered)
+    try:
+        return replace(species, **fields, transitions=ordered)
+    except DomainError as exc:
+        raise ConfigError(str(exc), path, head.line) from None
 
 
 def save_species(species: AtomSpecies, path) -> None:
     sec_sp = Section("species", 0, values={
-        "name": species.name,
-        "mass_kg": repr(species.mass),
-        "nuclear_spin": str(species.nuclear_spin),
-        "ground_F": str(species.ground_F),
-        "ground_gF": repr(species.ground_gF),
-    })
+        key: repr(value) if isinstance(value := getattr(species, name), float) else str(value)
+        for name, key, _ in _SPECIES_KEYS})
     sec_tr = Section("transitions", 0)
     for t in sorted(species.transitions, key=lambda t: (t.line, t.F, t.F_prime)):
         sec_tr.rows.append((0, [t.line, t.F, t.F_prime,

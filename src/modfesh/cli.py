@@ -234,8 +234,12 @@ def cmd_scan(args) -> int:
         if len(widths_secs) != 1 or not widths_secs[0].rows:
             raise ConfigError("field scan needs one [widths] section with '<|m|> <width_hz>' rows",
                               path, widths_secs[-1].line if widths_secs else None)
-        rows = widths_secs[0].take_rows((int, finite), "width row (<|m|> <width_hz>)")
-        widths = dict(row for _, row in rows)
+        widths = {}
+        for lineno, (k, width) in widths_secs[0].take_rows(
+                (lambda text: _count(int(text), "|m|"), finite), "width row (<|m|> <width_hz>)"):
+            if k in widths:
+                raise ConfigError(f"repeated order |m| = {k} in [widths]", path, lineno)
+            widths[k] = width
         registry = _load_registry(scan_sec.get("registry", str, "builtin"))
         label = scan_sec.get("state", str, REQUIRED)
         state = next((s for s in registry if s.label == label), None)
@@ -246,7 +250,9 @@ def cmd_scan(args) -> int:
         synthesize = functools.partial(
             spectra.synthesize_field_scan, state, registry,
             scan_sec.get("f_mod_hz", finite, REQUIRED), widths_hz=widths,
-            a_bk=scan_sec.get("a_bk", finite, 200.0), dc_shift_hz=dc_shift)
+            # read through ResonanceModel's own check, so a refused a_bk is a config error
+            a_bk=scan_sec.get("a_bk", lambda text: scattering.ResonanceModel(
+                finite(text), 0.0, 0.0, 1).a_bk, 200.0), dc_shift_hz=dc_shift)
     for sec in (scan_sec, *sections["resonance"], *sections["widths"]):
         sec.done()
     spec = synthesize(np.linspace(start, stop, n), metadata=metadata, **common)

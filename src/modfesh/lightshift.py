@@ -41,6 +41,7 @@ W_PER_CM2_TO_SI = 1.0e4
 TESLA_TO_GAUSS = 1.0e4
 
 _SQRT2 = math.sqrt(2.0)
+_J_STATES = int(2 * Transition.J + 1)   # 2J + 1 of S1/2; Fraction arithmetic per term is slow
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def vector_polarizability(species: AtomSpecies, F: int, omega: float) -> float:
         total += (sign * pref * sj_vec
                   * omega * tr.reduced_dipole ** 2
                   / (HBAR * (w_line ** 2 - omega ** 2))
-                  * (2 * tr.F_prime + 1) * (tr.J.twice + 1) * sj_hf ** 2)
+                  * (2 * tr.F_prime + 1) * _J_STATES * sj_hf ** 2)
     return total
 
 
@@ -186,7 +187,7 @@ def _hyperfine_me_sq(tr: Transition, i_nuc, F: int, mF: int, p: int) -> float:
     if tj == 0.0:
         return 0.0
     sj = wigner_6j(tr.J_prime, tr.J, 1, F, tr.F_prime, i_nuc)
-    return ((2 * tr.F_prime + 1) * (2 * F + 1) * (tr.J.twice + 1)
+    return ((2 * tr.F_prime + 1) * (2 * F + 1) * _J_STATES
             * tj ** 2 * sj ** 2 * tr.reduced_dipole ** 2)
 
 

@@ -1,7 +1,7 @@
 """Self-contained special functions: integer-order Bessel J and Wigner 3-j/6-j symbols.
 
-Angular momenta are tracked as doubled integers (``HalfInt``) so that
-half-integer bookkeeping and triangle/parity selection rules are exact.
+Angular momenta are ints or exact ``Fraction`` half-integers (``half_integer``
+reads other forms), doubled to ints so that selection rules are exact.
 Wigner symbols sum Racah's closed forms exactly in rational arithmetic and
 take one square root of the exact squared value (Johansson & Forssen, SIAM J.
 Sci. Comput. 38, A376 (2016)); selection-rule zeros are exact ``0.0``.
@@ -11,64 +11,30 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 
-__all__ = ["HalfInt", "bessel_j", "wigner_3j", "wigner_6j"]
+__all__ = ["bessel_j", "half_integer", "wigner_3j", "wigner_6j"]
 
 BESSEL_MAX_ORDER = 200
 WIGNER_MAX_J = 200
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Exact half-integer, stored as twice its value."""
-
-    twice: int
-
-    @classmethod
-    def coerce(cls, value) -> "HalfInt":
-        """Accept HalfInt, integers (numpy's too), float, Fraction or strings like '7/2'."""
-        if isinstance(value, HalfInt):
-            return value
-        # int first: it skips the ~1 us abstract-class check on the common path
-        if isinstance(value, (int, numbers.Integral)):
-            return cls(2 * int(value))
-        if isinstance(value, str):
-            try:
-                # Fraction would expand an exponent ('1e999999999') into a huge integer
-                if "e" in value.lower():
-                    raise ValueError(value)
-                value = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                raise DomainError(f"cannot interpret {value!r} as a half-integer") from None
-        if isinstance(value, Fraction):
-            if value.denominator not in (1, 2):
-                raise DomainError(f"{value} is not a half-integer")
-            return cls(int(value * 2))
-        if isinstance(value, float):
-            if not math.isfinite(value) or abs(2 * value - round(2 * value)) > 1e-9:
-                raise DomainError(f"{value} is not a half-integer")
-            return cls(round(2 * value))
-        raise DomainError(f"cannot interpret {value!r} as a half-integer")
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __float__(self) -> float:
-        return self.value
-
-    def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+def half_integer(value) -> Fraction:
+    """The exact half-integer of an int (numpy's too), a Fraction, a float
+    that lies on one, or text like '7/2'; anything else raises DomainError."""
+    if not isinstance(value, Fraction):
+        try:
+            # Fraction would expand an exponent ('1e999999999') into a huge integer
+            if isinstance(value, str) and "e" in value.lower():
+                raise ValueError(value)
+            value = Fraction(int(value) if isinstance(value, numbers.Integral) else value)
+        except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+            raise DomainError(f"cannot interpret {value!r} as a half-integer") from None
+    if value.denominator > 2:
+        raise DomainError(f"{value} is not a half-integer")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +106,20 @@ def bessel_j(n: int, x: float) -> float:
 # Wigner symbols (Racah closed forms in exact rational arithmetic)
 # ---------------------------------------------------------------------------
 
+def _twice(j) -> int:
+    """2j as an int; ints skip half_integer, which would double the light-shift sums' cost."""
+    j = j if isinstance(j, int) else half_integer(j)
+    return 2 * j.numerator // j.denominator
+
+
 def _doubled_js(*js) -> list:
     """Doubled angular momenta, checked against 0 <= j <= WIGNER_MAX_J before
     the Racah sums build any factorial."""
-    twice = [HalfInt.coerce(j).twice for j in js]
+    twice = [_twice(j) for j in js]
     if min(twice) < 0:
         raise DomainError("angular momenta must be non-negative")
     if max(twice) > 2 * WIGNER_MAX_J:
-        raise DomainError(f"j = {HalfInt(max(twice))} exceeds supported {WIGNER_MAX_J}")
+        raise DomainError(f"j = {Fraction(max(twice), 2)} exceeds supported {WIGNER_MAX_J}")
     return twice
 
 
@@ -193,13 +165,13 @@ def _signed_sqrt(total: int, common: int, num: int, den: int, phase: int) -> flo
 def wigner_3j(j1, j2, j3, m1, m2, m3) -> float:
     """Wigner 3-j symbol (j1 j2 j3 / m1 m2 m3) via the Racah formula.
 
-    Arguments may be HalfInt, int, float or '7/2'-style strings.  Violated
+    Arguments are ints, Fractions or any other form half_integer takes.  Violated
     selection rules (triangle, m-sum, |m| <= j) give exact 0.0; inconsistent
     half-integers (j + m not an integer) and j > WIGNER_MAX_J raise
     DomainError.
     """
     tj1, tj2, tj3 = _doubled_js(j1, j2, j3)
-    tm1, tm2, tm3 = (HalfInt.coerce(m).twice for m in (m1, m2, m3))
+    tm1, tm2, tm3 = (_twice(m) for m in (m1, m2, m3))
     for tj, tm in ((tj1, tm1), (tj2, tm2), (tj3, tm3)):
         if (tj + tm) % 2:
             raise DomainError("j + m must be an integer for each column")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ class TestCesiumTable:
         cs = cesium()
         assert cs.ground_F == 3
         assert cs.ground_gF == -0.25
-        assert cs.nuclear_spin.twice == 7
+        assert cs.nuclear_spin == Fraction(7, 2)
 
     def test_decay_rates(self):
         cs = cesium()
@@ -45,7 +46,7 @@ class TestCesiumTable:
         for tr in cs.transitions:
             w = tr.angular_frequency
             g_pred = (w ** 3 / (3 * math.pi * eps0 * atomdata.HBAR * atomdata.C_LIGHT ** 3)
-                      * (tr.J.twice + 1) / (tr.J_prime.twice + 1) * tr.reduced_dipole ** 2)
+                      * (2 * tr.J + 1) / (2 * tr.J_prime + 1) * tr.reduced_dipole ** 2)
             assert g_pred == pytest.approx(tr.decay_rate, rel=2e-3)
 
 
@@ -235,6 +236,17 @@ class TestSpeciesIO:
         assert len(sp.transitions) == 5   # others kept from the defaults
         d1 = next(t for t in sp.transitions if t.line == "D1" and t.F_prime == 3)
         assert d1.frequency == 335.12056284e12
+
+    def test_checked_after_every_row(self, tmp_path):
+        """ground_F = 4 is refused without its D2 4->5 reference line and
+        accepted when a later row supplies it."""
+        path = tmp_path / "f4.species"
+        path.write_text("[species]\nground_F = 4\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="line 1: species 'cesium-133' lacks the D2 F=4"):
+            load_species(path)
+        path.write_text("[species]\nground_F = 4\n[transitions]\n"
+                        "D2 4 5 351721960590000.0 3.7971e-29 32815191.9\n", encoding="utf-8")
+        assert load_species(path).reference_transition().F_prime == 5
 
     def test_scalar_override(self, tmp_path):
         path = tmp_path / "g.species"

@@ -296,9 +296,10 @@ class TestRates:
         assert code == 0
         assert json.loads(out)["rows"][0][1] == pytest.approx(10.9643, rel=1e-4)
 
-    def test_angular_momentum_over_cap_exits_three(self, tmp_path, capsys):
-        """A species file with F = 100000 is refused at WIGNER_MAX_J before
-        the Racah sums build a factorial, not evaluated for seconds."""
+    def test_angular_momentum_over_cap_exits_two(self, tmp_path, capsys):
+        """A species file with F = 100000 is refused when it is loaded (the
+        embedded F = 3 lines do not fit I = 200001/2), before any Wigner
+        symbol is evaluated for seconds; WIGNER_MAX_J guards direct calls."""
         species = tmp_path / "big.species"
         species.write_text("[species]\nnuclear_spin = 200001/2\nground_F = 100000\n"
                            "[transitions]\n"
@@ -308,8 +309,9 @@ class TestRates:
                                  "--f-level", "100000", "--mf", "0", "--pol", "pi",
                                  "--intensity", "1.0", "--detuning", "-24e9")
         assert time.perf_counter() - t0 < 0.5
-        assert code == 3
-        assert out == "" and err.startswith("domain error: ") and err.count("\n") == 1
+        assert code == 2
+        assert out == "" and err.count("\n") == 1
+        assert f"{species}: line 1: D1 3->3: F outside |I - J|..I + J" in err
 
 
 class TestResonancesAndGap:
@@ -864,6 +866,11 @@ m = 1.7
 """
 FREQ_CONFIG = FREQ_SCAN_CONFIG.replace("m = 1.7", "m = 1")   # a valid frequency scan
 SCAN_FREQ = ("scan", "--config", "{tmp}/freq.cfg", "--out", "{tmp}/x")
+SCAN_FIELD = ("scan", "--config", "{tmp}/field.cfg", "--out", "{tmp}/x")
+# the light-shift verbs on a species file
+FICTITIOUS = ("fictitious-field", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT
+SCATTERING = ("scattering-rate", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT
+HEATING = ("heating-rate", "--species", "{tmp}/cs.species", "--intensity", "0.87") + LIGHT
 REGISTRY = """\
 [state 4g(4)]
 E0_Hz = -182e3
@@ -1097,6 +1104,26 @@ class TestUsageErrorsExitTwo:
         ({"freq.cfg": FREQ_CONFIG.replace("a_bk = 200", "a_bk = 0")}, SCAN_FREQ,
          "freq.cfg: line 5"),
         ({"freq.cfg": FREQ_CONFIG.replace("m = 1\n", "m = 0\n")}, SCAN_FREQ, "freq.cfg: line 5"),
+        ({"cs.species": "[species]\nmass_kg = -1\n"}, HEATING, "cs.species: line 1"),
+        ({"cs.species": "[species]\nmass_kg = 0\n"}, HEATING, "cs.species: line 1"),
+        ({"cs.species": "[transitions]\nD2 3 4 351730902170000.0 3.7971e-29 -32815191.9\n"},
+         SCATTERING, "cs.species: line 2"),
+        ({"cs.species": "[transitions]\nD2 -1 0 351730902170000.0 3.7971e-29 32815191.9\n"},
+         FICTITIOUS, "cs.species: line 2"),
+        ({"cs.species": "[species]\nnuclear_spin = -1\n"}, FICTITIOUS, "cs.species: line 1"),
+        ({"cs.species": "[species]\nnuclear_spin = 0\n"}, FICTITIOUS, "cs.species: line 1"),
+        ({"cs.species": "[species]\nground_gF = 0\n"}, FICTITIOUS, "cs.species: line 1"),
+        ({"cs.species": "[species]\nground_F = 4\n"}, FICTITIOUS, "cs.species: line 1"),
+        ({"cs.species": "[transitions]\nD2 2 1 351730902170000.0 3.7971e-29 32815191.9\n"},
+         FICTITIOUS, "cs.species: line 2"),
+        ({"field.cfg": FIELD_SCAN_CONFIG.replace("1 3e3", "0 3e3")}, SCAN_FIELD,
+         "field.cfg: line 10"),
+        ({"field.cfg": FIELD_SCAN_CONFIG.replace("1 3e3", "-1 3e3")}, SCAN_FIELD,
+         "field.cfg: line 10"),
+        ({"field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "seed = 3\na_bk = 0")}, SCAN_FIELD,
+         "field.cfg: line 9"),
+        ({"field.cfg": FIELD_SCAN_CONFIG.replace("1 3e3", "1 3e3\n1 5e3")}, SCAN_FIELD,
+         "field.cfg: line 11"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -1109,7 +1136,11 @@ class TestUsageErrorsExitTwo:
             "linear-csv-row-without-sigma", "linear-csv-four-columns", "lz-csv-four-columns",
             "transitions-five-columns", "registry-window_G-three", "csv-five-fields",
             "json-field-true", "json-point-true", "json-point-string", "json-point-big-int",
-            "json-field-big-int", "resonance-a_bk-0", "resonance-m-0"])
+            "json-field-big-int", "resonance-a_bk-0", "resonance-m-0", "species-mass-negative",
+            "species-mass-0", "transitions-decay-negative", "transitions-F-negative",
+            "species-nuclear_spin-negative", "species-nuclear_spin-0", "species-ground_gF-0",
+            "species-ground_F-4-no-reference", "transitions-F-outside-I", "widths-order-0",
+            "widths-order-negative", "scan-a_bk-0", "widths-repeated-order"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

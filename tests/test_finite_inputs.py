@@ -4,6 +4,7 @@ must be finite, or one outside the range a function takes, is a DomainError
 NaN or a traceback further down."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from modfesh.floquet import (DrivenTwoLevel, avoided_crossing_gap, floquet_spect
                              resonance_frequencies)
 from modfesh.scattering import (DressedChannelModel, ResonanceModel, dressed_alpha_beta,
                                 inelastic_channel_scaling, loss_rate_proxy, width_from_coupling)
-from modfesh.specfun import HalfInt, bessel_j
+from modfesh.specfun import bessel_j, half_integer
 from modfesh.spectra import (AXIS_FREQ, Spectrum, find_peaks, fit_fano, fit_landau_zener,
                              synthesize_field_scan, synthesize_spectrum)
 
@@ -73,8 +74,8 @@ def _field_scan(b_grid=B_GRID, **options):
 @pytest.mark.parametrize("call,error,message", [
     (lambda: Transition("D3", 3, 4, 351.7e12, 3.8e-29, 3.3e7), DomainError,
      "unknown line 'D3'"),
-    (lambda: AtomSpecies("empty", CS_MASS, HalfInt(7), 3, -0.25, ()), DomainError,
-     "species needs at least one transition"),
+    (lambda: AtomSpecies("empty", CS_MASS, Fraction(7, 2), 3, -0.25, ()), DomainError,
+     "species 'empty' lacks the D2 F=3->F'=4 reference transition"),
     (lambda: crossing_branches(cesium_states()[0], 19.41, cesium_states()), DomainError,
      r"state '4g\(4\)' has no crossing partner"),
     (lambda: weighted_linear_fit([0.4], [227.9e3]), DomainError,
@@ -95,7 +96,7 @@ def _field_scan(b_grid=B_GRID, **options):
      "need at least 4 grid points"),
     (lambda: inelastic_channel_scaling(np.r_[0.0, A_GRID], 1, 1.0), DomainError,
      "A grid must be positive"),
-    (lambda: HalfInt.coerce(1j), DomainError, r"cannot interpret 1j as a half-integer"),
+    (lambda: half_integer(1j), DomainError, r"cannot interpret 1j as a half-integer"),
     (lambda: bessel_j(0.5, 1.0), DomainError, "Bessel order must be an integer, got 0.5"),
     (lambda: Spectrum(AXIS_FREQ, [1e5, 2e5], [0.9], [0.01, 0.01]), DomainError,
      "x, y, sigma must have equal length"),

@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from modfesh.errors import DomainError
-from modfesh.specfun import WIGNER_MAX_J, HalfInt, bessel_j, wigner_3j, wigner_6j
+from modfesh.specfun import WIGNER_MAX_J, _twice, bessel_j, half_integer, wigner_3j, wigner_6j
 
 from oracles import bessel_series, wigner_3j_racah, wigner_6j_contraction
 
@@ -14,27 +15,40 @@ J2_AT_1 = 0.11490348493190048
 J1_AT_1 = 0.44005058574493352
 
 
-class TestHalfInt:
-    def test_coerce_forms(self):
-        assert HalfInt.coerce(3).twice == 6
-        assert HalfInt.coerce(np.int64(3)) == HalfInt(6)
-        assert type(HalfInt.coerce(np.int64(3)).twice) is int
-        assert HalfInt.coerce(3.5).twice == 7
-        assert HalfInt.coerce("7/2").twice == 7
-        assert HalfInt.coerce(HalfInt(5)).twice == 5
+class TestAngularMomentumForms:
+    def test_accepted_forms(self):
+        assert half_integer(3) == 3 and type(half_integer(3).numerator) is int
+        assert half_integer(np.int64(3)) == 3
+        assert type(half_integer(np.int64(3)).numerator) is int
+        assert half_integer(True) == 1
+        assert half_integer(Fraction(5, 2)) == Fraction(5, 2)
+        assert half_integer(0.5) == Fraction(1, 2) and half_integer(3.5) == Fraction(7, 2)
+        assert half_integer(-2.0) == -2
+        assert half_integer("7/2") == Fraction(7, 2) and half_integer(" 3 ") == 3
+        assert half_integer("1.5") == Fraction(3, 2)
 
-    def test_rejects_non_half_integers(self):
-        with pytest.raises(DomainError):
-            HalfInt.coerce(0.3)
-        with pytest.raises(DomainError):
-            HalfInt.coerce("1/3")
-        for value in (math.nan, math.inf, -math.inf, "abc", "1/0", "1e400000"):
-            with pytest.raises(DomainError):
-                HalfInt.coerce(value)
+    def test_doubled_value_is_an_exact_int(self):
+        for value, twice in ((np.int64(3), 6), (3, 6), (Fraction(7, 2), 7), ("7/2", 7), (3.5, 7)):
+            assert _twice(value) == twice and type(_twice(value)) is int
+
+    def test_refused_values(self):
+        # Fraction(inf) raises OverflowError and Fraction(1j) TypeError: neither escapes
+        for value in (math.inf, -math.inf, math.nan, 1j, "7/0", "1/3", 0.3, 3.4999999999,
+                      Fraction(1, 3), "abc", "inf", "1e400000", "1E999999999", None, [1]):
+            with pytest.raises(DomainError, match="half-integer"):
+                half_integer(value)
 
     def test_str(self):
-        assert str(HalfInt(7)) == "7/2"
-        assert str(HalfInt(6)) == "3"
+        # the form save_species writes and load_species reads back
+        assert str(half_integer(3.5)) == "7/2"
+        assert str(half_integer(np.int64(3))) == "3"
+
+    def test_argument_forms_agree(self):
+        exact = wigner_6j(Fraction(1, 2), Fraction(3, 2), 1, 4, 3, Fraction(7, 2))
+        assert exact != 0.0
+        assert wigner_6j(0.5, "3/2", np.int64(1), 4.0, 3, "7/2") == exact
+        assert (wigner_3j(Fraction(7, 2), 1, Fraction(5, 2), Fraction(1, 2), 0, Fraction(-1, 2))
+                == wigner_3j(3.5, 1, "5/2", 0.5, 0, -0.5))
 
 
 class TestBessel:
@@ -264,6 +278,10 @@ class TestWigner6j:
 
 
 class TestWignerLimits:
+    def test_negative_j_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="angular momenta must be non-negative"):
+            wigner_6j(1, 1, 1, 3, 4, Fraction(-7, 2))
+
     def test_j_above_cap_is_a_domain_error(self):
         over = WIGNER_MAX_J + 0.5
         with pytest.raises(DomainError):
@@ -289,7 +307,7 @@ class TestWignerLimits:
                 for p in (-1, 0, 1):
                     for m in range(-f, f + 1):
                         twice = (2 * f, 2, 2 * fp, 2 * m, 2 * p, -2 * (m + p))
-                        val = wigner_3j(*(HalfInt(t) for t in twice))
+                        val = wigner_3j(*(Fraction(t, 2) for t in twice))
                         assert within_ulp(val, exact(sympy_wigner.wigner_3j, *twice)), twice
         rng = np.random.default_rng(16)
         checked = 0
@@ -301,5 +319,5 @@ class TestWignerLimits:
             ref = exact(sympy_wigner.wigner_6j, *twice)
             if ref == 0.0:
                 continue
-            assert within_ulp(wigner_6j(*(HalfInt(t) for t in twice)), ref), twice
+            assert within_ulp(wigner_6j(*(Fraction(t, 2) for t in twice)), ref), twice
             checked += 1
