@@ -26,7 +26,6 @@ __all__ = [
 ]
 
 # CODATA 2018
-H_PLANCK = 6.62607015e-34       # J s
 HBAR = 1.054571817e-34          # J s
 C_LIGHT = 299792458.0           # m/s
 MU0 = 1.25663706212e-6          # N/A^2
@@ -35,8 +34,6 @@ MU_BOHR = 9.2740100783e-24      # J/T
 A_BOHR = 5.29177210903e-11      # m
 
 CS_MASS = 2.20694650e-25        # kg, cesium-133
-
-GAUSS_TO_TESLA = 1e-4
 
 # experimental bound on differential magnetic moments of the probed states
 MAX_MU_REL_HZ_PER_G = 2.3e6

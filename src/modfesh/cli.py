@@ -54,7 +54,7 @@ def seed(text: str) -> int:
 def positive(text: str) -> float:
     """A finite number above 0 (argparse: "invalid positive value")."""
     if (value := finite(text)) <= 0:
-        raise ValueError(value)
+        raise ValueError(f"must be above 0, got {value!r}")
     return value
 
 
@@ -202,10 +202,16 @@ def cmd_scan(args) -> int:
         raise ConfigError(f"a {axis} scan takes no [{refused}] section", path,
                           sections[refused][0].line)
     config_seed = scan_sec.get("seed", seed, None)
+
+    def non_negative(text: str) -> float:
+        if (value := finite(text)) < 0:
+            raise ValueError(f"must be at least 0, got {value!r}")
+        return value
+
     common = dict(
-        hold_time=scan_sec.get("hold_time_ms", finite, 5.0) * 1e-3,
-        density=scan_sec.get("density_cm3", finite, 1e13),
-        noise_sigma=scan_sec.get("noise_sigma", finite, 0.0),
+        hold_time=scan_sec.get("hold_time_ms", positive, 5.0) * 1e-3,
+        density=scan_sec.get("density_cm3", positive, 1e13),
+        noise_sigma=scan_sec.get("noise_sigma", non_negative, 0.0),
         seed=config_seed if args.seed is None else args.seed,
     )
     metadata = {key: scan_sec.get(key, finite, None) for key in ("field_G", "intensity_W_cm2")}

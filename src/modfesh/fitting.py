@@ -62,13 +62,13 @@ class LMResult:
     stop: str                 # "decrease" or "precision", see the module docstring
 
 
-def _covariance(jtj, residual_norm, n_points, n_params):
+def _covariance(jtj, residual_norm, n_points):
     """(covariance, condition) of a fit: s^2 (J^T J)^-1 with s^2 the reduced
     chi-square, meaningful both for whitened residuals (s ~ 1) and raw ones.
     A non-finite J^T J raises DomainError before LAPACK prints to stdout."""
     if not np.isfinite(jtj).all():
         raise DomainError("J^T J of the fit overflows double precision for these inputs")
-    dof = max(n_points - n_params, 1)
+    dof = max(n_points - len(jtj), 1)
     s2 = residual_norm ** 2 / dof
     try:
         cov = s2 * np.linalg.inv(jtj)

@@ -1,9 +1,9 @@
 """Scattering observables of the modulation-induced resonance.
 
 Effective scattering length a_s = a_BK (1 - Delta_m / (-m w - w0)), the
-resonance width built from a calibrated bare coupling, and the dressed-atom
+resonance width built from a calibrated bare coupling, the dressed-atom
 three-channel complex scattering length a = alpha - i beta with its
-inelastic-loss scalings.
+inelastic-loss scalings, and the three-body loss rate of the synthetic spectra.
 
 Scattering lengths are in Bohr radii at every interface; rates and widths in
 rad/s.  Internally lengths convert to meters only where a wavenumber enters.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,15 +21,13 @@ from .errors import DomainError, PoleError
 from .specfun import bessel_j
 
 __all__ = [
-    "ResonanceModel", "DressedChannelModel", "ScalingResult",
+    "ResonanceModel", "DressedChannelModel",
     "scattering_length", "pole_frequency",
     "width_from_coupling", "dressed_alpha_beta",
     "inelastic_channel_scaling", "loss_rate_proxy",
-    "K2_COEFF", "K3_COEFF", "UNITARITY_WAVENUMBER",
+    "K3_COEFF", "UNITARITY_WAVENUMBER",
 ]
 
-# two-body loss per Bohr radius of beta: 8 pi hbar a0 / mu for cesium pairs
-K2_COEFF = 8.0 * math.pi * HBAR * A_BOHR / (CS_MASS / 2.0) * 1e6   # cm^3/s per a0
 # three-body loss per a0^4, magnitude typical of cesium condensates
 # (~30% loss in 5 ms at 1e13 cm^-3 for a ~ 1000 a0)
 K3_COEFF = 8.4e-37                                                         # cm^6/s per a0^4
@@ -84,7 +81,7 @@ def pole_frequency(model: ResonanceModel) -> float:
 
 
 def width_from_coupling(matrix_element_sq: float, A: float, omega: float, m: int,
-                        a_bk: float, reduced_mass: float) -> float:
+                        a_bk: float) -> float:
     """Resonance width Delta_m in rad/s from the calibrated bare coupling.
 
     Delta_m = (2 pi)^3 mu / (2 pi hbar^3 a_bk) * |<res|W|in>|^2 * J_m(A/w)^2.
@@ -92,7 +89,7 @@ def width_from_coupling(matrix_element_sq: float, A: float, omega: float, m: int
     matrix_element_sq is the squared bare coupling |<phi_res|W|phi_0^(+)>|^2,
     a calibrated scalar (J^2 m^3 with the plane-wave normalization implied
     above); it is a model input, not computed from molecular wavefunctions.
-    a_bk in Bohr radii; guarantees Delta_m(A=0, m != 0) = 0.
+    mu = CS_MASS / 2 (a cesium pair), a_bk in Bohr radii; Delta_m(A=0, m != 0) = 0.
     """
     if a_bk == 0:
         raise DomainError("background scattering length must be non-zero")
@@ -100,7 +97,7 @@ def width_from_coupling(matrix_element_sq: float, A: float, omega: float, m: int
         raise DomainError("modulation frequency must be positive")
     if matrix_element_sq < 0:
         raise DomainError("squared matrix element must be non-negative")
-    prefactor = (2.0 * math.pi) ** 3 * reduced_mass / (2.0 * math.pi * HBAR ** 3 * a_bk * A_BOHR)
+    prefactor = (2.0 * math.pi) ** 3 * (CS_MASS / 2) / (2.0 * math.pi * HBAR ** 3 * a_bk * A_BOHR)
     return prefactor * matrix_element_sq * bessel_j(m, A / omega) ** 2
 
 
@@ -147,7 +144,7 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     For k > 0 (k in 1/m) the finite-k expressions are evaluated with Gamma(k)
     from the vanishing-k relation, and the resonance denominator gains the
     collision energy hbar k^2 / (2 mu) in rad/s, mu = CS_MASS / 2 the reduced
-    mass of a cesium pair (the pair K2_COEFF and UNITARITY_WAVENUMBER assume).
+    mass of a cesium pair (the pair UNITARITY_WAVENUMBER assumes).
     """
     omega = np.asarray(omega, dtype=float)
     delta = model.omega_b - model.m * omega - model.delta_shift
@@ -182,12 +179,7 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     return alpha, beta
 
 
-class ScalingResult(NamedTuple):
-    exponent: float      # fitted log-log slope of the coupling vs A
-    bessel_order: int    # order of the dominant inelastic-channel Bessel factor
-
-
-def inelastic_channel_scaling(a_grid, m: int, omega_mod: float) -> ScalingResult:
+def inelastic_channel_scaling(a_grid, m: int, omega_mod: float) -> float:
     """Small-drive power law of the lowest-order inelastic channel coupling.
 
     The inelastic coupling goes as |J_{m+n}(A/w)|^2 with the lowest-order open
@@ -211,23 +203,17 @@ def inelastic_channel_scaling(a_grid, m: int, omega_mod: float) -> ScalingResult
     n_low = m + 1 if m > 0 else 0
     coupling = np.array([bessel_j(n_low, x / omega_mod) ** 2 for x in a])
     slope, _ = np.polyfit(np.log(a), np.log(coupling), 1)
-    return ScalingResult(exponent=float(slope), bessel_order=n_low)
+    return float(slope)
 
 
-def loss_rate_proxy(alpha, beta, density: float):
-    """Per-atom loss rate (1/s) from a two-body and a three-body channel.
-
-    rate = K2_COEFF * beta * n + K3_COEFF * alpha^4 * n^2, with alpha, beta in
-    Bohr radii and n in cm^-3, and |alpha| capped at 1/UNITARITY_WAVENUMBER
-    (unitarity).  The coefficients are cesium-scale magnitudes, not fitted values.
-    """
+def loss_rate_proxy(alpha, density: float):
+    """Per-atom three-body loss rate (1/s), K3_COEFF alpha^4 n^2, with alpha in
+    Bohr radii capped at 1/UNITARITY_WAVENUMBER (unitarity) and n in cm^-3.
+    K3_COEFF is a cesium-scale magnitude, not a fitted value."""
     if not 0.0 < density < math.inf:
         raise DomainError("density must be positive and finite")
     alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    if np.any(beta < 0):
-        raise DomainError("beta must be non-negative (inelastic rate positivity)")
     a_max = 1.0 / (UNITARITY_WAVENUMBER * A_BOHR)   # Bohr radii
     alpha = np.clip(alpha, -a_max, a_max)
-    rate = K2_COEFF * beta * density + K3_COEFF * alpha ** 4 * density ** 2
+    rate = K3_COEFF * alpha ** 4 * density ** 2
     return float(rate) if rate.ndim == 0 else rate

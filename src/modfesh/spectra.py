@@ -99,7 +99,7 @@ def _loss_spectrum(axis, x, resonances, omega, *, hold_time, density, noise_sigm
         if model.delta_m != 0.0:
             with np.errstate(divide="ignore"):
                 alpha -= model.a_bk * model.delta_m / (-model.m * omega - model.omega0)
-    rate = loss_rate_proxy(alpha, 0.0, density) - loss_rate_proxy(a_bk, 0.0, density)
+    rate = loss_rate_proxy(alpha, density) - loss_rate_proxy(a_bk, density)
     y = np.exp(-rate * hold_time)
     if noise_sigma > 0.0:
         y = y + np.random.default_rng(seed).normal(0.0, noise_sigma, size=y.size)
@@ -284,7 +284,7 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     c, w = float(result.params[0]), abs(float(result.params[1]))
     a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
     jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
-    cov, cond = _covariance(jac.T @ jac, result.residual_norm, x.size, 5)
+    cov, cond = _covariance(jac.T @ jac, result.residual_norm, x.size)
     return FanoFit(center=c, width=w, q=q, amplitude=a, offset=off, covariance=cov,
                    residual_norm=result.residual_norm, iterations=result.iterations,
                    stop=result.stop, dof=x.size - 5, condition=cond)
@@ -381,7 +381,7 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
 
     result = levenberg_marquardt(model, _lz_initial_guess(b, e))
     e_i0, s_i, e_j0, s_j, v = result.params
-    cov, cond = _covariance(result.jtj, result.residual_norm, b.size, 5)
+    cov, cond = _covariance(result.jtj, result.residual_norm, b.size)
     return LandauZenerFit(v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
                           covariance=cov, residual_norm=result.residual_norm,

@@ -138,6 +138,21 @@ UNCALLED_DEFAULTS = {
 }
 
 
+def _src_calls():
+    """callee name -> [(positional args, keywords)] of every call in a src
+    module; functools.partial(f, ...) counts as a call of f."""
+    calls = {}
+    for path in sorted(Path(modfesh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if getattr(func, "attr", None) == "partial" and args:
+                    func, args = args[0], args[1:]
+                name = getattr(func, "attr", getattr(func, "id", None))
+                calls.setdefault(name, []).append((args, node.keywords))
+    return calls
+
+
 def test_library_defaults_have_callers():
     """Every defaulted parameter of a src function, method or constructor is
     passed at some src call of that name (by keyword, by position, or through
@@ -156,7 +171,6 @@ def test_library_defaults_have_callers():
                 defaults[(module, name, p.name)] = (
                     i - shift if p.kind is p.POSITIONAL_OR_KEYWORD else None)
 
-    calls = {}      # callee name -> [(positional args, keywords)]
     for path in sorted(package.glob("*.py")):
         module = importlib.import_module(f"modfesh.{path.stem}")
         for name, obj in vars(module).items():
@@ -168,13 +182,7 @@ def test_library_defaults_have_callers():
                         member, (types.FunctionType, staticmethod, classmethod)):
                     collect(path.stem, attr, getattr(obj, attr),
                             shift=isinstance(member, types.FunctionType))   # self
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func, args = node.func, node.args
-                if getattr(func, "attr", None) == "partial" and args:
-                    func, args = args[0], args[1:]
-                name = getattr(func, "attr", getattr(func, "id", None))
-                calls.setdefault(name, []).append((args, node.keywords))
+    calls = _src_calls()
 
     def passed(name, param, position):
         return any(any(isinstance(a, ast.Starred) for a in args)
@@ -185,6 +193,51 @@ def test_library_defaults_have_callers():
     uncalled = {key for key, position in defaults.items() if not passed(*key[1:], position)}
     assert uncalled - UNCALLED_DEFAULTS.keys() == set()   # no src caller sets these
     assert UNCALLED_DEFAULTS.keys() - uncalled == set()   # listed, yet a src call passes them
+
+
+# Parameters that every src call passes one literal, each kept for a reader outside src.
+_DIPOLE_RANK = ("the rank 1 of the dipole operator in the light-shift sums; criterion 10 "
+                "and test_specfun pass other values")
+CONSTANT_ARGUMENTS = {
+    ("specfun", "wigner_3j", "j2"): _DIPOLE_RANK,
+    ("specfun", "wigner_6j", "j3"): _DIPOLE_RANK,
+}
+
+
+def test_arguments_vary_across_callers():
+    """No parameter of a module-level src function is passed the same literal
+    at every src call of that name, unless it is in CONSTANT_ARGUMENTS; a value
+    every caller fixes is a constant.  A call that leaves the parameter out,
+    passes *args/**kwargs or passes an expression makes it vary.  A listed
+    entry that gains another value fails too."""
+    package = Path(modfesh.__file__).parent
+    calls = _src_calls()
+
+    def literal(args, keywords, position, param):
+        """repr of the literal a call passes as param, None if it passes no literal."""
+        if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in keywords):
+            return None
+        node = next((k.value for k in keywords if k.arg == param.name),
+                    args[position] if position < len(args)
+                    and param.kind is not param.KEYWORD_ONLY else None)
+        try:
+            return repr(ast.literal_eval(node)) if node is not None else None
+        except ValueError:   # not a literal
+            return None
+
+    constant = set()
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"modfesh.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in calls:
+                continue
+            params = inspect.signature(getattr(module, node.name)).parameters.values()
+            for position, param in enumerate(params):
+                values = {literal(*call, position, param) for call in calls[node.name]}
+                if len(values) == 1 and None not in values:
+                    constant.add((path.stem, node.name, param.name))
+    assert constant - CONSTANT_ARGUMENTS.keys() == set()   # every src caller fixes these
+    assert CONSTANT_ARGUMENTS.keys() - constant == set()   # listed, yet a caller varies them
 
 
 README_PYTHON_BLOCKS = re.findall(
@@ -235,6 +288,29 @@ def test_public_names_have_readers():
                     unread.add((path.stem, f"{name}.{attr}"))
     assert unread - UNREAD_PUBLIC_NAMES.keys() == set()   # no reader: give it one or delete it
     assert UNREAD_PUBLIC_NAMES.keys() - unread == set()   # listed, yet now read
+
+
+def test_module_constants_have_readers():
+    """Every name that a src module assigns at its top level, dunders aside, is
+    read (an ast Name or Attribute load) in src, in tests, in perfbench or in a
+    python block of README."""
+    root = Path(modfesh.__file__).parents[2]
+    read = set()
+    for text in [path.read_text(encoding="utf-8") for pattern in
+                 ("src/modfesh/*.py", "tests/*.py", "perfbench/*.py")
+                 for path in sorted(root.glob(pattern))] + README_PYTHON_BLOCKS:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                read.add(getattr(node, "id", getattr(node, "attr", None)))
+    unread = []
+    for path in sorted((root / "src" / "modfesh").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [(path.stem, name.id) for target in targets for name in ast.walk(target)
+                       if isinstance(name, ast.Name) and name.id not in read
+                       and not (name.id.startswith("__") and name.id.endswith("__"))]
+    assert unread == []
 
 
 @pytest.mark.parametrize("block", README_PYTHON_BLOCKS,
@@ -519,19 +595,6 @@ class TestScan:
                                str(tmp_path / "x"))
         assert code == 2
         assert "error" in err
-
-    @pytest.mark.parametrize("axis", ["freq", "field"])
-    @pytest.mark.parametrize("hold", ["0", "-5"])
-    def test_non_positive_hold_time_exits_three(self, tmp_path, capsys, axis, hold):
-        """Both axes refuse a hold time <= 0; a field-axis scan once wrote a
-        flat spectrum at 0 and relative atom numbers above 1 at -5."""
-        cfg = tmp_path / "scan.cfg"
-        cfg.write_text({"freq": FREQ_CONFIG, "field": FIELD_SCAN_CONFIG}[axis]
-                       .replace("[scan]\n", f"[scan]\nhold_time_ms = {hold}\n"))
-        code, out, err = run_cli(capsys, "scan", "--config", str(cfg),
-                                 "--out", str(tmp_path / "x"))
-        assert (code, out, err) == (3, "", "domain error: hold time must be positive\n")
-        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestFit:
@@ -891,6 +954,9 @@ OVERFLOW = {
 
 
 OVER_CAP = str(MAX_COUNT + 1)
+# [scan] values the forward model refuses, read through a check at their line
+SCAN_VALUES_REFUSED = ("noise_sigma = -0.01", "density_cm3 = 0", "density_cm3 = -1e13",
+                       "hold_time_ms = 0", "hold_time_ms = -5")
 
 
 def _not_called(*args, **kwargs):
@@ -1124,6 +1190,12 @@ class TestUsageErrorsExitTwo:
          "field.cfg: line 9"),
         ({"field.cfg": FIELD_SCAN_CONFIG.replace("1 3e3", "1 3e3\n1 5e3")}, SCAN_FIELD,
          "field.cfg: line 11"),
+        *[({"freq.cfg": FREQ_CONFIG.replace("points = 90", f"points = 90\n{key_value}")},
+           SCAN_FREQ, "freq.cfg: line 5") for key_value in SCAN_VALUES_REFUSED],
+        # a field-axis scan once wrote a flat spectrum at hold time 0 and
+        # relative atom numbers above 1 at -5
+        *[({"field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", f"seed = 3\n{key_value}")},
+           SCAN_FIELD, "field.cfg: line 9") for key_value in SCAN_VALUES_REFUSED[-2:]],
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -1140,7 +1212,10 @@ class TestUsageErrorsExitTwo:
             "species-mass-0", "transitions-decay-negative", "transitions-F-negative",
             "species-nuclear_spin-negative", "species-nuclear_spin-0", "species-ground_gF-0",
             "species-ground_F-4-no-reference", "transitions-F-outside-I", "widths-order-0",
-            "widths-order-negative", "scan-a_bk-0", "widths-repeated-order"])
+            "widths-order-negative", "scan-a_bk-0", "widths-repeated-order",
+            "scan-noise_sigma-negative", "scan-density_cm3-0", "scan-density_cm3-negative",
+            "scan-hold_time_ms-0", "scan-hold_time_ms-negative",
+            "field-scan-hold_time_ms-0", "field-scan-hold_time_ms-negative"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)

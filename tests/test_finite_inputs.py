@@ -34,7 +34,7 @@ X, Y = [0.4, 0.8, 1.2], [227.9e3, 227.1e3, 226.3e3]
     lambda: weighted_linear_fit(X, [227.9e3, NAN, 226.3e3]),
     lambda: weighted_linear_fit(X, Y, [50.0, NAN, 60.0]),
     lambda: resonance_frequencies(NAN, 3),
-    lambda: loss_rate_proxy(300.0, 0.0, density=NAN),
+    lambda: loss_rate_proxy(300.0, density=NAN),
 ], ids=["model-a_bk", "model-delta_m", "model-omega0", "model-omega0-array",
         "linear-x", "linear-y", "linear-sigma", "resonance-omega_b", "loss-density"])
 def test_non_finite_input_is_a_domain_error(call):
@@ -44,7 +44,7 @@ def test_non_finite_input_is_a_domain_error(call):
 
 def test_infinite_alpha_is_clipped():
     """An exact pole gives alpha = +-inf, which the unitarity cap clips."""
-    rate = loss_rate_proxy(np.array([math.inf, -math.inf, 300.0]), 0.0, density=1e13)
+    rate = loss_rate_proxy(np.array([math.inf, -math.inf, 300.0]), density=1e13)
     assert np.isfinite(rate).all() and rate[0] == rate[1] > rate[2]
 
 
@@ -84,9 +84,9 @@ def _field_scan(b_grid=B_GRID, **options):
      "omega_mod must be positive"),
     (lambda: avoided_crossing_gap(DrivenTwoLevel(0.0, -1.0, 0.02, 1.0, 1.0), 0, (0.98, 1.02)),
      DomainError, "m must be non-zero"),
-    (lambda: width_from_coupling(1e-60, 1.0, 0.0, -1, 200.0, CS_MASS / 2), DomainError,
+    (lambda: width_from_coupling(1e-60, 1.0, 0.0, -1, 200.0), DomainError,
      "modulation frequency must be positive"),
-    (lambda: width_from_coupling(-1e-60, 1.0, 1.0, -1, 200.0, CS_MASS / 2), DomainError,
+    (lambda: width_from_coupling(-1e-60, 1.0, 1.0, -1, 200.0), DomainError,
      "squared matrix element must be non-negative"),
     (_dressed_on_both_poles, PoleError, "dressed scattering length denominator vanished"),
     (lambda: inelastic_channel_scaling(A_GRID, 0, 1.0), DomainError, "m must be non-zero"),

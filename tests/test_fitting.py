@@ -35,7 +35,7 @@ class TestLevenbergMarquardt:
     def test_noisy_covariance_scale(self):
         model, true = exponential_problem(noise=0.01, seed=5)
         res = levenberg_marquardt(model, true * 1.3)
-        cov, _ = _covariance(res.jtj, res.residual_norm, 40, 3)   # 40 points, 3 parameters
+        cov, _ = _covariance(res.jtj, res.residual_norm, 40)   # 40 points, 3 parameters
         err = np.sqrt(np.diag(cov))
         # recovered within a few standard errors, errors of sane magnitude
         assert np.all(np.abs(res.params - true) < 5 * err)

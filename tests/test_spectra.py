@@ -99,7 +99,7 @@ def reference_field_scan(state, registry, f_mod_hz, b_grid, widths_hz, *, a_bk=2
     """Per-point loop: scalar molecular energy, one ResonanceModel per order
     (m = -|m| below threshold) and one loss-rate call per field point."""
     omega = TWO_PI * f_mod_hz
-    rate_bg = loss_rate_proxy(a_bk, 0.0, density)
+    rate_bg = loss_rate_proxy(a_bk, density)
     y = np.empty(len(b_grid))
     for i, b in enumerate(b_grid):
         omega_b = -TWO_PI * (molecular_energy(state, float(b), registry) + dc_shift_hz)
@@ -110,7 +110,7 @@ def reference_field_scan(state, registry, f_mod_hz, b_grid, widths_hz, *, a_bk=2
             if model.delta_m != 0.0:
                 with np.errstate(divide="ignore"):
                     alpha += -a_bk * model.delta_m / (-model.m * omega - model.omega0)
-        y[i] = math.exp(-(loss_rate_proxy(alpha, 0.0, density) - rate_bg) * hold_time)
+        y[i] = math.exp(-(loss_rate_proxy(alpha, density) - rate_bg) * hold_time)
     if noise_sigma > 0.0:
         y = y + np.random.default_rng(seed).normal(0.0, noise_sigma, size=y.size)
     return np.clip(y, 0.0, 1.2)
