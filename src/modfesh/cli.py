@@ -300,11 +300,10 @@ def _branch(text: str) -> int:
 def _report(fit, params: dict, **extra) -> dict:
     """The report of a LeastSquaresFit whose params are in covariance order;
     README "Command line" lists its keys and when they are null."""
-    singular = fit.condition >= 1.0 / np.finfo(float).eps   # the covariance is round-off
+    without = fit.covariance is None    # fitting._covariance decides
     return {"params": params,
-            "stderr": {name: None if singular or not 0.0 <= v < math.inf else math.sqrt(v)
-                       for name, v in zip(params, np.diag(fit.covariance).tolist())},
-            "covariance": None if singular else fit.covariance.tolist(),
+            "stderr": dict(zip(params, [None] * len(params) if without else fit.stderr.tolist())),
+            "covariance": None if without else fit.covariance.tolist(),
             "condition": fit.condition if math.isfinite(fit.condition) else None,
             "residual_norm": fit.residual_norm, "dof": fit.dof, **extra}
 

@@ -42,15 +42,15 @@ COST_RTOL = 1e-10  # the decrease test, see the module docstring
 class LeastSquaresFit:
     """What every fit reports besides its parameter values."""
 
-    covariance: np.ndarray    # in the order of the fitted parameters
+    covariance: np.ndarray | None  # in the order of the fitted parameters; see _covariance
     residual_norm: float      # ||r|| at the solution, weighted when sigmas are given
     dof: int                  # points - fitted parameters
     condition: float          # cond(J^T J), or cond(X^T W X) of a linear fit
 
     @property
-    def stderr(self) -> np.ndarray:
-        """sqrt of the covariance diagonal, a negative variance read as 0."""
-        return np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+    def stderr(self) -> np.ndarray | None:
+        """sqrt of the covariance diagonal; None without a covariance."""
+        return None if self.covariance is None else np.sqrt(np.diag(self.covariance))
 
 
 @dataclass
@@ -62,19 +62,17 @@ class LMResult:
     stop: str                 # "decrease" or "precision", see the module docstring
 
 
-def _covariance(jtj, residual_norm, n_points):
-    """(covariance, condition) of a fit: s^2 (J^T J)^-1 with s^2 the reduced
-    chi-square, meaningful both for whitened residuals (s ~ 1) and raw ones.
-    A non-finite J^T J raises DomainError before LAPACK prints to stdout."""
-    if not np.isfinite(jtj).all():
-        raise DomainError("J^T J of the fit overflows double precision for these inputs")
-    dof = max(n_points - len(jtj), 1)
-    s2 = residual_norm ** 2 / dof
-    try:
-        cov = s2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = s2 * np.linalg.pinv(jtj)
-    return cov, float(np.linalg.cond(jtj))
+def _covariance(jtj, chi2, n_points):
+    """(covariance, condition) of a fit, the one rule for when a fit has an
+    uncertainty (Bevington & Robinson 2003, ch. 6-8): s^2 (J^T J)^-1 with s^2 =
+    chi2 / dof, also for raw residuals; None without degrees of freedom, at
+    cond(J^T J) >= 1/eps (the inverse is round-off) or with a negative or
+    non-finite variance.  A non-finite J^T J has condition inf (LAPACK prints on it)."""
+    condition = float(np.linalg.cond(jtj)) if np.isfinite(jtj).all() else math.inf
+    if n_points <= len(jtj) or condition >= 1.0 / np.finfo(float).eps:
+        return None, condition
+    cov = chi2 / (n_points - len(jtj)) * np.linalg.inv(jtj)
+    return (cov if np.isfinite(cov).all() and np.diag(cov).min() >= 0.0 else None), condition
 
 
 def _secant_update(secant, step, y, y_sharp):
@@ -170,9 +168,9 @@ class LinearFit(LeastSquaresFit):
 def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
     """Closed-form (weighted) ordinary least squares y = intercept + slope x.
 
-    Standard errors come from the residual variance: cov = (X^T W X)^-1 chi2_red.
-    With n == 2 points the fit is exact and the errors are zero.  A NaN or
-    infinite x, y or sigma is a DomainError.
+    Standard errors come from the residual variance: cov = (X^T W X)^-1 chi2_red,
+    by _covariance, so an exact two-point fit has none.  A NaN or infinite x, y
+    or sigma is a DomainError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -199,9 +197,6 @@ def weighted_linear_fit(x, y, sigma=None) -> LinearFit:
     beta = cov_unscaled @ (xtw @ y)
     residuals = y - design @ beta
     chi2 = float(residuals @ (w * residuals))
-    dof = x.size - 2
-    chi2_red = chi2 / dof if dof > 0 else 0.0
-    cov = cov_unscaled * chi2_red
-    condition = float(np.linalg.cond(normal)) if np.isfinite(normal).all() else math.inf
+    cov, condition = _covariance(normal, chi2, x.size)
     return LinearFit(intercept=float(beta[0]), slope=float(beta[1]), covariance=cov,
-                     residual_norm=math.sqrt(chi2), dof=dof, condition=condition)
+                     residual_norm=math.sqrt(chi2), dof=x.size - 2, condition=condition)

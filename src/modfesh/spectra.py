@@ -284,7 +284,10 @@ def fit_fano(spec: Spectrum, window=None) -> FanoFit:
     c, w = float(result.params[0]), abs(float(result.params[1]))
     a, q, off = _fano_from_linear(*project(c, w)[4].tolist())
     jac = _fano_jacobian(x, (c, w, q, a, off)) * weights[:, None]
-    cov, cond = _covariance(jac.T @ jac, result.residual_norm, x.size)
+    jtj = jac.T @ jac
+    if not np.isfinite(jtj).all():
+        raise DomainError("J^T J of the fit overflows double precision for these inputs")
+    cov, cond = _covariance(jtj, result.residual_norm ** 2, x.size)
     return FanoFit(center=c, width=w, q=q, amplitude=a, offset=off, covariance=cov,
                    residual_norm=result.residual_norm, iterations=result.iterations,
                    stop=result.stop, dof=x.size - 5, condition=cond)
@@ -381,7 +384,7 @@ def fit_landau_zener(branch_data) -> LandauZenerFit:
 
     result = levenberg_marquardt(model, _lz_initial_guess(b, e))
     e_i0, s_i, e_j0, s_j, v = result.params
-    cov, cond = _covariance(result.jtj, result.residual_norm, b.size)
+    cov, cond = _covariance(result.jtj, result.residual_norm ** 2, b.size)
     return LandauZenerFit(v_ij=abs(float(v)), e_i0=float(e_i0), slope_i=float(s_i),
                           e_j0=float(e_j0), slope_j=float(s_j), b_center=b_center,
                           covariance=cov, residual_norm=result.residual_norm,
@@ -406,12 +409,13 @@ class EnergyMapPoint:
 
 
 def _line_fits(spec, min_depth, min_separation_hz):
-    """Yield the FanoFit of each find_peaks dip of one scan, fitted over
-    +-2.5 min_separation_hz, unless one of four decisions drops the dip: both
-    neighbouring samples are shallower than min_depth (one noisy sample, not a
-    line: it is not fitted), or the fit raises DomainError or ConvergenceError,
-    ends more than min_separation_hz/2 from its dip or is shallower than
-    min_depth (it measures noise rather than a line)."""
+    """Yield (center, sigma) of the Fano fit of each find_peaks dip of one scan,
+    fitted over +-2.5 min_separation_hz, unless one of four decisions drops the
+    dip: both neighbouring samples are shallower than min_depth (one noisy
+    sample, not a line: it is not fitted), or the fit raises DomainError or
+    ConvergenceError, ends more than min_separation_hz/2 from its dip or is
+    shallower than min_depth (it measures noise rather than a line).  sigma is the
+    center stderr, or without one the grid spacing at the dip over sqrt(12)."""
     for xc in find_peaks(spec, min_depth, min_separation_hz):
         i = int(np.searchsorted(spec.x, xc))
         if min(spec.y[i - 1], spec.y[i + 1]) > 1.0 - min_depth:
@@ -423,24 +427,26 @@ def _line_fits(spec, min_depth, min_separation_hz):
             continue
         if abs(fit.center - xc) > min_separation_hz / 2 or fit.amplitude < min_depth:
             continue
-        yield fit
+        yield fit.center, float(fit.stderr[0] if fit.covariance is not None
+                                else (spec.x[i + 1] - spec.x[i - 1]) / 2.0 / math.sqrt(12.0))
 
 
 def _compensated(line, n_present):
-    """(center, sigma, note) of a line given as (intensity, FanoFit) pairs in
-    center order, at a field where n_present intensities kept a fit.  At two or
-    more intensities: the zero-intensity intercept of a line through the
-    centers, weighted by their stderr if all are positive, and its stderr.  At
-    one: the first fit's center and stderr, uncompensated."""
-    xs = [intensity for intensity, _ in line]
-    ys = [fit.center for _, fit in line]
-    errs = [float(fit.stderr[0]) for _, fit in line]
+    """(center, sigma, note) of a line given as (intensity, center, sigma)
+    triples in center order, at a field where n_present intensities kept a fit.
+    At one intensity: the first center and sigma.  At more: the zero-intensity
+    intercept of a line through the centers weighted by their sigmas, and its
+    stderr; without one (two points), sqrt((X^T W X)^-1_00) by Lagrange's identity."""
+    xs, ys, errs = zip(*line)
     n_int = len(set(xs))
     if n_int < 2:
         return ys[0], errs[0], ("peak seen at a single intensity; left uncompensated"
                                 if n_present > 1 else "single intensity; uncompensated center")
-    lin = weighted_linear_fit(xs, ys, errs if all(e > 0 for e in errs) else None)
-    return (lin.intercept, float(lin.stderr[0]),
+    lin = weighted_linear_fit(xs, ys, errs)
+    x, w = np.array(xs), np.array(errs) ** -2.0
+    sigma = (lin.stderr[0] if lin.covariance is not None else
+             np.sqrt(2.0 * (w @ x ** 2) / np.sum(np.outer(w, w) * np.subtract.outer(x, x) ** 2)))
+    return (lin.intercept, float(sigma),
             "shift compensation from only two intensities" if n_int == 2 else "")
 
 
@@ -465,16 +471,16 @@ def assemble_energy_map(scans, registry, *, min_depth: float = 0.05,
 
     points = []
     for b_field in sorted(by_field):
-        fits = sorted(((intensity, fit)
+        fits = sorted(((intensity, center, sigma)
                        for intensity, spec in sorted(by_field[b_field], key=lambda g: g[0])
-                       for fit in _line_fits(spec, min_depth, min_separation_hz)),
-                      key=lambda f: (f[1].center, f[0]))
+                       for center, sigma in _line_fits(spec, min_depth, min_separation_hz)),
+                      key=lambda f: (f[1], f[0]))
         lines = []
         for item in fits:
-            if not lines or item[1].center - lines[-1][-1][1].center > 0.6 * min_separation_hz:
+            if not lines or item[1] - lines[-1][-1][1] > 0.6 * min_separation_hz:
                 lines.append([])
             lines[-1].append(item)
-        n_present = len({intensity for intensity, _ in fits})
+        n_present = len({intensity for intensity, _, _ in fits})
         points += [_associate_peak(b_field, registry, *_compensated(line, n_present))
                    for line in lines]
     return points

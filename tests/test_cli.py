@@ -652,6 +652,24 @@ class TestFit:
         report = json.loads(out)
         assert report["params"]["v_ij_hz"] == pytest.approx(25e3, abs=1.5e3)
 
+    def test_lz_without_degrees_of_freedom_has_no_uncertainty(self, tmp_path, capsys):
+        """Five rows fix the five parameters exactly: the fit converges, and
+        with dof 0 it reports no covariance and no stderr, not a near-zero one."""
+        lines = ["B_Gauss,E_Hz,branch"]
+        for i, bfield in enumerate((18.60, 18.63, 18.66, 18.69, 18.72)):
+            ei = -182e3 - 1.35e6 * (bfield - 18.66)
+            ej = -182e3 - 8e3 * (bfield - 18.66)
+            s = 1 if i % 2 else -1
+            e = 0.5 * (ei + ej + s * math.hypot(ei - ej, 25e3)) + (7.0 if s > 0 else -3.0)
+            lines.append(f"{bfield},{e},{s}")
+        path = tmp_path / "lz.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "fit", "--model", "lz", "--input", str(path))
+        report = json.loads(out)
+        assert (code, report["converged"], report["dof"]) == (0, True, 0)
+        assert report["covariance"] is None
+        assert set(report["stderr"].values()) == {None}
+
     def test_lz_overflow_stderr_is_the_error_line(self, tmp_path, capsys):
         """Fields and energies near the float limit fail with one error line or
         a non-converged report, and nothing from numpy ahead of it: the conic

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from modfesh import fitting
 from modfesh.errors import ConvergenceError, DomainError
-from modfesh.fitting import LeastSquaresFit, _covariance, levenberg_marquardt, weighted_linear_fit
+from modfesh.fitting import _covariance, levenberg_marquardt, weighted_linear_fit
 
 
 def exponential_problem(noise=0.0, seed=0):
@@ -35,11 +37,29 @@ class TestLevenbergMarquardt:
     def test_noisy_covariance_scale(self):
         model, true = exponential_problem(noise=0.01, seed=5)
         res = levenberg_marquardt(model, true * 1.3)
-        cov, _ = _covariance(res.jtj, res.residual_norm, 40)   # 40 points, 3 parameters
+        cov, _ = _covariance(res.jtj, res.residual_norm ** 2, 40)   # 40 points, 3 parameters
         err = np.sqrt(np.diag(cov))
         # recovered within a few standard errors, errors of sane magnitude
         assert np.all(np.abs(res.params - true) < 5 * err)
         assert np.all(err < 0.1)
+
+    def test_covariance_rule(self):
+        """One rule for every fit: s^2 (J^T J)^-1 with s^2 = chi2 / dof, and no
+        covariance without degrees of freedom, at a condition of 1/eps or more
+        (a non-finite J^T J has condition inf) or with a variance that is
+        negative or not finite."""
+        jtj = np.array([[4.0, 1.0], [1.0, 2.0]])
+        cov, cond = _covariance(jtj, 6.0, 5)
+        assert np.array_equal(cov, 2.0 * np.linalg.inv(jtj))
+        assert cond == np.linalg.cond(jtj)
+        assert _covariance(jtj, 6.0, 2) == (None, cond)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
+        cov, cond = _covariance(singular, 6.0, 5)
+        assert cov is None and cond >= 1.0 / np.finfo(float).eps
+        assert _covariance(np.array([[np.inf, 0.0], [0.0, 1.0]]), 6.0, 5) == (None, math.inf)
+        # no negative or non-finite variance
+        assert _covariance(jtj, math.inf, 5)[0] is None
+        assert _covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), 6.0, 5)[0] is None
 
     def test_iteration_budget_error_carries_last(self, monkeypatch):
         model, _ = exponential_problem()
@@ -142,8 +162,5 @@ class TestWeightedLinearFit:
         fit = weighted_linear_fit([0.0, 1.0], [4.0, 6.0])
         assert fit.intercept == pytest.approx(4.0)
         assert fit.slope == pytest.approx(2.0)
-        assert fit.stderr[0] == 0.0
-
-    def test_stderr_reads_a_negative_variance_as_zero(self):
-        fit = LeastSquaresFit(np.array([[4.0, 0.5], [0.5, -1e-30]]), 0.0, 0, 1.0)
-        assert fit.stderr.tolist() == [2.0, 0.0]
+        assert fit.dof == 0
+        assert fit.covariance is None and fit.stderr is None

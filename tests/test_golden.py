@@ -296,6 +296,24 @@ def test_energy_map_stdout_is_the_map_file(tmp_path, capsys):
     assert printed == (tmp_path / "b" / "map.csv").read_text(encoding="utf-8")
 
 
+def test_two_intensity_rows_have_a_sigma(tmp_path, capsys):
+    """Without scan_2.json each line is seen at exactly two intensities, and the
+    linear fit through its centers has no degrees of freedom: sigma_Hz is the
+    intercept sigma propagated from the centers' sigmas, finite and above 0.
+    The m = -2 fits are spikes on the 155e3/1033 Hz grid, so both carry the
+    sampling sigma."""
+    _energy_map_scans(tmp_path)
+    (tmp_path / "scans" / "scan_2.json").unlink()
+    capsys.readouterr()
+    assert run(["energy-map", "--scan-dir", str(tmp_path / "scans"), "--format", "csv"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr()[0].splitlines()[2:]]
+    assert [(row[2], row[7]) for row in rows] == \
+        [(m, "shift compensation from only two intensities") for m in ("-2", "-1")]
+    assert all(0.0 < float(row[5]) < math.inf for row in rows)
+    sampling = 155e3 / 1033 / math.sqrt(12.0)
+    assert float(rows[0][5]) == pytest.approx(sampling * math.hypot(0.8, 0.4) / 0.4, rel=1e-9)
+
+
 # the keys of every fit report, and those one model adds
 REPORT_KEYS = {"model", "converged", "schema_version", "params", "stderr", "covariance",
                "condition", "residual_norm", "dof"}
@@ -325,10 +343,10 @@ def _fit_report(case: str, tmp: Path, capsys):
 @pytest.mark.parametrize("case", ["fano", "fano-resolved", "lz", "linear"])
 def test_one_fit_report(case, tmp_path, capsys):
     """Every model writes the same keys (b_center_G and the LM iteration
-    count apart) and dof = points - fitted parameters.  At a condition of
-    1/eps or more (only the fano golden's one-sample spike) covariance and
-    every stderr are null; below it a stderr is null exactly where its
-    variance is negative or not finite."""
+    count apart) and dof = points - fitted parameters.  The nulls are all or
+    nothing: without degrees of freedom or at a condition of 1/eps or more
+    (only the fano golden's one-sample spike) covariance and every stderr are
+    null; otherwise every stderr is the square root of its variance."""
     report, n = _fit_report(case, tmp_path, capsys)
     model = report["model"]
     assert set(report) == REPORT_KEYS | MODEL_KEYS[model]
@@ -336,18 +354,12 @@ def test_one_fit_report(case, tmp_path, capsys):
     assert report["dof"] == n - len(PARAMS[model])
     singular = report["condition"] >= 1.0 / np.finfo(float).eps
     assert singular == (case == "fano")
-    assert (report["covariance"] is None) == singular
-    if singular:
+    assert (report["covariance"] is None) == (singular or report["dof"] <= 0)
+    if report["covariance"] is None:
         assert set(report["stderr"].values()) == {None}
         return
     for i, name in enumerate(PARAMS[model]):
-        variance = report["covariance"][i][i]
-        if 0.0 <= variance < math.inf:
-            assert report["stderr"][name] == math.sqrt(variance)
-        else:
-            assert report["stderr"][name] is None
-    if case == "fano-resolved":
-        assert None not in report["stderr"].values()
+        assert report["stderr"][name] == math.sqrt(report["covariance"][i][i])
 
 
 def test_readme_lists_the_outputs(tmp_path, capsys):
