@@ -9,6 +9,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -154,9 +155,7 @@ def cmd_floquet_gap(args) -> int:
         half = 0.02 * w_expect / abs(args.m)
         window = (w_expect - half, w_expect + half)
     gap, center = floquet.avoided_crossing_gap(model, args.m, window)
-    model_at = floquet.DrivenTwoLevel(model.omega_alpha, model.omega_beta,
-                                      model.Omega, model.A, center)
-    rwa = abs(floquet.effective_coupling(model_at, args.m))
+    rwa = abs(floquet.effective_coupling(dataclasses.replace(model, omega_mod=center), args.m))
     _emit(args, ["m", "gap_Hz", "center_Hz", "rwa_gap_Hz"],
           [[args.m], [gap / (2 * math.pi)], [center / (2 * math.pi)], [rwa / (2 * math.pi)]])
     return 0

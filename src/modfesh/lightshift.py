@@ -180,10 +180,7 @@ def _hyperfine_me_sq(tr: Transition, i_nuc, F: int, mF: int, p: int) -> float:
     requirement that summing over decay channels of any excited sublevel
     reproduces the tabulated line decay rate.
     """
-    m_prime = mF + p
-    if abs(m_prime) > tr.F_prime:
-        return 0.0
-    tj = wigner_3j(F, 1, tr.F_prime, mF, p, -m_prime)
+    tj = wigner_3j(F, 1, tr.F_prime, mF, p, -(mF + p))
     if tj == 0.0:
         return 0.0
     sj = wigner_6j(tr.J_prime, tr.J, 1, F, tr.F_prime, i_nuc)

@@ -106,9 +106,10 @@ class DressedChannelModel:
     """Three-channel dressed-atom model of the m-th resonance.
 
     delta_m parametrizes the elastic coupling through the vanishing-k relation
-    Gamma(k)/2 = k a_bk hbar Delta_m (Gamma itself vanishes with k, so the
-    k-independent width scale is what the model stores; it carries the
-    |J_m(A/w)|^2 drive dependence).  gamma_in is the inelastic coupling as an
+    Gamma(k)/2 = k a_bk hbar Delta_m.  Gamma itself vanishes with k, so the
+    model stores the k-independent width scale, and dressed_alpha_beta needs
+    only Gamma/k, which stays finite at k = 0; delta_m carries the
+    |J_m(A/w)|^2 drive dependence.  gamma_in is the inelastic coupling as an
     angular rate gamma/hbar.  delta_shift is the drive-induced resonance shift
     delta-omega_m (~ A^(2|m|), prefactor calibrated).
 
@@ -135,48 +136,31 @@ class DressedChannelModel:
 def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     """Real and imaginary parts (alpha, beta) of a = alpha - i beta, in Bohr radii.
 
-    Detuning Delta = omega_b - m omega - delta_shift.  At k = 0 the exact
-    vanishing-k limit is returned:
+    With Delta = omega_b - m omega - delta_shift, the collision energy
+    kappa = hbar k^2 / (2 mu) in rad/s (k in 1/m; mu = CS_MASS / 2, the reduced
+    mass of the cesium pair UNITARITY_WAVENUMBER assumes), B = kappa + Delta
+    and the elastic width Gamma(k)/hbar = 2 k a_bk Delta_m (a_bk in meters):
 
-        alpha = a_bk (1 + Delta_m Delta / (Delta^2 + gamma^2/4))
-        beta  = a_bk Delta_m (gamma/2) / (Delta^2 + gamma^2/4)
+        alpha = a_bk (1 + Delta_m B / (B^2 + gamma^2/4 - Gamma^2/4))
+        beta  = a_bk Delta_m (gamma/2) / (B^2 + (gamma + Gamma)^2/4)
 
-    For k > 0 (k in 1/m) the finite-k expressions are evaluated with Gamma(k)
-    from the vanishing-k relation, and the resonance denominator gains the
-    collision energy hbar k^2 / (2 mu) in rad/s, mu = CS_MASS / 2 the reduced
-    mass of a cesium pair (the pair UNITARITY_WAVENUMBER assumes).
+    One expression for every k >= 0: at k = 0 it is the exact vanishing-k
+    limit, both denominators Delta^2 + gamma^2/4.  A zero beta is +0.0.
     """
+    if k < 0:
+        raise DomainError("collisional wavenumber must be non-negative")
     omega = np.asarray(omega, dtype=float)
     delta = model.omega_b - model.m * omega - model.delta_shift
     gam = model.gamma_in
-    if k < 0:
-        raise DomainError("collisional wavenumber must be non-negative")
-    if k == 0.0:
-        denom = delta ** 2 + 0.25 * gam ** 2
-        if np.any(denom == 0.0):
-            raise PoleError("dressed scattering length evaluated on the bare pole",
-                            location=(model.omega_b - model.delta_shift) / model.m)
-        alpha = model.a_bk * (1.0 + model.delta_m * delta / denom)
-        if model.delta_m * gam == 0.0:
-            beta = np.zeros_like(delta)
-        else:
-            beta = model.a_bk * model.delta_m * (0.5 * gam) / denom
-    else:
-        kappa = HBAR * k ** 2 / CS_MASS   # hbar k^2 / (2 mu) with 2 mu = CS_MASS
-        gam_el = 2.0 * k * (model.a_bk * A_BOHR) * model.delta_m   # Gamma(k)/hbar, rad/s
-        bracket = kappa + delta
-        denom_a = bracket ** 2 + 0.25 * gam ** 2 - 0.25 * gam_el ** 2
-        denom_b = bracket ** 2 + 0.25 * (gam + gam_el) ** 2
-        if np.any(denom_a == 0.0) or np.any(denom_b == 0.0):
-            raise PoleError("dressed scattering length denominator vanished",
-                            location=None)
-        alpha_m = model.a_bk * A_BOHR + (0.5 * gam_el * bracket) / (k * denom_a)
-        beta_m = (0.25 * gam_el * gam) / (k * denom_b)
-        alpha = alpha_m / A_BOHR
-        beta = beta_m / A_BOHR
-    if alpha.ndim == 0:
-        return float(alpha), float(beta)
-    return alpha, beta
+    bracket = HBAR * k ** 2 / CS_MASS + delta   # kappa + Delta, 2 mu = CS_MASS
+    gam_el = 2.0 * k * (model.a_bk * A_BOHR) * model.delta_m   # Gamma(k)/hbar, rad/s
+    denom_a = bracket ** 2 + 0.25 * gam ** 2 - 0.25 * gam_el ** 2
+    denom_b = bracket ** 2 + 0.25 * (gam + gam_el) ** 2
+    if np.any(denom_a == 0.0) or np.any(denom_b == 0.0):
+        raise PoleError("dressed scattering length denominator vanished")
+    alpha = model.a_bk * (1.0 + model.delta_m * bracket / denom_a)
+    beta = model.a_bk * model.delta_m * (0.5 * gam) / denom_b + 0.0   # + 0.0: no -0.0
+    return (float(alpha), float(beta)) if alpha.ndim == 0 else (alpha, beta)
 
 
 def inelastic_channel_scaling(a_grid, m: int, omega_mod: float) -> float:

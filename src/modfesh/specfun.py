@@ -48,6 +48,9 @@ def bessel_j(n: int, x: float) -> float:
     start order well above max(n, x) and normalize with
     J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1.  Relative accuracy is ~1e-13 for
     |x| <= 50 (away from zeros of J_n, where absolute accuracy ~1e-15 holds).
+    Below |x| = 1e-8 the leading series term (x/2)^|n| / |n|! is returned: the
+    next term is under 2.5e-17 relative there, and below ~1e-59 one recurrence
+    step (2k/x) j_k would overflow before the 1e250 rescale acts.
     """
     if n != int(n):
         raise DomainError(f"Bessel order must be an integer, got {n}")
@@ -57,19 +60,16 @@ def bessel_j(n: int, x: float) -> float:
     if not math.isfinite(x):
         raise DomainError(f"Bessel argument must be finite, got {x}")
 
-    sign = 1.0
-    if n < 0:
-        # J_{-n}(x) = (-1)^n J_n(x)
-        n = -n
-        if n % 2:
-            sign = -sign
-    if x < 0:
-        # J_n(-x) = (-1)^n J_n(x)
-        x = -x
-        if n % 2:
-            sign = -sign
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
+    # J_{-n}(x) = J_n(-x) = (-1)^n J_n(x)
+    sign = -1.0 if n % 2 and (n < 0) != (x < 0) else 1.0
+    n, x = abs(n), abs(x)
+    if x < 1e-8:
+        # (x/2)^n / n!, factor by factor so that it underflows to 0 rather
+        # than overflow; x = 0 gives exact 1.0 and 0.0 (+ 0.0: never -0.0)
+        term = 1.0
+        for k in range(1, n + 1):
+            term *= 0.5 * x / k
+        return sign * term + 0.0
 
     top = max(n, int(x))
     m_start = top + 60 + int(1.5 * math.sqrt(top) + 0.5)

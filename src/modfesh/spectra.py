@@ -624,7 +624,7 @@ def read_spectrum_json(path) -> Spectrum:
         payload = json.loads(text)
         pts = payload["points"]
         axis = payload["axis"]
-        metadata = dict(payload.get("metadata", {}))
+        metadata = {**payload.get("metadata", {})}   # a mapping only: dict() takes pairs too
     except (json.JSONDecodeError, RecursionError) as exc:   # RecursionError: deep nesting
         raise ConfigError(f"invalid JSON: {exc}", path) from None
     except (KeyError, TypeError, ValueError):

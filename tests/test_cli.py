@@ -408,6 +408,16 @@ class TestResonancesAndGap:
         gap, rwa = row[1], row[3]
         assert gap == pytest.approx(rwa, rel=0.01)
 
+    def test_floquet_gap_at_a_tiny_drive(self, capsys):
+        """At A = 1e-60 Hz the RWA gap is Omega J_1(A/w) = Omega A / (2 w), not
+        nan (exit 3): one Bessel recurrence step used to overflow there."""
+        code, out, err = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-150e3",
+                                 "--rabi-hz", "3e3", "--amplitude-hz", "1e-60",
+                                 "--m", "1", "--format", "json")
+        assert code == 0 and err == ""
+        _, _, center, rwa = json.loads(out)["rows"][0]
+        assert rwa == pytest.approx(3e3 * 1e-60 / (2 * center), rel=1e-12)
+
     def test_floquet_gap_csv_fields_are_numbers(self, capsys):
         code, out, _ = run_cli(capsys, "floquet-gap", "--omega-b-hz", "-150e3",
                                "--rabi-hz", "3e3", "--amplitude-hz", "150e3",
@@ -1115,6 +1125,11 @@ class TestUsageErrorsExitTwo:
         ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace(
             '{"field_G": 19.41, "intensity_W_cm2": 0.8}', "[1]")},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
+        # key-value pairs, which dict() would have read as an object
+        ({"scans/scan.json": (SPECTRUM_JSON % "0.9").replace(
+            '{"field_G": 19.41, "intensity_W_cm2": 0.8}',
+            '[["field_G", 19.41], ["intensity_W_cm2", 0.8]]')},
+         ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"scans/scan.json": "[" * 100_000 + "]" * 100_000},
          ("energy-map", "--scan-dir", "{tmp}/scans"), "scans/scan.json"),
         ({"freq.cfg": FREQ_CONFIG.replace("points = 90", "points = 90\nnoise_sigm = 0.01")},
@@ -1218,7 +1233,7 @@ class TestUsageErrorsExitTwo:
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
             "registry-window_G-nan", "lz-branch-0.6", "json-field-string", "json-field-nan", "json-metadata-list",
-            "json-deep-nesting", "scan-noise_sigm", "scan-second-scan", "freq-scan-widths",
+            "json-metadata-pairs", "json-deep-nesting", "scan-noise_sigm", "scan-second-scan", "freq-scan-widths",
             "species-mas_kg", "transitions-key", "registry-windw_G", "registry-duplicate-label",
             "species-second-section", "transitions-repeated-row", "freq-scan-no-resonance",
             "linear-csv-header-only", "linear-csv-one-column", "json-no-field_G", "csv-empty",

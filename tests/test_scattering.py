@@ -92,6 +92,12 @@ class TestWidthFromCoupling:
         with pytest.raises(DomainError):
             width_from_coupling(1e-60, 1.0, 1e6, 1, 0.0)
 
+    def test_tiny_drive_keeps_the_power_law(self):
+        # J_1(1e-60) once came out nan: one Bessel recurrence step overflowed
+        w_small = width_from_coupling(1e-60, A=1e-60, omega=1.0, m=1, a_bk=200.0)
+        w_ref = width_from_coupling(1e-60, A=1e-6, omega=1.0, m=1, a_bk=200.0)
+        assert w_small / w_ref == pytest.approx(1e-108, rel=1e-12)
+
 
 class TestDressedAlphaBeta:
     def model(self, a_bk=200.0, delta_m=2 * math.pi * 500.0,
@@ -154,6 +160,39 @@ class TestDressedAlphaBeta:
         m = self.model(gamma_in=0.0)
         with pytest.raises(PoleError):
             dressed_alpha_beta(m, self.omega_at(m, 0.0))
+
+    def test_vanishing_k_bits(self):
+        """At k = 0 the one expression is the vanishing-k closed form bit for
+        bit, and a zero beta is +0.0 whatever the sign of a_bk."""
+        def closed_form(model, omega):
+            delta = model.omega_b - model.m * omega - model.delta_shift
+            denom = delta ** 2 + 0.25 * model.gamma_in ** 2
+            alpha = model.a_bk * (1.0 + model.delta_m * delta / denom)
+            if model.delta_m * model.gamma_in == 0.0:
+                return alpha, np.zeros_like(delta)
+            return alpha, model.a_bk * model.delta_m * (0.5 * model.gamma_in) / denom
+
+        rng = np.random.default_rng(36)
+        negative_a_zero_beta = 0
+        for i in range(2000):
+            # i % 4 runs through (delta_m, gamma_in) zero/non-zero pairs
+            m = self.model(a_bk=float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 3000.0)),
+                           delta_m=float(i % 2 and rng.uniform(0.0, 2 * math.pi * 5e3)),
+                           gamma_in=float(i // 2 % 2 and rng.uniform(0.0, 2 * math.pi * 5e3)),
+                           omega_b=2 * math.pi * float(rng.uniform(1e4, 5e5)),
+                           delta_shift=2 * math.pi * float(rng.uniform(-1e3, 1e3)),
+                           m=int(rng.choice([-2, -1, 1, 2])))
+            omega = self.omega_at(m, 2 * math.pi * rng.normal(0.0, 3e3, 50))
+            alpha, beta = dressed_alpha_beta(m, omega)
+            ref_alpha, ref_beta = closed_form(m, omega)
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert beta.tobytes() == ref_beta.tobytes()
+            # a scalar takes numpy's 0-d path, which may round apart from the array one
+            w = np.asarray(omega[0])
+            assert (np.array(dressed_alpha_beta(m, float(w))).tobytes()
+                    == np.array(closed_form(m, w), dtype=float).tobytes())
+            negative_a_zero_beta += m.a_bk < 0 and m.delta_m * m.gamma_in == 0.0
+        assert negative_a_zero_beta > 500
 
     def test_finite_k_continuity(self):
         m = self.model()

@@ -58,6 +58,8 @@ class TestBessel:
     def test_jn_at_zero(self):
         assert bessel_j(1, 0.0) == 0.0
         assert bessel_j(7, 0.0) == 0.0
+        for n, x in ((-3, 0.0), (-1, 0.0), (1, -0.0), (3, -0.0)):   # +0.0, never -0.0
+            assert math.copysign(1.0, bessel_j(n, x)) == 1.0
 
     def test_against_series_oracle(self):
         assert bessel_j(2, 1.0) == pytest.approx(J2_AT_1, rel=1e-13)
@@ -72,11 +74,24 @@ class TestBessel:
     def test_negative_order_parity(self):
         for n in range(0, 12):
             for x in (0.3, 2.7, 9.1):
-                assert bessel_j(-n, x) == pytest.approx((-1) ** n * bessel_j(n, x), abs=1e-15)
+                assert bessel_j(-n, x) == (-1) ** n * bessel_j(n, x)
 
     def test_negative_argument_parity(self):
         for n in (0, 1, 2, 5):
-            assert bessel_j(n, -3.3) == pytest.approx((-1) ** n * bessel_j(n, 3.3), abs=1e-15)
+            assert bessel_j(n, -3.3) == (-1) ** n * bessel_j(n, 3.3)
+
+    def test_order_and_argument_parity_cancel(self):
+        """J_{-n}(-x) = J_n(x) exactly, tiny and zero arguments included."""
+        for n in range(0, 12):
+            for x in (0.0, 1e-60, 1e-9, 0.3, 2.7, 9.1, 41.0):
+                assert bessel_j(-n, -x) == bessel_j(n, x)
+
+    @pytest.mark.parametrize("x", [1e-60, 5e-324])
+    def test_tiny_argument_is_the_series(self, x):
+        """Below ~1e-59 one downward-recurrence step (2k/x) j_k overflows
+        before the rescale acts; J_n there is the leading series term."""
+        for n in (0, 1, 2):
+            assert bessel_j(n, x) == pytest.approx(bessel_series(n, x), rel=1e-15, abs=0)
 
     def test_recurrence(self):
         # J_{n-1}(x) + J_{n+1}(x) = (2n/x) J_n(x)
@@ -110,7 +125,8 @@ class TestBessel:
     @pytest.mark.parametrize("n,x", [(100, 0.1), (60, 1e-3), (30, 1e-6), (5, 1e-20)])
     def test_rescaled_recurrence_scipy_crosscheck(self, n, x):
         """A small x grows the downward recurrence past 1e250, where it is
-        rescaled, order n included, before it overflows."""
+        rescaled, order n included, before it overflows; x = 1e-20 lies below
+        the 1e-8 series cut and checks the series term instead."""
         ref = float(pytest.importorskip("scipy.special").jv(n, x))
         assert bessel_j(n, x) == pytest.approx(ref, rel=1e-13, abs=0)
 
