@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .keyvalue import (REQUIRED, Section, finite, format_keyvalue, load_keyvalue, parse_fields,
-                       write_text)
+from .keyvalue import REQUIRED, Section, finite, load_keyvalue, parse_fields, write_text
 from .specfun import half_integer
 
 __all__ = [
@@ -199,15 +198,6 @@ def bare_energy(state: MolecularState, B):
     return state.E0 + state.mu_rel * (B - state.B_ref)
 
 
-def _resolve_partner(state: MolecularState, registry) -> MolecularState:
-    label, _ = state.crossing_partner
-    for other in registry:
-        if other.label == label:
-            return other
-    raise ConfigError(f"crossing partner {label!r} of state {state.label!r} "
-                      "not found in the registry")
-
-
 # math.hypot elementwise: np.hypot rounds differently by an ulp, which the
 # branch energies next to a crossing amplify to ~1e-13 relative
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
@@ -226,12 +216,18 @@ def _branches(state: MolecularState, B, registry) -> tuple:
             f"B = {bad} G outside validity window [{lo}, {hi}] G of state {state.label!r}")
     own = lower = upper = bare_energy(state, b)
     if state.crossing_partner is not None:
-        _, v = state.crossing_partner
-        e_other = bare_energy(_resolve_partner(state, registry), b)
+        label, v = state.crossing_partner
+        partner = next((other for other in registry if other.label == label), None)
+        if partner is None:
+            raise ConfigError(f"crossing partner {label!r} of state {state.label!r} "
+                              "not found in the registry")
+        e_other = bare_energy(partner, b)
         mean = 0.5 * (own + e_other)
         gap = 0.5 * np.asarray(_HYPOT(own - e_other, v), dtype=float)
         lower, upper = mean - gap, mean + gap
-        own = np.where(own > e_other, upper, lower)
+        # where the bare lines tie, the branch this state joins just above the center
+        above = (state.mu_rel, state.label) > (partner.mu_rel, partner.label)
+        own = np.where((own > e_other) | ((own == e_other) & above), upper, lower)
     return (float(own), float(lower), float(upper)) if b.ndim == 0 else (own, lower, upper)
 
 
@@ -240,8 +236,9 @@ def molecular_energy(state: MolecularState, B, registry=()):
 
     B may be a scalar (float out) or an array (array out).  With a crossing
     partner, returns the avoided-crossing branch adiabatically connected to
-    this state's own linear model away from the crossing; exactly at the
-    crossing center the lower branch is returned (deterministic tie).
+    this state's own linear model away from the crossing.  Where the bare
+    lines tie, each partner takes the branch it joins just above the center:
+    the partner with the larger mu_rel (then the larger label) the upper one.
     """
     return _branches(state, B, registry)[0]
 
@@ -303,24 +300,25 @@ def load_species(path) -> AtomSpecies:
 
 
 def save_species(species: AtomSpecies, path) -> None:
-    sec_sp = Section("species", 0, values={
-        key: repr(value) if isinstance(value := getattr(species, name), float) else str(value)
-        for name, key, _ in _SPECIES_KEYS})
-    sec_tr = Section("transitions", 0)
+    """Write species in the form load_species reads, each float as its repr."""
+    lines = ["# species file: SI units except where the key name states otherwise",
+             "# transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s",
+             "", "[species]"]
+    for name, key, _ in _SPECIES_KEYS:
+        value = getattr(species, name)
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    lines += ["", "[transitions]"]
     for t in sorted(species.transitions, key=lambda t: (t.line, t.F, t.F_prime)):
-        sec_tr.rows.append((0, [t.line, t.F, t.F_prime,
-                                repr(t.frequency),
-                                repr(t.reduced_dipole),
-                                repr(t.decay_rate)]))
-    write_text(format_keyvalue([sec_sp, sec_tr], header_comment=(
-        "species file: SI units except where the key name states otherwise\n"
-        "transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s")), path)
+        lines.append(f"{t.line} {t.F} {t.F_prime} {t.frequency!r} {t.reduced_dipole!r} "
+                     f"{t.decay_rate!r}")
+    write_text("\n".join(lines) + "\n", path)
 
 
 def load_state_registry(path) -> tuple:
     """Registry file: one [state <label>] section per molecular state."""
     states = []
-    for sec in load_keyvalue(path, ("state <label>",))["state"]:
+    sections = load_keyvalue(path, ("state <label>",))["state"]
+    for sec in sections:
         if any(st.label == sec.label for st in states):
             raise ConfigError(f"duplicate state label {sec.label!r}", path, sec.line)
         e0 = sec.get("E0_Hz", finite, REQUIRED)
@@ -336,25 +334,26 @@ def load_state_registry(path) -> tuple:
             states.append(MolecularState(sec.label, e0, mu, b_ref, window, partner))
         except DomainError as exc:
             raise ConfigError(str(exc), path, sec.line) from None
-    for st in states:
+    named = {st.label: st.crossing_partner for st in states}
+    for st, sec in zip(states, sections):
         if st.crossing_partner is not None:
-            _resolve_partner(st, states)
+            label, v = st.crossing_partner
+            if label == st.label or named.get(label) != (st.label, v):
+                raise ConfigError(f"crossing partner {label!r} of state {st.label!r} must be "
+                                  f"another state naming it back with V_ij_Hz = {v!r}",
+                                  path, sec.line)
     return tuple(states)
 
 
 def save_state_registry(states, path) -> None:
-    sections = []
+    """Write states in the form load_state_registry reads, each float as its repr."""
+    lines = ["# molecular-state registry: energies in Hz relative to threshold "
+             "(negative = bound), fields in Gauss"]
     for st in states:
-        sec = Section("state", 0, label=st.label, values={
-            "E0_Hz": repr(st.E0),
-            "mu_rel_Hz_per_G": repr(st.mu_rel),
-            "B_ref_G": repr(st.B_ref),
-            "window_G": f"{st.window[0]!r} {st.window[1]!r}",
-        })
+        lines += ["", f"[state {st.label}]", f"E0_Hz = {st.E0!r}",
+                  f"mu_rel_Hz_per_G = {st.mu_rel!r}", f"B_ref_G = {st.B_ref!r}",
+                  f"window_G = {st.window[0]!r} {st.window[1]!r}"]
         if st.crossing_partner is not None:
-            sec.values["crossing_partner"] = st.crossing_partner[0]
-            sec.values["V_ij_Hz"] = repr(st.crossing_partner[1])
-        sections.append(sec)
-    write_text(format_keyvalue(sections, header_comment=(
-        "molecular-state registry: energies in Hz relative to threshold "
-        "(negative = bound), fields in Gauss")), path)
+            lines += [f"crossing_partner = {st.crossing_partner[0]}",
+                      f"V_ij_Hz = {st.crossing_partner[1]!r}"]
+    write_text("\n".join(lines) + "\n", path)

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
-__all__ = ["Section", "REQUIRED", "load_keyvalue", "format_keyvalue",
-           "parse_fields", "read_text", "write_text"]
+__all__ = ["Section", "REQUIRED", "load_keyvalue", "parse_fields", "read_text", "write_text"]
 
 REQUIRED = object()   # Section.get default of a key the section must hold
 
@@ -61,9 +60,9 @@ def parse_fields(fields, parsers, what: str, path=None, line=None) -> tuple:
 class Section:
     name: str
     line: int
-    values: dict = field(default_factory=dict)       # key -> str
     path: object = None                              # file the section came from
     label: str = ""                                  # '4g(4)' of [state 4g(4)]
+    values: dict = field(default_factory=dict, init=False)       # key -> str
     value_lines: dict = field(default_factory=dict, init=False)  # key -> line number
     rows: list = field(default_factory=list, init=False)         # list of (line, [tokens])
     read: set = field(default_factory=set, init=False)    # keys asked for by get
@@ -163,18 +162,3 @@ def load_keyvalue(path, names) -> dict:
         else:
             current.rows.append((lineno, line.split()))
     return groups
-
-
-def format_keyvalue(sections, header_comment: str) -> str:
-    """Serialize sections back to text under a '#' comment (values/rows must
-    already be strings)."""
-    out = [f"# {line}" if line else "#" for line in header_comment.splitlines()]
-    out.append("")
-    for sec in sections:
-        out.append(sec.header)
-        for key, value in sec.values.items():
-            out.append(f"{key} = {value}")
-        for _lineno, tokens in sec.rows:
-            out.append(" ".join(str(t) for t in tokens))
-        out.append("")
-    return "\n".join(out)

@@ -35,6 +35,18 @@ K3_COEFF = 8.4e-37                                                         # cm^
 UNITARITY_WAVENUMBER = 7.0e6                                               # 1/m
 
 
+def _check_model(model, finite_fields: tuple) -> None:
+    """The checks both resonance models make: DomainError for a drive order
+    m = 0, a_bk = 0, or a field named in finite_fields that is not finite."""
+    if model.m == 0:
+        raise DomainError("drive order m must be non-zero")
+    if model.a_bk == 0:
+        raise DomainError("background scattering length must be non-zero")
+    if not all(np.isfinite(getattr(model, name)).all() for name in finite_fields):
+        raise DomainError(f"{', '.join(finite_fields[:-1])} and {finite_fields[-1]} "
+                          "must be finite")
+
+
 @dataclass(frozen=True)
 class ResonanceModel:
     """Parameters of the effective scattering-length resonance.
@@ -51,13 +63,7 @@ class ResonanceModel:
     m: int
 
     def __post_init__(self):
-        if self.m == 0:
-            raise DomainError("drive order m must be non-zero")
-        if self.a_bk == 0:
-            raise DomainError("background scattering length must be non-zero")
-        if not (math.isfinite(self.a_bk) and math.isfinite(self.delta_m)
-                and np.isfinite(self.omega0).all()):
-            raise DomainError("a_bk, delta_m and omega0 must be finite")
+        _check_model(self, ("a_bk", "delta_m", "omega0"))
 
 
 def scattering_length(model: ResonanceModel, omega):
@@ -125,8 +131,7 @@ class DressedChannelModel:
     m: int
 
     def __post_init__(self):
-        if self.m == 0:
-            raise DomainError("drive order m must be non-zero")
+        _check_model(self, ("a_bk", "delta_m", "gamma_in", "omega_b", "delta_shift"))
         if self.delta_m < 0:
             raise DomainError("elastic width scale must be non-negative")
         if self.gamma_in < 0:
@@ -154,8 +159,9 @@ def dressed_alpha_beta(model: DressedChannelModel, omega, k: float = 0.0):
     gam = model.gamma_in
     bracket = HBAR * k ** 2 / CS_MASS + delta   # kappa + Delta, 2 mu = CS_MASS
     gam_el = 2.0 * k * (model.a_bk * A_BOHR) * model.delta_m   # Gamma(k)/hbar, rad/s
-    denom_a = bracket ** 2 + 0.25 * gam ** 2 - 0.25 * gam_el ** 2
-    denom_b = bracket ** 2 + 0.25 * (gam + gam_el) ** 2
+    # a product, not ** 2: a numpy scalar's ** rounds apart from an array's
+    denom_a = bracket * bracket + 0.25 * gam ** 2 - 0.25 * gam_el ** 2
+    denom_b = bracket * bracket + 0.25 * (gam + gam_el) ** 2
     if np.any(denom_a == 0.0) or np.any(denom_b == 0.0):
         raise PoleError("dressed scattering length denominator vanished")
     alpha = model.a_bk * (1.0 + model.delta_m * bracket / denom_a)
@@ -199,5 +205,5 @@ def loss_rate_proxy(alpha, density: float):
     alpha = np.asarray(alpha, dtype=float)
     a_max = 1.0 / (UNITARITY_WAVENUMBER * A_BOHR)   # Bohr radii
     alpha = np.clip(alpha, -a_max, a_max)
-    rate = K3_COEFF * alpha ** 4 * density ** 2
+    rate = K3_COEFF * np.power(alpha, 4) * density ** 2   # the ufunc: scalars round as arrays
     return float(rate) if rate.ndim == 0 else rate

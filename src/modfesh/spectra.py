@@ -182,7 +182,8 @@ def fano_profile(x, center, width, q, amplitude, offset):
     """
     dx = np.asarray(x, dtype=float) - center
     u = q * width / 2.0 + dx
-    return offset - amplitude * u ** 2 / ((1.0 + q ** 2) * ((width / 2.0) ** 2 + dx ** 2))
+    # products, not ** 2: a numpy scalar's ** rounds apart from an array's
+    return offset - amplitude * (u * u) / ((1.0 + q ** 2) * ((width / 2.0) ** 2 + dx * dx))
 
 
 @dataclass

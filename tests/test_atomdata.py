@@ -128,14 +128,20 @@ class TestMolecularEnergy:
             dev = abs(molecular_energy(a, x, reg) - bare_energy(a, x))
             assert dev < v ** 2 / (4 * diff) * 1.1
 
-    def test_tie_takes_lower_branch(self):
+    def test_tie_takes_branch_joined_above(self):
         # both states share (E0, B_ref), so at B = B_ref the bare energies are
-        # bit-identical and the deterministic tie rule applies: lower branch
+        # bit-identical: each keeps the branch it joins just above the center,
+        # the upper one for the larger mu_rel, and for equal slopes the larger label
         a, b = self._crossing_pair()
         reg = (a, b)
-        e_a = molecular_energy(a, 18.66, reg)
-        e_b = molecular_energy(b, 18.66, reg)
-        assert e_a == e_b == pytest.approx(-200e3 - 12.5e3)
+        assert molecular_energy(a, 18.66, reg) == -200e3 - 12.5e3
+        assert molecular_energy(b, 18.66, reg) == -200e3 + 12.5e3
+        assert molecular_energy(a, 18.6601, reg) < molecular_energy(b, 18.6601, reg)
+        x, y = (MolecularState(label, E0=-200e3, mu_rel=-10e3, B_ref=18.66,
+                               crossing_partner=(other, 25e3))
+                for label, other in (("x", "y"), ("y", "x")))
+        assert molecular_energy(x, 18.66, (x, y)) == -200e3 - 12.5e3
+        assert molecular_energy(y, 18.66, (x, y)) == -200e3 + 12.5e3
 
     def test_default_registry(self):
         states = cesium_states()
@@ -161,7 +167,11 @@ def reference_energy(state, b, registry):
     e_other = other.E0 + other.mu_rel * (b - other.B_ref)
     mean = 0.5 * (e_own + e_other)
     gap = 0.5 * math.hypot(e_own - e_other, v)
-    return mean + gap if e_own > e_other else mean - gap
+    if e_own == e_other:   # the tie: the branch the state joins just above the center
+        upper = (state.mu_rel, state.label) > (other.mu_rel, other.label)
+    else:
+        upper = e_own > e_other
+    return mean + gap if upper else mean - gap
 
 
 class TestMolecularEnergyArray:
@@ -185,7 +195,7 @@ class TestMolecularEnergyArray:
         lower, upper = crossing_branches(states[2], 18.66, states)
         assert type(lower) is float and type(upper) is float
 
-    def test_tie_takes_lower_branch_in_array(self):
+    def test_tie_takes_branch_joined_above_in_array(self):
         a = MolecularState("steep", E0=-200e3, mu_rel=-1.0e6, B_ref=18.66,
                            crossing_partner=("flat", 25e3))
         b = MolecularState("flat", E0=-200e3, mu_rel=-10e3, B_ref=18.66,
@@ -193,8 +203,9 @@ class TestMolecularEnergyArray:
         reg = (a, b)
         grid = np.array([18.6, 18.66, 18.7])
         e_a, e_b = molecular_energy(a, grid, reg), molecular_energy(b, grid, reg)
-        assert e_a[1] == e_b[1] == molecular_energy(a, 18.66, reg)
+        assert (e_a[1], e_b[1]) == (-200e3 - 12.5e3, -200e3 + 12.5e3)
         assert e_a.tolist() == [molecular_energy(a, x, reg) for x in grid]
+        assert e_b.tolist() == [molecular_energy(b, x, reg) for x in grid]
 
     def test_crossing_branches_array(self):
         states = cesium_states()
@@ -297,3 +308,66 @@ class TestRegistryIO:
             encoding="utf-8")
         with pytest.raises(ConfigError):
             load_state_registry(path)
+
+
+# the bytes save_species(cesium()) and save_state_registry(cesium_states())
+# write: floats as repr, the spin as a Fraction, a blank line before each section
+SAVED_SPECIES = """\
+# species file: SI units except where the key name states otherwise
+# transitions columns: line F F' frequency_Hz reduced_dipole_Cm decay_rad_s
+
+[species]
+name = cesium-133
+mass_kg = 2.2069465e-25
+nuclear_spin = 7/2
+ground_F = 3
+ground_gF = -0.25
+
+[transitions]
+D1 3 3 335120562840000.0 2.698e-29 28658864.82310753
+D1 3 4 335121730520000.0 2.698e-29 28658864.82310753
+D2 3 2 351730549720000.0 3.7971e-29 32815191.903806824
+D2 3 3 351730700920000.0 3.7971e-29 32815191.903806824
+D2 3 4 351730902170000.0 3.7971e-29 32815191.903806824
+"""
+SAVED_REGISTRY = """\
+# molecular-state registry: energies in Hz relative to threshold (negative = bound), fields in Gauss
+
+[state 4g(4)]
+E0_Hz = -228700.0
+mu_rel_Hz_per_G = 531860.4651162794
+B_ref_G = 19.41
+window_G = 15.0 50.0
+
+[state 4d]
+E0_Hz = -450000.0
+mu_rel_Hz_per_G = 760000.0
+B_ref_G = 47.36
+window_G = 45.0 50.0
+
+[state 6s]
+E0_Hz = -182000.0
+mu_rel_Hz_per_G = -1350000.0
+B_ref_G = 18.66
+window_G = 15.0 50.0
+crossing_partner = 6g(6)
+V_ij_Hz = 25000.0
+
+[state 6g(6)]
+E0_Hz = -182000.0
+mu_rel_Hz_per_G = -8000.0
+B_ref_G = 18.66
+window_G = 15.0 50.0
+crossing_partner = 6s
+V_ij_Hz = 25000.0
+"""
+
+
+@pytest.mark.parametrize("save,value,expected", [
+    (save_species, cesium(), SAVED_SPECIES),
+    (save_state_registry, cesium_states(), SAVED_REGISTRY),
+], ids=["species", "registry"])
+def test_saved_bytes(tmp_path, save, value, expected):
+    """The savers write their canonical text byte for byte."""
+    save(value, tmp_path / "saved")
+    assert (tmp_path / "saved").read_bytes() == expected.encode("utf-8")

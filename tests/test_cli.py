@@ -19,8 +19,8 @@ import pytest
 
 import modfesh
 from modfesh import floquet
-from modfesh.atomdata import (MolecularState, cesium, cesium_states, molecular_energy,
-                              save_state_registry)
+from modfesh.atomdata import (MolecularState, cesium, cesium_states, crossing_branches,
+                              molecular_energy, save_state_registry)
 from modfesh.cli import MAX_COUNT, build_parser, run
 from modfesh.lightshift import LightField, Polarization, fictitious_field, scattering_rate
 from modfesh.scattering import ResonanceModel
@@ -459,6 +459,13 @@ class TestResonancesAndGap:
 
 
 class TestScatteringLengthCmd:
+    @pytest.mark.parametrize("verb", ["scattering-length", "dressed"])
+    def test_zero_a_bk_exits_three(self, capsys, verb):
+        """Both models refuse a zero background scattering length alike."""
+        code, out, err = run_cli(capsys, *_with_flag(TABLE_VERBS[verb], "--a-bk", "0"))
+        assert (code, out) == (3, "")
+        assert err == "domain error: background scattering length must be non-zero\n"
+
     def test_grid_values(self, capsys):
         code, out, _ = run_cli(capsys, "scattering-length", "--a-bk", "200",
                                "--delta-m-hz", "1e3", "--omega0-hz", "228.7e3",
@@ -835,12 +842,19 @@ class TestEnergyMap:
         assert code == 2
 
     def energy_map_rows(self, tmp_path, capsys, label, b_field, slope, seed):
-        """scan x 3 (0.4/0.8/1.2 W/cm^2, orders 1 and 2) and energy-map through
-        the CLI; returns the (state, order) of each map row."""
+        """map_rows of the state's lines at orders 1 and 2, 3 and 4 kHz wide."""
         registry = cesium_states()
         state = next(s for s in registry if s.label == label)
         energy = molecular_energy(state, b_field, registry)
-        start, stop = abs(energy) / 2 - 22e3, abs(energy) + 22e3
+        return self.map_rows(tmp_path, capsys, [(energy, 1, 3e3), (energy, 2, 4e3)], b_field,
+                             slope, seed)
+
+    def map_rows(self, tmp_path, capsys, lines, b_field, slope, seed):
+        """scan x 3 (0.4/0.8/1.2 W/cm^2) of lines, (energy Hz, |m|, width Hz)
+        each, and energy-map through the CLI; returns the (state, order) of
+        each map row."""
+        start = min(abs(energy) / k for energy, k, _ in lines) - 22e3
+        stop = max(abs(energy) / k for energy, k, _ in lines) + 22e3
         points = int(round((stop - start) / 150.0)) + 1
         for i, intensity in enumerate((0.4, 0.8, 1.2)):
             body = ["[scan]", f"start_hz = {start!r}", f"stop_hz = {stop!r}",
@@ -848,7 +862,7 @@ class TestEnergyMap:
                     f"seed = {seed + i}", f"field_G = {b_field!r}",
                     f"intensity_W_cm2 = {intensity!r}",
                     f"dc_shift_hz = {slope * intensity * (1 - 0.86 / 2)!r}"]
-            for k, width in ((1, 3e3), (2, 4e3)):
+            for energy, k, width in lines:
                 body += ["[resonance]", "a_bk = 200.0", f"delta_m_hz = {width!r}",
                          f"omega0_hz = {-energy!r}", f"m = {-k}"]
             cfg = tmp_path / f"scan_{i}.cfg"
@@ -878,6 +892,18 @@ class TestEnergyMap:
         rows = self.energy_map_rows(tmp_path, capsys, "6g(6)", 33.2999, -2180.8100713559256,
                                     427942748)
         assert rows == [("6g(6)", -2), ("6g(6)", -1)]
+
+    def test_crossing_center_rows(self, tmp_path, capsys):
+        """Two m = -1 lines at the 6s/6g(6) branch energies of 18.66 G, where
+        the bare lines tie: each partner keeps the branch it joins above the
+        center, so each row matches one state and none is flagged.  Both
+        partners once took the lower branch: the upper row matched no state,
+        the lower one was ambiguous, and the map exited 3."""
+        registry = cesium_states()
+        six_s = next(s for s in registry if s.label == "6s")
+        lines = [(energy, 1, 3e3) for energy in crossing_branches(six_s, 18.66, registry)]
+        rows = self.map_rows(tmp_path, capsys, lines, 18.66, 0.0, 1866)
+        assert rows == [("6g(6)", -1), ("6s", -1)]
 
     def test_field_axis_scan_exits_three(self, tmp_path, capsys):
         """A field-axis spectrum among the scans is a domain error, not a traceback."""
@@ -968,6 +994,23 @@ E0_Hz = -182e3
 mu_rel_Hz_per_G = 1.35e6
 B_ref_G = 19.8
 window_G = a b
+"""
+# a crossing pair that names each other with one V_ij_Hz
+SWEEP_REGISTRY = """\
+[state 6s]
+E0_Hz = -182e3
+mu_rel_Hz_per_G = -1.35e6
+B_ref_G = 18.66
+window_G = 15 50
+crossing_partner = 6g(6)
+V_ij_Hz = 25e3
+[state 6g(6)]
+E0_Hz = -182e3
+mu_rel_Hz_per_G = -8e3
+B_ref_G = 18.66
+window_G = 15 50
+crossing_partner = 6s
+V_ij_Hz = 25e3
 """
 SPECTRUM_JSON = ('{"axis": "modulation_freq_Hz", "points": [[1e5, 1.0, 0.01], [1.1e5, %s, 0.01]], '
                  '"metadata": {"field_G": 19.41, "intensity_W_cm2": 0.8}}')
@@ -1229,6 +1272,19 @@ class TestUsageErrorsExitTwo:
         # relative atom numbers above 1 at -5
         *[({"field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", f"seed = 3\n{key_value}")},
            SCAN_FIELD, "field.cfg: line 9") for key_value in SCAN_VALUES_REFUSED[-2:]],
+        # crossing partners that disagree: 6s and 6g(6) once got two branch pairs
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9",
+          "states.cfg": SWEEP_REGISTRY.replace("= 6s\nV_ij_Hz = 25e3", "= 6s\nV_ij_Hz = 90e3")},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 1"),
+        ({"states.cfg": SWEEP_REGISTRY + "[state x]\nE0_Hz = -150e3\nmu_rel_Hz_per_G = 1e4\n"
+                                         "B_ref_G = 18.66\ncrossing_partner = 6s\nV_ij_Hz = 25e3\n",
+          "field.cfg": FIELD_SCAN_CONFIG.replace("seed = 3", "registry = {tmp}/states.cfg")},
+         SCAN_FIELD, "states.cfg: line 15"),
+        ({"scans/scan.json": SPECTRUM_JSON % "0.9",
+          "states.cfg": SWEEP_REGISTRY.replace("= 6g(6)", "= 6s")},
+         ("energy-map", "--scan-dir", "{tmp}/scans", "--registry", "{tmp}/states.cfg"),
+         "states.cfg: line 1"),
     ], ids=["csv-nan", "json-inf", "json-string", "linear-csv-nan", "resonance-m-1.7",
             "registry-window_G", "linear-csv-leading-nan", "species-row-nan",
             "species-ground_F-3.7", "species-nuclear_spin-1/0", "registry-E0-nan",
@@ -1248,7 +1304,9 @@ class TestUsageErrorsExitTwo:
             "widths-order-negative", "scan-a_bk-0", "widths-repeated-order",
             "scan-noise_sigma-negative", "scan-density_cm3-0", "scan-density_cm3-negative",
             "scan-hold_time_ms-0", "scan-hold_time_ms-negative",
-            "field-scan-hold_time_ms-0", "field-scan-hold_time_ms-negative"])
+            "field-scan-hold_time_ms-0", "field-scan-hold_time_ms-negative",
+            "registry-partner-V-differs", "registry-third-state-names-partner",
+            "registry-partner-self"])
     def test_data_file_exit_two(self, tmp_path, capsys, files, argv, where):
         for name, text in files.items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
@@ -1480,22 +1538,6 @@ ground_gF = -0.25
 [transitions]
 D1 3 4 335121730520000.0 2.698e-29 28659130.3
 D2 3 4 351730902170000.0 3.7971e-29 32815191.9
-"""
-SWEEP_REGISTRY = """\
-[state 6s]
-E0_Hz = -182e3
-mu_rel_Hz_per_G = -1.35e6
-B_ref_G = 18.66
-window_G = 15 50
-crossing_partner = 6g(6)
-V_ij_Hz = 25e3
-[state 6g(6)]
-E0_Hz = -182e3
-mu_rel_Hz_per_G = -8e3
-B_ref_G = 18.66
-window_G = 15 50
-crossing_partner = 6s
-V_ij_Hz = 25e3
 """
 
 

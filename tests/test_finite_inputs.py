@@ -23,6 +23,8 @@ from modfesh.spectra import (AXIS_FREQ, Spectrum, find_peaks, fit_fano, fit_land
 
 NAN = math.nan
 X, Y = [0.4, 0.8, 1.2], [227.9e3, 227.1e3, 226.3e3]
+DRESSED_FIELDS = dict(a_bk=200.0, delta_m=3e3, gamma_in=300.0, omega_b=1.4e6, delta_shift=0.0,
+                      m=1)
 
 
 @pytest.mark.parametrize("call", [
@@ -35,8 +37,13 @@ X, Y = [0.4, 0.8, 1.2], [227.9e3, 227.1e3, 226.3e3]
     lambda: weighted_linear_fit(X, Y, [50.0, NAN, 60.0]),
     lambda: resonance_frequencies(NAN, 3),
     lambda: loss_rate_proxy(300.0, density=NAN),
+    *[lambda field=field, value=value: DressedChannelModel(**{**DRESSED_FIELDS, field: value})
+      for field, value in (("a_bk", NAN), ("delta_m", NAN), ("gamma_in", NAN),
+                           ("omega_b", math.inf), ("delta_shift", -math.inf))],
 ], ids=["model-a_bk", "model-delta_m", "model-omega0", "model-omega0-array",
-        "linear-x", "linear-y", "linear-sigma", "resonance-omega_b", "loss-density"])
+        "linear-x", "linear-y", "linear-sigma", "resonance-omega_b", "loss-density",
+        "dressed-a_bk", "dressed-delta_m", "dressed-gamma_in", "dressed-omega_b",
+        "dressed-delta_shift"])
 def test_non_finite_input_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from modfesh.atomdata import A_BOHR
+from modfesh.atomdata import A_BOHR, cesium_states, crossing_branches, molecular_energy
 from modfesh.errors import DomainError, PoleError
 from modfesh.scattering import (K3_COEFF, DressedChannelModel, ResonanceModel,
                                 dressed_alpha_beta, inelastic_channel_scaling, loss_rate_proxy,
                                 pole_frequency, scattering_length,
                                 width_from_coupling)
 from modfesh.specfun import bessel_j
+from modfesh.spectra import fano_profile
 
 
 class TestScatteringLength:
@@ -187,10 +188,9 @@ class TestDressedAlphaBeta:
             ref_alpha, ref_beta = closed_form(m, omega)
             assert alpha.tobytes() == ref_alpha.tobytes()
             assert beta.tobytes() == ref_beta.tobytes()
-            # a scalar takes numpy's 0-d path, which may round apart from the array one
-            w = np.asarray(omega[0])
-            assert (np.array(dressed_alpha_beta(m, float(w))).tobytes()
-                    == np.array(closed_form(m, w), dtype=float).tobytes())
+            # a scalar gives the bits of the same value inside the array
+            assert (np.array(dressed_alpha_beta(m, float(omega[0]))).tobytes()
+                    == np.array([alpha[0], beta[0]]).tobytes())
             negative_a_zero_beta += m.a_bk < 0 and m.delta_m * m.gamma_in == 0.0
         assert negative_a_zero_beta > 500
 
@@ -249,3 +249,40 @@ class TestLossRateProxy:
 
     def test_cap_symmetric_in_sign(self):
         assert loss_rate_proxy(-1e9, 1e13) == loss_rate_proxy(1e9, 1e13)
+
+
+RES = ResonanceModel(200.0, 2 * math.pi * 3e3, 2 * math.pi * 228.7e3, -1)
+DRESSED = DressedChannelModel(200.0, 2 * math.pi * 500.0, 2 * math.pi * 50.0,
+                              2 * math.pi * 228.7e3, 0.0, 1)
+STATES = cesium_states()
+SIX_S = next(s for s in STATES if s.label == "6s")
+# function of one float or an array -> (numpy draw of its inputs): a numpy
+# scalar's ** goes through libm pow and an array's through numpy's own loop,
+# so a square or fourth power written with ** made some of these differ
+SCALAR_ARRAY_CASES = {
+    "scattering_length": (lambda x: scattering_length(RES, x),
+                          lambda rng, n: 2 * math.pi * rng.uniform(200e3, 260e3, n)),
+    "dressed_alpha_beta-k0": (lambda x: np.array(dressed_alpha_beta(DRESSED, x)),
+                              lambda rng, n: 2 * math.pi * rng.normal(228.7e3, 2e3, n)),
+    "dressed_alpha_beta-k3e6": (lambda x: np.array(dressed_alpha_beta(DRESSED, x, k=3e6)),
+                                lambda rng, n: 2 * math.pi * rng.normal(228.7e3, 2e3, n)),
+    "loss_rate_proxy": (lambda x: loss_rate_proxy(x, 3e12),
+                        lambda rng, n: rng.uniform(-3000.0, 3000.0, n)),
+    "fano_profile": (lambda x: fano_profile(x, 228.7e3, 3e3, -3.0, 1.0, 0.0),
+                     lambda rng, n: rng.uniform(200e3, 260e3, n)),
+    "molecular_energy": (lambda x: molecular_energy(SIX_S, x, STATES),
+                         lambda rng, n: rng.uniform(18.0, 19.4, n)),
+    "crossing_branches": (lambda x: np.array(crossing_branches(SIX_S, x, STATES)),
+                          lambda rng, n: rng.uniform(18.0, 19.4, n)),
+}
+
+
+@pytest.mark.parametrize("name", SCALAR_ARRAY_CASES)
+def test_scalar_rounds_as_array(name):
+    """f(float(x)) has the bits of f(array)[j] for 5,000 seeded draws."""
+    f, draw = SCALAR_ARRAY_CASES[name]
+    x = draw(np.random.default_rng(2), 5000)
+    array = np.asarray(f(x))
+    differ = [j for j, v in enumerate(x.tolist())
+              if np.asarray(f(v)).tobytes() != array[..., j].tobytes()]
+    assert differ == []

@@ -45,6 +45,10 @@ class TestSynthesize:
         spec = synthesize_spectrum([bound_resonance(200e3, 0.0)],
                                    np.linspace(150e3, 250e3, 101))
         assert np.all(spec.y == 1.0)
+        # a background whose scalar rate once rounded apart from the array rate
+        spec = synthesize_spectrum([bound_resonance(200e3, 0.0, a_bk=1984.5647604745118)],
+                                   np.linspace(1e5, 3e5, 5), density=3e12)
+        assert np.all(spec.y == 1.0)
 
     def test_seeded_determinism(self):
         grid = np.linspace(150e3, 250e3, 201)
